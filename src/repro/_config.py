@@ -27,11 +27,13 @@ class Limits:
         max_columns_exact: Number of columns above which the guard kicks
             in (``max_columns_exact ** 2`` should stay close to
             ``max_compat_pairs``).
-        sift_widthsum_node_limit: Node-count threshold below which
-            sifting evaluates the exact sum-of-widths cost at every
-            candidate position (the paper's cost function).  Larger BDDs
-            fall back to the classical live-node-count proxy, which is
-            incrementally maintained and much cheaper.
+        sift_widthsum_node_limit: Node-count threshold at or below
+            which ``cost="auto"`` sifts by the exact sum of widths (the
+            paper's cost function); larger BDDs sift by live node
+            count.  The sift session keeps both costs up to date inside
+            its swaps, so the node count is no longer much cheaper; the
+            limit stays because it keeps the Table 6 word-list designs,
+            whose CFs exceed it, unchanged.
         sift_max_growth: Abort growing a sifting direction when the BDD
             exceeds this multiple of its size at the start of the move.
     """

@@ -39,7 +39,7 @@ from repro.bdd.builder import (
     from_truth_table,
     word_geq_const,
 )
-from repro.bdd.reorder import SiftSession, set_order, sift
+from repro.bdd.reorder import SiftSession, set_order, sift, width_sum
 from repro.bdd.traversal import (
     count_paths_to_one,
     crossing_counts,
@@ -106,5 +106,6 @@ __all__ = [
     "verify_charfunction",
     "verify_manager",
     "verify_payload",
+    "width_sum",
     "word_geq_const",
 ]

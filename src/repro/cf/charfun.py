@@ -259,9 +259,13 @@ class CharFunction:
                 else "nodes"
             )
         cost_fn = None
-        if cost == "widthsum":
+        if cost == "widthsum" and any(r != self.root for r in protect):
+            # The session's kept widths would count the other roots
+            # too; the cost measures this CF's root alone.
             def cost_fn(bdd: BDD, roots: Sequence[int]) -> float:
                 return float(sum_of_widths(bdd, roots[0]))
+        elif cost == "widthsum":
+            cost_fn = reorder.width_sum
         elif cost != "nodes":
             raise ValueError(f"unknown cost {cost!r}")
         precedence = self.precedence_constraints()

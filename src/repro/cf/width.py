@@ -12,10 +12,12 @@ the BDD (Sect. 3.1, footnote: the all-zero column is not counted, which
 corresponds to excluding the constant 0 target).
 
 Width *counts* go through :func:`~repro.bdd.traversal.crossing_counts`
-(one linear pass, no set materialization — this is the sifting cost
-function's hot path); column *sets* go through the memoized
-:func:`~repro.bdd.traversal.sections_of` so Algorithm 3.3's per-height
-queries share one traversal.
+(one linear pass, no set materialization); column *sets* go through the
+memoized :func:`~repro.bdd.traversal.sections_of` so Algorithm 3.3's
+per-height queries share one traversal.  A width-sum sift does not
+call :func:`sum_of_widths` at every position: its
+:class:`~repro.bdd.reorder.SiftSession` keeps the same counts up to
+date inside each swap (see the note at the end of this module).
 """
 
 from __future__ import annotations
@@ -128,12 +130,14 @@ def substitute_columns(
     return memo[root]
 
 
-# NOTE: an incrementally maintained sum-of-widths cost — patching only
-# counts[l+1] after a swap of levels l/l+1 (the one section a swap can
-# change), by rescanning the unique tables above the section — was
-# prototyped here and measured *slower* than calling crossing_counts()
-# after every swap: the full pass is a single tight scratch-array loop
-# over live nodes, while the per-swap rescan pays Python-level set
-# insertion on a comparable node count.  Keep the closure-over-
-# crossing_counts form unless the full pass itself shows up in a
-# profile again.
+# NOTE: a width-sum sift (CharFunction.sift unless it protects other
+# roots) reads its cost from the sift session, which keeps
+# crossing_counts() of its roots up to date inside every swap
+# (repro.bdd.reorder).  A swap of levels l/l+1 changes only
+# counts[l+1]; the session keeps, per node, the level of its highest
+# incoming edge, so the update reads only the two swapped levels.  An
+# earlier prototype patched the same single section but recounted it
+# by rescanning every level above it with Python-level set insertion,
+# and measured 14x slower than this module's full pass.
+# sum_of_widths() stays the reference and the cost of sifts that
+# protect other roots, which the kept counts would include.

@@ -64,6 +64,28 @@ class TestSiftProtection:
         assert truth == after
         bdd.check_invariants([cf.root, side])
 
+    def test_widthsum_cost_of_own_root_with_other_roots(self, monkeypatch):
+        # The kept width sum would count every protected root, so a
+        # sift that protects another root measures its own root with
+        # sum_of_widths; protecting only itself keeps the kept sum.
+        import repro.cf.width as width
+
+        calls = []
+        original = width.sum_of_widths
+
+        def counting(bdd, root):
+            calls.append(root)
+            return original(bdd, root)
+
+        monkeypatch.setattr(width, "sum_of_widths", counting)
+        cf = CharFunction.from_spec(table1_spec())
+        bdd = cf.bdd
+        cf.sift(cost="widthsum", protect=[cf.root])
+        assert calls == []
+        side = bdd.apply_and(bdd.var(cf.input_vids[0]), bdd.var(cf.input_vids[3]))
+        cf.sift(cost="widthsum", protect=[side])
+        assert calls and set(calls) == {cf.root}
+
     def test_freeze_outputs_keeps_interleaving(self):
         cf = CharFunction.from_spec(table1_spec())
         bdd = cf.bdd

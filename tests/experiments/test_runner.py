@@ -88,11 +88,13 @@ class TestStableSeed:
         assert len(seeds) == 2 * 3 * 3
 
     def test_pinned_value(self):
-        """Process-independent: the digest must never vary between runs."""
-        assert stable_seed("table4", "3-5 RNS", "ISF") == stable_seed(
-            "table4", "3-5 RNS", "ISF"
-        )
-        assert stable_seed() == stable_seed()
+        """Process-independent: the digest must never vary between runs.
+
+        A change to the derivation would silently redraw every
+        verifier's samples, so the values are pinned as literals.
+        """
+        assert stable_seed("table4", "3-5 RNS", "ISF") == 14178166531997733615
+        assert stable_seed() == 16476032584258269876
         assert 0 <= stable_seed("x") < 2**64
 
     def test_non_string_parts(self):
