@@ -5,15 +5,15 @@ pipelines and therefore mix kernel work with sifting, Algorithm 3.3,
 and cascade synthesis — these rows hammer *only* the evaluator of
 :mod:`repro.bdd.kernel` on deterministic pseudo-random operand DAGs.
 Each row lands in ``BENCH_PR6.json`` as ``kernel_micro:<op>`` with the
-usual :func:`repro.bdd.stats.record` payload, whose schema-v5 fields
-(``kernel_steps_per_sec``, ``tt_fast_hit_rate``) are exactly what the
-perf-smoke CI job and cross-PR comparisons read.
+usual :func:`repro.bdd.stats.record` payload, whose
+``kernel_steps_per_sec`` field is what the perf-smoke CI job and
+cross-PR comparisons read.  A kernel step is one visit frame of the
+evaluator, so steps/sec measures node-pair work.
 
-The workload spans the truth-table window boundary on purpose: with 13
-variables and the default 8-variable window, operand cones both
-resolve word-wise (sub-window) and walk node pairs (above it), so both
-the packed-key computed tables and the word-parallel fast path show up
-in the counters.
+The operands are dense random 13-variable truth tables, so their BDDs
+are wide near the bottom and every operation walks many node pairs
+through the packed-key computed tables.  No paper pipeline builds
+such functions; these rows isolate the kernel, not a workload.
 
 Environment:
 
@@ -21,8 +21,6 @@ Environment:
   aggregate kernel throughput over all micro rows is at least ``X``
   steps/sec (mirrors ``REPRO_REQUIRE_SPEEDUP``; opt-in because shared
   CI hosts make absolute throughput floors flaky unless conservative).
-* ``REPRO_TT_FASTPATH=0`` — the micros still pass (the fast-path hit
-  rate just reads 0), which is how the differential CI leg reuses them.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ def _build_pool(seed: int, n_funcs: int = 6) -> tuple[BDD, list[int], list[int]]
     """A manager with ``n_funcs`` pseudo-random 13-var functions.
 
     Truth tables are dense random bit vectors, so the BDDs are wide
-    near the bottom — the regime the truth-table window targets.
+    near the bottom.
     """
     rng = random.Random(seed)
     bdd = BDD()
@@ -115,20 +113,15 @@ def test_throughput_gate():
     steps = sum(stats.RECORDS[name]["kernel_steps"] for name in done)
     wall = sum(stats.RECORDS[name]["wall_s"] for name in done)
     throughput = steps / wall if wall > 0 else 0.0
-    hits = sum(stats.RECORDS[name]["tt_fast_hits"] for name in done)
-    misses = sum(stats.RECORDS[name]["tt_fast_misses"] for name in done)
-    lookups = hits + misses
     stats.RECORDS["kernel_micro_aggregate"] = {
         "rows": list(done),
         "kernel_steps": steps,
         "wall_s": wall,
         "kernel_steps_per_sec": throughput,
-        "tt_fast_hit_rate": (hits / lookups) if lookups else 0.0,
     }
     print(
         f"\nkernel micro aggregate: {steps} steps in {wall:.2f}s "
-        f"({throughput:,.0f} steps/sec, fast-path hit rate "
-        f"{(hits / lookups) if lookups else 0.0:.2f})"
+        f"({throughput:,.0f} steps/sec)"
     )
     floor = os.environ.get("REPRO_REQUIRE_THROUGHPUT", "").strip()
     if floor:

@@ -4,7 +4,7 @@ Three artefacts:
 
 * ``BENCH_SERVICE.json`` — the PR 7 claim: the second identical query
   against a warm shard is substantially faster than the first (cold)
-  one, because computed tables and truth-table memos survive between
+  one, because the manager's computed tables survive between
   requests.
 * ``BENCH_PR8.json`` — the PR 8 claims: per-op latency distributions
   (p50/p95), the cross-request result cache answering warm repeats

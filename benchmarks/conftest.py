@@ -101,9 +101,9 @@ def bench_journal():
 def read_bench_json(path) -> dict:
     """Load a BENCH_*.json, validating its schema version.
 
-    Raises a clear error for stale v1..v4 files (or foreign JSON)
-    instead of letting a consumer silently miss the v5 truth-table
-    fast-path counters and host ``meta`` block it expects.
+    Raises a clear error for a file of any other schema version (or
+    foreign JSON) instead of letting a consumer silently read fields
+    with a different meaning or miss the host ``meta`` block.
     """
     path = pathlib.Path(path)
     data = json.loads(path.read_text())

@@ -21,7 +21,6 @@ PACKAGES = [
     "repro.bdd.check",
     "repro.bdd.governor",
     "repro.bdd.hashtable",
-    "repro.bdd.tt",
     "repro.isf",
     "repro.cf",
     "repro.reduce",

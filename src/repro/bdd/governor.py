@@ -23,13 +23,9 @@ and subsequent operations on the same manager succeed (pinned by
 budget may be overshot by up to one check interval's worth of work —
 this is a governor, not a hard rlimit.
 
-Step accounting is evaluator-work-proportional regardless of the code
-path: the word-parallel truth-table fast path (:mod:`repro.bdd.tt`)
-charges ``max(1, word_bits // 64)`` steps per node evaluation / fold
-variable / build step — one step per machine word touched — so a
-``max_steps`` budget constrains roughly the same amount of real work
-whether an operation resolves through the node-pair kernel or
-collapses into bitwise word arithmetic.
+One step is one visit frame of the kernel's evaluator, the same unit
+as the manager's ``kernel_steps`` counter, so a ``max_steps`` budget
+bounds real node-pair work.
 
 Budgets nest: every active budget is checked at each checkpoint, and a
 raised error carries ``.budget`` so a caller can tell its own limit

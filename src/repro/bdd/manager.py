@@ -33,7 +33,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from repro.bdd import stats
-from repro.bdd import tt as _tt
 from repro.bdd.hashtable import _MULT, UniqueTable, check_capacity, pack2
 from repro.bdd.kernel import (
     FALSE,
@@ -104,12 +103,6 @@ class BDD:
         self._kernel_steps = 0
         self._n_alive = 0
         self._peak_alive = 0
-        # Word-parallel truth-table window (see repro.bdd.tt): lazily
-        # built state plus fast-path counters (schema v5).
-        self._tt = None
-        self._tt_fast_hits = 0
-        self._tt_fast_misses = 0
-        self._tt_words = 0
         stats.register(self)
 
     def __del__(self) -> None:
@@ -641,9 +634,8 @@ class BDD:
 
         Returns a dict with ``tiers`` (name -> size/hits/misses/
         inserts/evictions/invalidations/hit_rate), aggregate ``totals``,
-        the reorder ``epoch``, ``op_calls``/``kernel_steps``, the
-        word-parallel fast-path block ``tt``, and the current/peak
-        alive node counts.
+        the reorder ``epoch``, ``op_calls``/``kernel_steps``, and the
+        current/peak alive node counts.
         """
         tiers = {tier.name: tier.stats() for tier in self.iter_cache_tiers()}
         totals = {
@@ -656,21 +648,12 @@ class BDD:
         }
         lookups = totals["hits"] + totals["misses"]
         totals["hit_rate"] = (totals["hits"] / lookups) if lookups else 0.0
-        fast = self._tt_fast_hits + self._tt_fast_misses
         return {
             "tiers": tiers,
             "totals": totals,
             "epoch": self._epoch,
             "op_calls": self._op_calls,
             "kernel_steps": self._kernel_steps,
-            "tt": {
-                "enabled": _tt.enabled(),
-                "window": _tt.max_window(),
-                "fast_hits": self._tt_fast_hits,
-                "fast_misses": self._tt_fast_misses,
-                "words": self._tt_words,
-                "fast_hit_rate": (self._tt_fast_hits / fast) if fast else 0.0,
-            },
             "alive_nodes": self.num_alive_nodes(),
             "peak_nodes": self._peak_alive,
         }
@@ -720,11 +703,6 @@ class BDD:
             for tier in self.iter_cache_tiers():
                 tier.purge(gen, epoch)
             self._sections_memo.clear()
-            # The truth-table memos validate by generation stamp, but a
-            # sweep is the natural point to drop the dead weight too.
-            if self._tt is not None:
-                self._tt.words.clear()
-                self._tt.builds.clear()
         return freed
 
     def num_alive_nodes(self) -> int:

@@ -22,21 +22,17 @@ for free.  Entries are epoch-tagged (the walk direction depends on the
 variable order) and generation-stamped, so reorders and GC invalidate
 them lazily without a cache scan.
 
-Both walks short-circuit through the word-parallel truth-table window
-(:mod:`repro.bdd.tt`): a node (or pair) living entirely in the bottom
-window resolves by a quantifier fold over its truth-table word instead
-of continuing the node-pair DFS — on the dense decomposition
-benchmarks this replaces the long tail of every pairwise walk.
+Each predicate has one code path, the node (pair) walk down to the
+terminals, and :mod:`repro.bdd.reference` keeps the seed recursions
+it is checked against.  Neither walk reads configuration: a query is
+a pure function of the manager's state.
 """
 
 from __future__ import annotations
 
 from repro.bdd import reference
-from repro.bdd import tt as _tt
 from repro.bdd.kernel import validator_epoch_bool, validator_epoch_bool_packed
 from repro.bdd.manager import FALSE, TRUE, BDD
-
-_NO_WINDOW = 1 << 31
 
 _TOT_VALIDATOR = validator_epoch_bool(1)
 _COMPAT_VALIDATOR = validator_epoch_bool_packed(2)
@@ -61,14 +57,7 @@ def ordered_total(bdd: BDD, u: int) -> bool:
     gen = bdd._gen
     epoch = bdd._epoch
     kinds = bdd._kinds
-    level_of = bdd._level_of
     lo_arr, hi_arr, vid_arr = bdd._lo, bdd._hi, bdd._vid
-    if _tt.enabled():
-        st = _tt.state(bdd)
-        fbase = st.base if st is not None else _NO_WINDOW
-    else:
-        st = None
-        fbase = _NO_WINDOW
 
     # Explicit stack with the same short-circuit as the recursion: an
     # output node whose lo-branch is total (or an input node whose
@@ -91,16 +80,6 @@ def ordered_total(bdd: BDD, u: int) -> bool:
                 result = entry[0]
                 continue
             tier.misses += 1
-            lv = level_of[vid_arr[v]]
-            if lv >= fbase:
-                # In-window node: one quantifier fold over its word
-                # decides totality without walking the cone.
-                result = _tt.fold_total(bdd, st, _tt.word_of(bdd, st, v), lv)
-                tier.insert(v, (result, epoch, gen[v]))
-                bdd._tt_fast_hits += 1
-                continue
-            if st is not None:
-                bdd._tt_fast_misses += 1
             push((v, 1))
             push((lo_arr[v], 0))
         elif state == 1:
@@ -159,12 +138,6 @@ def compatible_columns(bdd: BDD, a: int, b: int) -> bool:
     kinds = bdd._kinds
     level_of = bdd._level_of
     lo_arr, hi_arr, vid_arr = bdd._lo, bdd._hi, bdd._vid
-    if _tt.enabled():
-        st = _tt.state(bdd)
-        fbase = st.base if st is not None else _NO_WINDOW
-    else:
-        st = None
-        fbase = _NO_WINDOW
 
     # Pair walk over the conceptual product, same short-circuit shape
     # as ordered_total: state 0 visits a pair, state 1 sees the lo-pair
@@ -201,21 +174,6 @@ def compatible_columns(bdd: BDD, a: int, b: int) -> bool:
             tier.misses += 1
             lx = level_of[vid_arr[x]]
             ly = level_of[vid_arr[y]]
-            if lx >= fbase and ly >= fbase:
-                # In-window pair: the conceptual product is one bitwise
-                # AND of the two words, and the totality sweep is a
-                # quantifier fold — the whole sub-walk collapses.
-                result = _tt.fold_total(
-                    bdd,
-                    st,
-                    _tt.word_of(bdd, st, x) & _tt.word_of(bdd, st, y),
-                    lx if lx < ly else ly,
-                )
-                tier.insert(key, (result, epoch, gen[x], gen[y]))
-                bdd._tt_fast_hits += 1
-                continue
-            if st is not None:
-                bdd._tt_fast_misses += 1
             push((x, y, 1))
             push((lo_arr[x] if lx <= ly else x, lo_arr[y] if ly <= lx else y, 0))
         elif state == 1:

@@ -151,7 +151,6 @@ class SocketClient:
         params: dict | None = None,
         *,
         tenant: str = "default",
-        tt: dict | None = None,
         budget: dict | None = None,
         deadline_ms: int | None = None,
         check: bool = True,
@@ -169,8 +168,6 @@ class SocketClient:
         """
         rid = f"c{next(self._ids)}"
         doc: dict = {"id": rid, "op": op, "params": params or {}, "tenant": tenant}
-        if tt is not None:
-            doc["tt"] = tt
         if budget is not None:
             doc["budget"] = budget
         if deadline_ms is not None:

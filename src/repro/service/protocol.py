@@ -7,7 +7,6 @@ Requests::
     {"id": "c1", "op": "width_reduce",
      "params": {"benchmark": "5-7-11-13 RNS"},
      "tenant": "ci",                      # optional, default "default"
-     "tt": {"fastpath": false, "window": 6},   # optional per-request
      "budget": {"max_steps": 2000000, "max_nodes": 500000,
                 "deadline_s": 30.0},      # optional per-request
      "deadline_ms": 1500}                 # optional end-to-end deadline
@@ -28,7 +27,11 @@ admission; queueing time counts) and machine-readable resilience error
 ``code`` values — ``overloaded``, ``deadline_exceeded``,
 ``circuit_open`` — with an optional ``retry_after`` backoff hint in
 seconds.  ``code`` is present only for those mapped conditions; plain
-engine errors keep the v2 shape (type + message).
+engine errors keep the v2 shape (type + message).  v4 removes the
+per-request ``tt`` field and rejects any other top-level key than
+``id``, ``op``, ``params``, ``tenant``, ``budget`` and ``deadline_ms``,
+so a stale client's field or a typo such as ``"deadline"`` fails the
+request instead of being silently dropped.
 
 Ops: ``ping``, ``stats``, ``invalidate``, ``width_reduce``,
 ``decompose``, ``cascade``, ``pla_reduce``, ``shutdown``.
@@ -38,10 +41,10 @@ batching, the cross-request result cache, and (when configured) the
 write-ahead journal.
 
 Query identity is *content-addressed*: :func:`query_key` digests the
-op plus its canonicalized parameters (and any per-request ``tt`` /
-``budget`` overrides, which change how — not what — is computed but
-must not be coalesced across), yielding the ``query:<op>/<digest>``
-key used for journaling, batching, and cost estimates.  Two clients
+op plus its canonicalized parameters (and any per-request ``budget``,
+which changes how — not what — is computed but must not be coalesced
+across), yielding the ``query:<op>/<digest>`` key used for
+journaling, batching, and cost estimates.  Two clients
 asking the identical question share one key, which is exactly what
 lets the batcher answer both with one manager pass.
 """
@@ -69,8 +72,11 @@ __all__ = [
     "query_key",
 ]
 
-PROTOCOL = "repro-query-v3"
-PROTOCOL_VERSION = 3
+PROTOCOL = "repro-query-v4"
+PROTOCOL_VERSION = 4
+
+#: Top-level keys a request line may carry; anything else is rejected.
+_REQUEST_FIELDS = ("id", "op", "params", "tenant", "budget", "deadline_ms")
 
 #: Compute ops: admitted, batched, journaled, executed on a shard.
 COMPUTE_OPS = ("width_reduce", "decompose", "cascade", "pla_reduce")
@@ -105,7 +111,6 @@ class Request:
     op: str
     params: dict[str, Any] = field(default_factory=dict)
     tenant: str = "default"
-    tt: dict[str, Any] | None = None
     budget: dict[str, Any] | None = None
     #: End-to-end deadline in milliseconds, measured from admission —
     #: queueing time counts, so an overloaded daemon fails these fast
@@ -129,7 +134,6 @@ class Request:
             key = query_key(
                 self.op,
                 self.params,
-                tt=self.tt,
                 budget=self.budget,
                 deadline_ms=self.deadline_ms,
             )
@@ -146,7 +150,6 @@ class Request:
             "op": self.op,
             "params": self.params,
             "tenant": self.tenant,
-            "tt": self.tt,
             "budget": self.budget,
         }
         if self.deadline_ms is not None:
@@ -160,7 +163,6 @@ class Request:
             op=doc["op"],
             params=dict(doc.get("params") or {}),
             tenant=doc.get("tenant") or "default",
-            tt=doc.get("tt"),
             budget=doc.get("budget"),
             deadline_ms=doc.get("deadline_ms"),
         )
@@ -170,14 +172,13 @@ def query_key(
     op: str,
     params: dict[str, Any],
     *,
-    tt: dict | None = None,
     budget: dict | None = None,
     deadline_ms: int | None = None,
 ) -> str:
     """``query:<op>/<digest>`` — stable identity of one computation.
 
     The digest covers the canonical JSON of op, params, and the
-    per-request overrides.  Like the sweep journal's ``config_hash``,
+    per-request budget.  Like the sweep journal's ``config_hash``,
     two requests share a key iff they describe the identical
     computation under identical execution settings.  ``deadline_ms``
     joins the digest only when set (keeping v2 keys stable), because a
@@ -187,7 +188,6 @@ def query_key(
     doc: dict[str, Any] = {
         "op": op,
         "params": params,
-        "tt": tt or None,
         "budget": budget or None,
     }
     if deadline_ms is not None:
@@ -210,6 +210,12 @@ def parse_request(line: str | bytes) -> Request:
         raise ProtocolError(f"request is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ProtocolError("request must be a JSON object")
+    unknown = set(raw) - set(_REQUEST_FIELDS)
+    if unknown:
+        raise ProtocolError(
+            f"request has unknown field(s): {', '.join(sorted(unknown))} "
+            f"(expected: {', '.join(_REQUEST_FIELDS)})"
+        )
     rid = raw.get("id")
     if not isinstance(rid, str) or not rid:
         raise ProtocolError("request is missing a non-empty string 'id'")
@@ -237,14 +243,6 @@ def parse_request(line: str | bytes) -> Request:
     tenant = raw.get("tenant", "default")
     if not isinstance(tenant, str) or not tenant:
         raise ProtocolError("'tenant' must be a non-empty string")
-    tt = raw.get("tt")
-    if tt is not None:
-        if not isinstance(tt, dict) or set(tt) - {"fastpath", "window"}:
-            raise ProtocolError("'tt' accepts only 'fastpath' and 'window'")
-        if "window" in tt and not isinstance(tt["window"], int):
-            raise ProtocolError("'tt.window' must be an integer")
-        if "fastpath" in tt and not isinstance(tt["fastpath"], bool):
-            raise ProtocolError("'tt.fastpath' must be a boolean")
     budget = raw.get("budget")
     if budget is not None:
         if not isinstance(budget, dict) or set(budget) - {
@@ -264,7 +262,6 @@ def parse_request(line: str | bytes) -> Request:
         op=op,
         params=params,
         tenant=tenant,
-        tt=tt,
         budget=budget,
         deadline_ms=deadline_ms,
     )

@@ -4,8 +4,8 @@ The serving gain of the daemon comes from here.  A cold run of
 ``width_reduce`` on "5-7-11-13 RNS" spends most of its time building
 and sifting the benchmark's BDD_for_CF; the reduction itself re-walks
 mostly the same subgraphs through the apply kernel.  A :class:`Shard`
-keeps the built, sifted base CF — its manager, computed tables, and
-truth-table memo included — alive between requests, so a repeated (or
+keeps the built, sifted base CF — its manager and computed tables
+included — alive between requests, so a repeated (or
 merely similar) query resolves largely out of the warm computed table
 instead of re-deriving every node pair.
 
@@ -135,7 +135,7 @@ class Shard:
         self.snapshot_dir = Path(snapshot_dir) if snapshot_dir else None
         #: Warm base CFs by cache key (benchmark name or PLA digest),
         #: least-recently-used first.  The CF's manager — with its
-        #: computed tables and tt memo — is what "warm" means; evicting
+        #: computed tables — is what "warm" means; evicting
         #: an entry cold-starts that row.
         self.cfs: dict[str, CharFunction] = {}
         #: Cache keys referenced by queries currently executing, with

@@ -14,7 +14,7 @@ pickled dicts — the same "picklable description" discipline as
 
 request::
 
-    {"op": ..., "params": {...}, "tt": ... | None, "budget": ... | None,
+    {"op": ..., "params": {...}, "budget": ... | None,
      "tenant_remaining": int | None}
 
 reply::
@@ -64,6 +64,7 @@ _POLL_S = 0.1
 def _worker_main(
     family: str,
     conn,
+    daemon_conn,
     max_alive: int | None,
     snapshot_dir: str | None,
     fault_parent: int | None = None,
@@ -79,10 +80,18 @@ def _worker_main(
     the ``service:<family>`` site; ``fault_parent`` is the daemon's pid
     so the same spec drives both worker-process kills and in-process
     degradations, exactly like row tasks' ``fault_parent``.
+
+    ``daemon_conn`` is the daemon's end of this worker's pipe, which
+    the fork copied in.  It is closed first: while the worker holds it,
+    ``conn.recv()`` never sees EOF, and a SIGKILLed daemon would leave
+    the worker running forever.  A worker forked later also holds the
+    daemon ends of its older siblings; it exits on EOF too, which
+    releases them in turn.
     """
+    daemon_conn.close()
     # Imports happen here (not module top) so a fork()ed child touches
     # the engine modules only after it owns them.
-    from repro.bdd import stats, tt
+    from repro.bdd import stats
     from repro.bdd.governor import Budget
     from repro.service.shards import ShardPool
 
@@ -100,7 +109,6 @@ def _worker_main(
         poison = None
         try:
             poison = _faults.fire(f"service:{family}", parent=fault_parent)
-            tt_over = msg.get("tt") or {}
             budget = dict(msg.get("budget") or {})
             tenant_remaining = msg.get("tenant_remaining")
             tenant_budget = (
@@ -108,15 +116,12 @@ def _worker_main(
                 if tenant_remaining is not None
                 else None
             )
-            with tt.overrides(
-                fastpath=tt_over.get("fastpath"), window=tt_over.get("window")
-            ):
-                served_family, result = pool.execute(
-                    msg["op"],
-                    msg.get("params") or {},
-                    budget=budget or None,
-                    tenant_budget=tenant_budget,
-                )
+            served_family, result = pool.execute(
+                msg["op"],
+                msg.get("params") or {},
+                budget=budget or None,
+                tenant_budget=tenant_budget,
+            )
             reply = {"ok": True, "family": served_family, "result": result}
         except Exception as exc:  # noqa: BLE001 - serialized, not dropped
             reply = {
@@ -240,6 +245,7 @@ class ShardWorker:
             args=(
                 self.family,
                 child_conn,
+                self._conn,
                 self.max_alive,
                 self.snapshot_dir,
                 os.getpid(),  # fault_parent: the daemon's pid

@@ -1,30 +1,13 @@
-"""Pinning tests for the environment-knob fixes.
+"""Pinning tests for the environment-knob helpers.
 
-Two regressions guarded here:
-
-* ``env_flag`` used to compare case-sensitively, so
-  ``REPRO_TT_FASTPATH=False`` (or ``OFF``, or ``" 0 "``) silently
-  *enabled* the feature it was meant to disable.
-* ``tt.ENABLED`` / ``tt.MAX_WINDOW`` used to be frozen at import, so a
-  long-lived daemon ignored environment changes made after startup.
-  They are now lazy (``tt.enabled()`` / ``tt.max_window()``) with an
-  explicit ``tt.overrides()`` extent for per-request settings.
+The regression guarded here: ``env_flag`` used to compare
+case-sensitively, so ``REPRO_SELFCHECK=False`` (or ``OFF``, or
+``" 0 "``) silently *enabled* the feature it was meant to disable.
 """
 
 import pytest
 
 from repro._config import env_flag, env_int
-from repro.bdd import tt
-
-
-@pytest.fixture(autouse=True)
-def clean_overrides():
-    """Every test starts and ends with the lazy env-read defaults."""
-    saved = (tt.ENABLED, tt.MAX_WINDOW)
-    tt.ENABLED = None
-    tt.MAX_WINDOW = None
-    yield
-    tt.ENABLED, tt.MAX_WINDOW = saved
 
 
 class TestEnvFlag:
@@ -70,73 +53,3 @@ class TestEnvInt:
     def test_unset_default_is_not_clamp_exempt(self, monkeypatch):
         monkeypatch.delenv("REPRO_N", raising=False)
         assert env_int("REPRO_N", 99, lo=1, hi=16) == 16
-
-
-class TestLazyTTKnobs:
-    def test_fastpath_env_change_after_import(self, monkeypatch):
-        """The regression: the daemon must honor env changes made after
-        the module was imported."""
-        monkeypatch.setenv("REPRO_TT_FASTPATH", "1")
-        assert tt.enabled() is True
-        monkeypatch.setenv("REPRO_TT_FASTPATH", "OFF")
-        assert tt.enabled() is False
-        monkeypatch.setenv("REPRO_TT_FASTPATH", "False")
-        assert tt.enabled() is False
-
-    def test_window_env_change_after_import(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TT_WINDOW", "6")
-        assert tt.max_window() == 6
-        monkeypatch.setenv("REPRO_TT_WINDOW", "12")
-        assert tt.max_window() == 12
-        monkeypatch.setenv("REPRO_TT_WINDOW", "999")
-        assert tt.max_window() == 16  # clamped
-        monkeypatch.setenv("REPRO_TT_WINDOW", "garbage")
-        assert tt.max_window() == 8  # default
-
-    def test_override_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TT_FASTPATH", "0")
-        monkeypatch.setenv("REPRO_TT_WINDOW", "4")
-        with tt.overrides(fastpath=True, window=10):
-            assert tt.enabled() is True
-            assert tt.max_window() == 10
-        assert tt.enabled() is False
-        assert tt.max_window() == 4
-
-    def test_overrides_nest_and_restore(self):
-        with tt.overrides(fastpath=False):
-            assert tt.enabled() is False
-            with tt.overrides(window=3):
-                assert tt.enabled() is False  # outer knob still pinned
-                assert tt.max_window() == 3
-            assert tt.MAX_WINDOW is None
-        assert tt.ENABLED is None
-
-    def test_overrides_restore_on_exception(self):
-        with pytest.raises(RuntimeError):
-            with tt.overrides(fastpath=False, window=2):
-                raise RuntimeError("boom")
-        assert tt.ENABLED is None
-        assert tt.MAX_WINDOW is None
-
-    def test_live_manager_rebuilds_state_on_window_change(self):
-        """A live manager's window descriptor follows the knob — it is
-        not frozen into a stale TTState."""
-        from repro.bdd import BDD, FALSE, TRUE
-
-        bdd = BDD()
-        vids = bdd.add_vars([f"x{i}" for i in range(12)])
-        # A cone over the bottom 4 levels: inside both windows below.
-        f = TRUE
-        for v in reversed(vids[8:]):
-            f = bdd.mk(v, FALSE, f)
-        with tt.overrides(window=4):
-            st4 = tt.state(bdd)
-            assert st4 is not None and st4.width == 4
-            w4 = tt.word_of(bdd, st4, f)
-            assert tt.node_of_word(bdd, st4, w4) == f
-        with tt.overrides(window=9):
-            st9 = tt.state(bdd)
-            assert st9 is not None and st9.width == 9
-            # The word semantics stay correct across the rebuild.
-            w = tt.word_of(bdd, st9, f)
-            assert tt.node_of_word(bdd, st9, w) == f

@@ -1,14 +1,43 @@
-"""Tests for totality / column compatibility of characteristic functions."""
+"""Tests for totality / column compatibility of characteristic functions.
 
+Besides the semantic checks (brute force, Definition 3.7), the walks
+and the apply kernel are checked differentially against the seed
+recursions of :mod:`repro.bdd.reference` — within one manager,
+canonicity turns semantic agreement into id equality — including
+across the events that invalidate memo state: sifting (the epoch
+moves), garbage collection (generations bump), and governor aborts.
+"""
+
+import itertools
+import os
 import random
+from collections.abc import MutableMapping
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.bdd import BDD, FALSE, TRUE
+from repro.bdd import BDD, FALSE, TRUE, from_truth_table, reference, sift
+from repro.bdd.governor import Budget
+from repro.benchfns.registry import get_benchmark
 from repro.cf import CharFunction
+from repro.cf.width import columns_at_height
+from repro.errors import ResourceLimitError
 from repro.isf import MultiOutputISF, compatible_columns, ordered_total
 
-from tests.conftest import spec_strategy, random_spec
+from tests.conftest import brute_force_truth, spec_strategy, random_spec
+
+N_VARS = 5
+N_DEEP = 9
+TABLE = st.lists(st.integers(0, 1), min_size=1 << N_VARS, max_size=1 << N_VARS)
+DEEP_TABLE = st.lists(st.integers(0, 1), min_size=1 << N_DEEP, max_size=1 << N_DEEP)
+
+
+def build(table, n_vars, n_outputs=2):
+    """Manager with a mixed input/output order and one function."""
+    bdd = BDD()
+    vids = bdd.add_vars([f"x{i}" for i in range(n_vars - n_outputs)])
+    vids += bdd.add_vars([f"y{i}" for i in range(n_outputs)], kind="output")
+    return bdd, vids, from_truth_table(bdd, vids, table)
 
 
 def brute_force_total(bdd, u, input_vids, output_vids):
@@ -106,3 +135,152 @@ class TestCompatibleColumns:
                 for fa, fb in zip(isf_a.outputs, isf_b.outputs)
             )
             assert got == want, trial
+
+
+class TestKernelMatchesReference:
+    @settings(max_examples=40, deadline=None)
+    @given(TABLE, TABLE)
+    def test_ops_match_reference(self, ta, tb):
+        bdd, vids, f = build(ta, N_VARS)
+        g = from_truth_table(bdd, vids, tb)
+        gid = bdd.var_group(vids[:2])
+        assert bdd.apply_and(f, g) == reference.ref_apply_and(bdd, f, g)
+        assert bdd.apply_xor(f, g) == reference.ref_apply_xor(bdd, f, g)
+        assert bdd.exists(f, gid) == reference.ref_exists(bdd, f, gid)
+        assert bdd.forall(g, gid) == reference.ref_forall(bdd, g, gid)
+
+    @settings(max_examples=15, deadline=None)
+    @given(DEEP_TABLE)
+    def test_ops_match_reference_on_9_vars(self, table):
+        bdd, vids, f = build(table, N_DEEP)
+        g = bdd.apply_not(bdd.cofactor(f, vids[0], 1))
+        gid = bdd.var_group(vids[-3:])
+        assert bdd.apply_and(f, g) == reference.ref_apply_and(bdd, f, g)
+        assert bdd.exists(f, gid) == reference.ref_exists(bdd, f, gid)
+
+
+class TestWalksMatchSeed:
+    @settings(max_examples=40, deadline=None)
+    @given(TABLE, TABLE)
+    def test_total_and_compat_match_seed(self, ta, tb):
+        bdd, vids, a = build(ta, N_VARS)
+        b = from_truth_table(bdd, vids, tb)
+        assert ordered_total(bdd, a) is reference.seed_ordered_total(bdd, a)
+        assert compatible_columns(bdd, a, b) is (
+            reference.seed_compatible_columns(bdd, a, b)
+        )
+
+    @settings(max_examples=10, deadline=None)
+    @given(DEEP_TABLE, DEEP_TABLE)
+    def test_compat_matches_seed_on_9_vars(self, ta, tb):
+        bdd, vids, a = build(ta, N_DEEP)
+        b = from_truth_table(bdd, vids, tb)
+        assert compatible_columns(bdd, a, b) is (
+            reference.seed_compatible_columns(bdd, a, b)
+        )
+
+    @settings(max_examples=15, deadline=None)
+    @given(TABLE, TABLE)
+    def test_parity_survives_sifting(self, ta, tb):
+        # Sifting moves the reorder epoch: the memos must not serve
+        # pre-sift answers.  The verdict itself may legitimately flip —
+        # ordered totality quantifies along the variable order, and
+        # sifting arbitrary functions can lift an output variable above
+        # an input — so the pin is agreement with a *fresh* reference
+        # walk on the new order, not invariance of the pre-sift answer.
+        bdd, vids, a = build(ta, N_VARS)
+        b = from_truth_table(bdd, vids, tb)
+        compatible_columns(bdd, a, b)  # warm the pre-sift memos
+        sift(bdd, [a, b])
+        after = compatible_columns(bdd, a, b)
+        bdd._ref_cache = {}  # the reference memo is not epoch-aware
+        assert after is reference.seed_compatible_columns(bdd, a, b)
+        bdd.clear_cache()
+        assert compatible_columns(bdd, a, b) is after
+
+    @settings(max_examples=15, deadline=None)
+    @given(TABLE, TABLE)
+    def test_parity_survives_collect(self, ta, tb):
+        bdd, vids, a = build(ta, N_VARS)
+        b = from_truth_table(bdd, vids, tb)
+        table_before = brute_force_truth(bdd, a, vids)
+        compatible_columns(bdd, a, b)  # warm the pair memo
+        garbage = bdd.apply_xor(a, b)
+        del garbage
+        bdd.collect([a, b])
+        assert brute_force_truth(bdd, a, vids) == table_before
+        assert compatible_columns(bdd, a, b) is (
+            reference.seed_compatible_columns(bdd, a, b)
+        )
+        bdd.check_invariants([a, b])
+
+    def test_abort_leaves_manager_consistent(self):
+        # A tiny step budget must abort mid-operation, and the manager
+        # must stay fully usable afterwards.
+        rng_table = [(i * 2654435761) >> 7 & 1 for i in range(1 << N_DEEP)]
+        alt_table = [(i * 40503) >> 3 & 1 for i in range(1 << N_DEEP)]
+        bdd, vids, f = build(rng_table, N_DEEP)
+        g = from_truth_table(bdd, vids, alt_table)
+        bdd.clear_cache()
+        with pytest.raises(ResourceLimitError):
+            with Budget(max_steps=10):
+                for _ in range(200):
+                    bdd.apply_xor(f, g)
+                    compatible_columns(bdd, f, g)
+                    bdd.clear_cache()
+        # No budget: the same queries now run to completion and agree
+        # with the reference engine.
+        assert bdd.apply_xor(f, g) == reference.ref_apply_xor(bdd, f, g)
+        assert compatible_columns(bdd, f, g) is (
+            reference.seed_compatible_columns(bdd, f, g)
+        )
+        bdd.check_invariants([f, g])
+
+
+class CountingEnviron(MutableMapping):
+    """``os.environ`` stand-in that records every key read."""
+
+    def __init__(self, real):
+        self.real = real
+        self.reads: list[str] = []
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return self.real[key]
+
+    def __setitem__(self, key, value):
+        self.real[key] = value
+
+    def __delitem__(self, key):
+        del self.real[key]
+
+    def __iter__(self):
+        self.reads.append("<iter>")
+        return iter(self.real)
+
+    def __len__(self):
+        return len(self.real)
+
+
+def test_hot_paths_read_no_environment(monkeypatch):
+    """Pair checks, totality walks and applies on a sifted CF are pure
+    functions of the manager: not one ``os.environ`` read."""
+    cf = CharFunction.from_isf(get_benchmark("3-5 RNS").build())
+    cf.sift(cost="auto")
+    bdd = cf.bdd
+    columns = [
+        columns_at_height(bdd, cf.root, height)
+        for height in range(1, bdd.num_vars)
+    ]
+    bdd.clear_cache()
+    env = CountingEnviron(os.environ)
+    monkeypatch.setattr(os, "environ", env)
+    pairs = 0
+    for cols in columns:
+        for a, b in itertools.islice(itertools.combinations(cols, 2), 40):
+            compatible_columns(bdd, a, b)
+            ordered_total(bdd, a)
+            bdd.apply_and(a, b)
+            pairs += 1
+    assert pairs > 100
+    assert env.reads == []

@@ -76,7 +76,7 @@ class TestSocketTransport:
             with SocketClient(sock) as client:
                 ping = client.call("ping")
                 assert ping["ok"]
-                assert ping["result"]["protocol"] == "repro-query-v3"
+                assert ping["result"]["protocol"] == "repro-query-v4"
                 assert ping["result"]["pid"] == proc.pid
 
                 reply = client.call("width_reduce", {"benchmark": BENCH})
@@ -87,7 +87,7 @@ class TestSocketTransport:
                 ]
 
                 stats = client.call("stats")["result"]
-                assert stats["schema"] == "repro-bench-v9"
+                assert stats["schema"] == "repro-bench-v10"
                 assert stats["executed"] == 1
 
                 bad = client.call("width_reduce", {"benchmark": "nonsense"})
@@ -343,6 +343,51 @@ class TestWorkerProcessDurability:
         finally:
             stop_daemon(proc, sock)
         assert proc.wait(timeout=30) == 0
+
+
+    def test_sigkilled_daemon_takes_its_workers_with_it(self, tmp_path):
+        """A worker must not outlive a SIGKILLed daemon.  Each worker
+        sees EOF on its pipe once no process holds the daemon's end,
+        and exits; reparented workers may linger only as zombies."""
+        proc, sock = start_daemon(tmp_path, "--workers", "2")
+        pids: list[int] = []
+        try:
+            with SocketClient(sock, timeout=120) as client:
+                for bench in (BENCH, "3-digit decimal adder"):
+                    reply = client.call("width_reduce", {"benchmark": bench})
+                    assert reply["ok"], reply
+                procs = client.call("stats")["result"]["workers"]["processes"]
+            pids = [procs[family]["pid"] for family in ("rns", "decimal")]
+            assert len(set(pids)) == 2 and proc.pid not in pids
+            proc.kill()
+            proc.wait(timeout=30)
+            deadline = time.monotonic() + 5.0
+            while live_pids(pids) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert live_pids(pids) == []
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            for pid in live_pids(pids):
+                os.kill(pid, signal.SIGKILL)
+
+
+def live_pids(pids: list[int]) -> list[int]:
+    """The pids still running: neither gone nor a zombie."""
+    alive = []
+    for pid in pids:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            continue
+        try:
+            stat = pathlib.Path(f"/proc/{pid}/stat").read_text()
+        except OSError:
+            continue  # exited between the two probes
+        if stat.rsplit(")", 1)[1].split()[0] != "Z":
+            alive.append(pid)
+    return alive
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")

@@ -52,10 +52,12 @@ class TestParse:
             line(id="x", op="decompose", params={"benchmark": "a"}),  # no cut
             line(id="x", op="pla_reduce", params={}),  # no pla text
             line(id="x", op="ping", tenant=""),
+            # v4 dropped the v3 ``tt`` field: stale clients must fail.
             line(id="x", op="ping", tt={"window": "wide"}),
             line(id="x", op="ping", tt={"fastpath": 1}),
             line(id="x", op="ping", tt={"unknown": True}),
             line(id="x", op="ping", budget={"max_ops": 1}),
+            line(id="x", op="ping", deadline=500),  # typo of deadline_ms
         ],
     )
     def test_rejects(self, bad):
@@ -65,6 +67,10 @@ class TestParse:
     def test_invalid_utf8(self):
         with pytest.raises(ProtocolError):
             parse_request(b"\xff\xfe{}")
+
+    def test_unknown_top_level_fields_are_named(self):
+        with pytest.raises(ProtocolError, match="deadline, tt"):
+            parse_request(line(id="x", op="ping", tt=None, deadline=500))
 
 
 class TestQueryKey:
@@ -79,15 +85,14 @@ class TestQueryKey:
         b = query_key("width_reduce", {"benchmark": "3-7 RNS"})
         assert a != b
 
-    def test_tt_overrides_change_key(self):
+    def test_budget_and_deadline_change_key(self):
         """Execution settings are part of query identity — two requests
-        with different tt windows must never coalesce onto one run."""
-        base = query_key("width_reduce", {"benchmark": "3-5 RNS"})
-        tt = query_key("width_reduce", {"benchmark": "3-5 RNS"}, tt={"window": 4})
-        budget = query_key(
-            "width_reduce", {"benchmark": "3-5 RNS"}, budget={"max_steps": 10}
-        )
-        assert len({base, tt, budget}) == 3
+        with different budgets must never coalesce onto one run."""
+        params = {"benchmark": "3-5 RNS"}
+        base = query_key("width_reduce", params)
+        budget = query_key("width_reduce", params, budget={"max_steps": 10})
+        deadline = query_key("width_reduce", params, deadline_ms=500)
+        assert len({base, budget, deadline}) == 3
 
     def test_request_key_matches_function(self):
         req = parse_request(
@@ -105,14 +110,15 @@ class TestDocRoundtrip:
                 op="width_reduce",
                 params={"benchmark": "3-5 RNS"},
                 tenant="ci",
-                tt={"window": 4},
                 budget={"max_steps": 1000},
+                deadline_ms=500,
             )
         )
         again = Request.from_doc(req.doc(), id="replayed")
         assert again.key() == req.key()
         assert again.tenant == "ci"
-        assert again.tt == {"window": 4}
+        assert again.budget == {"max_steps": 1000}
+        assert again.deadline_ms == 500
 
 
 class TestResponses:

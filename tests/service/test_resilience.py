@@ -370,7 +370,7 @@ class TestMemoryWatchdog:
             return service.stats()
 
         stats = run_service(scenario, pump=False)
-        assert stats["schema_version"] == 9
+        assert stats["schema_version"] == 10
         assert stats["shed_total"] == 0
         assert stats["deadline_exceeded_total"] == 0
         for key in ("stage", "stage_name", "samples", "sheds"):

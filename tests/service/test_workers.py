@@ -31,7 +31,6 @@ def wr_doc(benchmark: str = BENCH, **over) -> dict:
     return {
         "op": "width_reduce",
         "params": {"benchmark": benchmark},
-        "tt": None,
         "budget": None,
         "tenant_remaining": None,
         **over,
@@ -208,7 +207,7 @@ class TestServiceWorkerMode:
         assert rns["ok"] and dec["ok"]
         assert rns["meta"]["shard"] == "rns"
         assert dec["meta"]["shard"] == "decimal"
-        assert stats["schema_version"] == 9
+        assert stats["schema_version"] == 10
         assert stats["mode"] == "multi-process"
         procs = stats["workers"]["processes"]
         assert set(procs) == {"rns", "decimal"}
