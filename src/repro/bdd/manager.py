@@ -236,20 +236,6 @@ class BDD:
             self._peak_alive = n
         return u
 
-    def _free_node(self, u: int) -> None:
-        """Physically free one internal node (reorder/GC internal API).
-
-        Bumps the node's generation so cache entries referencing the id
-        lazily read as stale; the id goes back on the free list.
-        """
-        self._unique[self._vid[u]].data.pop(pack2(self._lo[u], self._hi[u]), None)
-        self._vid[u] = -1
-        self._lo[u] = -1
-        self._hi[u] = -1
-        self._gen[u] += 1
-        self._free.append(u)
-        self._n_alive -= 1
-
     def var(self, name_or_vid: int | str) -> int:
         """The function of a single variable."""
         vid = self.vid(name_or_vid) if isinstance(name_or_vid, str) else name_or_vid

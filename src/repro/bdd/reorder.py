@@ -31,6 +31,7 @@ from itertools import accumulate
 
 from repro.bdd import check
 from repro.bdd import governor as _governor
+from repro.bdd.hashtable import check_capacity
 from repro.bdd.manager import BDD, FALSE
 from repro.bdd.traversal import crossing_counts
 from repro.errors import IntegrityError, OrderingError
@@ -39,12 +40,31 @@ from repro._config import LIMITS
 CostFn = Callable[[BDD, Sequence[int]], float]
 
 
+def _count_refs(bdd: BDD, nodes: Sequence[int], roots: Sequence[int]) -> dict[int, int]:
+    """For each of ``nodes``: edges into it from ``nodes``, plus one per root.
+
+    A child or root outside ``nodes`` gets an entry too, so an audit
+    sees it.
+    """
+    lo_arr, hi_arr = bdd._lo, bdd._hi
+    ref = dict.fromkeys(nodes, 0)
+    for u in nodes:
+        for child in (lo_arr[u], hi_arr[u]):
+            if child > 1:
+                ref[child] = ref.get(child, 0) + 1
+    for r in roots:
+        if r > 1:
+            ref[r] = ref.get(r, 0) + 1
+    return ref
+
+
 class SiftSession:
     """Owns reference counts and performs adjacent swaps for one reorder.
 
     The session must be the only thing creating or destroying nodes
-    while it is active (its methods call ``bdd.mk`` internally and keep
-    the reference counts consistent).
+    while it is active: its swaps allocate and free nodes in the
+    manager's arrays directly and keep the reference counts consistent
+    (:meth:`check_refs` audits them).
 
     With ``widths=True`` the session also keeps :attr:`counts` — what
     ``crossing_counts(bdd, roots)`` would return — and their sum of
@@ -54,32 +74,18 @@ class SiftSession:
     def __init__(self, bdd: BDD, roots: Sequence[int], *, widths: bool = False):
         self.bdd = bdd
         self.roots = list(dict.fromkeys(roots))  # dedupe, keep order
-        self._ref: dict[int, int] = {}
-        self.size = 0
-        self._init_refs()
+        self._ref = _count_refs(
+            bdd, [u for u in bdd.reachable(self.roots) if u > 1], self.roots
+        )
+        self.size = len(self._ref)
+        # Reclaim any garbage not reachable from the roots so that the
+        # unique tables agree with the reference counts.
+        bdd.collect(self.roots)
         self.counts: list[int] | None = None
         self.width_sum = 0
         self._mf: dict[int, int] | None = None
         if widths:
             self._init_widths()
-
-    def _init_refs(self) -> None:
-        bdd = self.bdd
-        ref = self._ref
-        for u in bdd.reachable(self.roots):
-            if u > 1:
-                ref[u] = 0
-                self.size += 1
-        for u in list(ref):
-            for child in (bdd.lo(u), bdd.hi(u)):
-                if child > 1:
-                    ref[child] += 1
-        for r in self.roots:
-            if r > 1:
-                ref[r] += 1
-        # Reclaim any garbage not reachable from the roots so that the
-        # unique tables agree with the reference counts.
-        bdd.collect(self.roots)
 
     def _init_widths(self) -> None:
         # _mf[u]: the level of the highest edge into u, -1 for a root,
@@ -135,50 +141,46 @@ class SiftSession:
                 violations=tuple(violations),
             )
 
-    # -- reference-count helpers --------------------------------------
+    def check_refs(self) -> None:
+        """Raise :class:`IntegrityError` unless the reference counts are exact.
 
-    def _incref(self, u: int) -> None:
-        if u > 1:
-            self._ref[u] = self._ref.get(u, 0) + 1
-
-    def _decref(self, u: int) -> None:
-        if u <= 1:
-            return
-        ref = self._ref
+        Recounts, for every live node, the edges from live parents plus
+        one per root, and compares the result with the kept counts.  The
+        kept live size must also equal the manager's node count and its
+        alive-node counter.
+        """
         bdd = self.bdd
-        stack = [u]
-        while stack:
-            v = stack.pop()
-            if v <= 1:
-                continue
-            n = ref[v] - 1
-            if n:
-                ref[v] = n
-                continue
-            # Node died: remove it physically and release its children.
-            # Deaths can cascade arbitrarily deep, hence the explicit
-            # stack.  _free_node bumps the node's generation, which is
-            # what lazily invalidates cache entries touching it.
-            del ref[v]
-            self.size -= 1
-            stack.append(bdd._lo[v])
-            stack.append(bdd._hi[v])
-            bdd._free_node(v)
-
-    def _mk(self, vid: int, lo: int, hi: int) -> int:
-        """mk() that keeps reference counts and the live size exact."""
-        if lo == hi:
-            return lo
-        bdd = self.bdd
-        u = bdd._unique[vid].data.get((lo << 32) | hi)
-        if u is not None:
-            return u
-        u = bdd.mk(vid, lo, hi)
-        self._ref[u] = 0
-        self.size += 1
-        self._incref(lo)
-        self._incref(hi)
-        return u
+        live = [u for table in bdd._unique for u in table.data.values()]
+        fresh = _count_refs(bdd, live, self.roots)
+        kept = self._ref
+        violations = [
+            check.InvariantViolation(
+                "counter", f"node {u}", f"kept reference count {kept.get(u)}, recount {n}"
+            )
+            for u, n in fresh.items()
+            if n == 0 or kept.get(u) != n
+        ]
+        violations += [
+            check.InvariantViolation(
+                "counter", f"node {u}", f"kept reference count {kept[u]} for a dead node"
+            )
+            for u in kept
+            if u not in fresh
+        ]
+        alive = bdd.num_alive_nodes()
+        if not self.size == alive == bdd._n_alive:
+            violations.append(
+                check.InvariantViolation(
+                    "counter",
+                    "live size",
+                    f"kept {self.size}, unique tables {alive}, manager counter {bdd._n_alive}",
+                )
+            )
+        if violations:
+            raise IntegrityError(
+                f"sift session reference counts failed self-check: {violations[0]}",
+                violations=tuple(violations),
+            )
 
     # -- the swap ------------------------------------------------------
 
@@ -203,6 +205,14 @@ class SiftSession:
         ]
         for u in movers:
             del x_data[(lo_arr[u] << 32) | hi_arr[u]]
+        # No helper calls: the new x-nodes are found or allocated in
+        # place with BDD.mk's policy (free list first, then a fresh id).
+        # The order of allocations and frees decides node ids, and
+        # Alg. 3.3 orders columns and breaks ties by node id, so
+        # tests/bdd/test_reorder.py pins the resulting managers.
+        ref = self._ref
+        gen, free = bdd._gen, bdd._free
+        size, alive, peak = self.size, bdd._n_alive, bdd._peak_alive
         for u in movers:
             f0, f1 = lo_arr[u], hi_arr[u]
             if f0 > 1 and vid_arr[f0] == y:
@@ -213,19 +223,123 @@ class SiftSession:
                 f10, f11 = lo_arr[f1], hi_arr[f1]
             else:
                 f10 = f11 = f1
-            new_lo = self._mk(x, f00, f10)
-            new_hi = self._mk(x, f01, f11)
+            # new_lo = (x, f00, f10), holding one reference from u.
+            if f00 == f10:
+                new_lo = f00
+                if new_lo > 1:
+                    ref[new_lo] += 1
+            else:
+                key = (f00 << 32) | f10
+                new_lo = x_data.get(key)
+                if new_lo is None:
+                    if free:
+                        new_lo = free.pop()
+                        vid_arr[new_lo] = x
+                        lo_arr[new_lo] = f00
+                        hi_arr[new_lo] = f10
+                    else:
+                        new_lo = len(vid_arr)
+                        check_capacity(new_lo)
+                        vid_arr.append(x)
+                        lo_arr.append(f00)
+                        hi_arr.append(f10)
+                        gen.append(0)
+                    x_data[key] = new_lo
+                    ref[new_lo] = 1
+                    size += 1
+                    alive += 1
+                    if alive > peak:
+                        peak = alive
+                    if f00 > 1:
+                        ref[f00] += 1
+                    if f10 > 1:
+                        ref[f10] += 1
+                else:
+                    ref[new_lo] += 1
+            # new_hi = (x, f01, f11), likewise.
+            if f01 == f11:
+                new_hi = f01
+                if new_hi > 1:
+                    ref[new_hi] += 1
+            else:
+                key = (f01 << 32) | f11
+                new_hi = x_data.get(key)
+                if new_hi is None:
+                    if free:
+                        new_hi = free.pop()
+                        vid_arr[new_hi] = x
+                        lo_arr[new_hi] = f01
+                        hi_arr[new_hi] = f11
+                    else:
+                        new_hi = len(vid_arr)
+                        check_capacity(new_hi)
+                        vid_arr.append(x)
+                        lo_arr.append(f01)
+                        hi_arr.append(f11)
+                        gen.append(0)
+                    x_data[key] = new_hi
+                    ref[new_hi] = 1
+                    size += 1
+                    alive += 1
+                    if alive > peak:
+                        peak = alive
+                    if f01 > 1:
+                        ref[f01] += 1
+                    if f11 > 1:
+                        ref[f11] += 1
+                else:
+                    ref[new_hi] += 1
             key = (new_lo << 32) | new_hi
             if key in y_data:  # pragma: no cover - impossible by construction
                 raise OrderingError("swap produced a duplicate node")
-            self._incref(new_lo)
-            self._incref(new_hi)
             vid_arr[u] = y
             lo_arr[u] = new_lo
             hi_arr[u] = new_hi
             y_data[key] = u
-            self._decref(f0)
-            self._decref(f1)
+            # Release the old children, f0 then f1.  Only an old y-node
+            # can die: a child below the pair is still referenced from
+            # new_lo or new_hi (or from u itself).  A dying y-node's own
+            # children each gained such a reference above, so their
+            # counts stay positive and no death cascades further down.
+            # Freeing bumps the generation, which lazily invalidates
+            # cache entries touching the id.
+            if f0 > 1:
+                n = ref[f0] - 1
+                if n:
+                    ref[f0] = n
+                else:
+                    del ref[f0]
+                    g0, g1 = lo_arr[f0], hi_arr[f0]
+                    del y_data[(g0 << 32) | g1]
+                    vid_arr[f0] = lo_arr[f0] = hi_arr[f0] = -1
+                    gen[f0] += 1
+                    free.append(f0)
+                    size -= 1
+                    alive -= 1
+                    if g0 > 1:
+                        ref[g0] -= 1
+                    if g1 > 1:
+                        ref[g1] -= 1
+            if f1 > 1:
+                n = ref[f1] - 1
+                if n:
+                    ref[f1] = n
+                else:
+                    del ref[f1]
+                    g0, g1 = lo_arr[f1], hi_arr[f1]
+                    del y_data[(g0 << 32) | g1]
+                    vid_arr[f1] = lo_arr[f1] = hi_arr[f1] = -1
+                    gen[f1] += 1
+                    free.append(f1)
+                    size -= 1
+                    alive -= 1
+                    if g0 > 1:
+                        ref[g0] -= 1
+                    if g1 > 1:
+                        ref[g1] -= 1
+        self.size = size
+        bdd._n_alive = alive
+        bdd._peak_alive = peak
 
         bdd._var_at_level[level] = y
         bdd._var_at_level[level + 1] = x
@@ -237,8 +351,8 @@ class SiftSession:
             self.width_sum += delta
         # No clear_cache(): node ids keep denoting the same functions,
         # so semantic cache entries stay valid.  Entries touching nodes
-        # freed by the _decref cascade above die via their generation
-        # stamps; order-sensitive tiers retire on the epoch bump.
+        # freed above die via their generation stamps; order-sensitive
+        # tiers retire on the epoch bump.
         bdd._note_reorder()
 
     # A swap of levels l and l+1 changes one crossing count: counts[l+1].
@@ -361,8 +475,12 @@ def sift(
     BDDs under ``LIMITS.sift_widthsum_node_limit`` nodes, matching the
     paper's cost function.  The session keeps both of these up to
     date inside its swaps, so sampling them reads a number; any other
-    ``cost_fn`` is called at every position.  Under ``REPRO_SELFCHECK=1`` a width-sum sift ends
-    by auditing its kept counts against one fresh pass
+    ``cost_fn`` is called at every position.  Under an active
+    :class:`~repro.bdd.governor.Budget` every swap, including those
+    that walk a variable back to its best level, is charged one step.
+    Under ``REPRO_SELFCHECK=1`` every sift ends by recounting its
+    reference counts (:meth:`SiftSession.check_refs`), and a width-sum
+    sift also audits its kept counts against one fresh pass
     (:meth:`SiftSession.check_widths`).
     """
     if max_growth is None:
@@ -387,10 +505,7 @@ def sift(
         round_start = current
         # Sift variables in decreasing order of their level population:
         # busiest levels first, as in Rudell's heuristic.
-        population: dict[int, int] = {v: 0 for v in range(bdd.num_vars)}
-        for v in range(bdd.num_vars):
-            population[v] = len(bdd._unique[v])
-        order = sorted(range(bdd.num_vars), key=lambda v: -population[v])
+        order = sorted(range(bdd.num_vars), key=lambda v: -len(bdd._unique[v]))
         for vid in order:
             # Cooperative budget check between variables: a raise here
             # (or inside _sift_one, between swaps) leaves the manager
@@ -400,8 +515,10 @@ def sift(
             current = _sift_one(bdd, session, vid, precedence, cost, max_growth)
         if current >= round_start:
             break
-    if session.counts is not None and check.selfcheck_enabled():
-        session.check_widths()
+    if check.selfcheck_enabled():
+        session.check_refs()
+        if session.counts is not None:
+            session.check_widths()
     return current
 
 
@@ -422,8 +539,8 @@ def _sift_one(
     # Explore the closer boundary first (classic sifting heuristic),
     # returning to the best-so-far position between directions.
     go_down_first = (ub - start_level) <= (start_level - lb)
+    level = start_level
     for direction in ((1, -1) if go_down_first else (-1, 1)):
-        level = bdd.level_of_vid(vid)
         limit = ub if direction == 1 else lb
         while level != limit:
             # One adjacent swap ~ one charged step: a ``max_steps``
@@ -441,5 +558,11 @@ def _sift_one(
                 best_level = level
             if session.size > max_growth * start_size:
                 break
-        session.move_var(vid, best_level)
+        # Walk back to the best level, charging these swaps too.
+        back = 1 if level < best_level else -1
+        while level != best_level:
+            if _governor._ACTIVE:
+                _governor.checkpoint(bdd, 1)
+            session.swap(level if back == 1 else level - 1)
+            level += back
     return best_cost

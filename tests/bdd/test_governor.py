@@ -12,6 +12,8 @@ import pytest
 
 from repro.bdd import BDD, Budget, sift
 from repro.bdd import governor
+from repro.benchfns.registry import get_benchmark
+from repro.cf.charfun import CharFunction
 from repro.errors import BudgetError, DeadlineError, ResourceLimitError
 
 N_VARS = 14
@@ -142,6 +144,17 @@ class TestCheckpointSemantics:
             governor.checkpoint(None, 64)
         assert a.steps == 64
         assert b.steps == 64
+
+    def test_sift_charges_one_step_per_swap(self):
+        # Including the swaps that walk each variable back to its best level.
+        part = get_benchmark("3-digit decimal adder").build().bipartition()[0]
+        cf = CharFunction.from_isf(part)
+        epoch = cf.bdd._epoch
+        with Budget(max_steps=10**9) as budget:
+            cf.sift(cost="widthsum")
+        swaps = cf.bdd._epoch - epoch
+        assert swaps > 0
+        assert budget.steps == swaps
 
     def test_note_degraded_records_on_active_budgets(self):
         budget = Budget()

@@ -1,5 +1,6 @@
 """Unit tests for in-place reordering and sifting."""
 
+import hashlib
 import random
 
 import pytest
@@ -160,6 +161,29 @@ def assert_kept_widths(session):
         assert session.width_sum == sum_of_widths(bdd, session.roots[0])
 
 
+def assert_exact_refs(session):
+    """The session's reference counts and size equal a from-scratch recount."""
+    bdd = session.bdd
+    nodes = [u for u in bdd.reachable(session.roots) if u > 1]
+    recount = dict.fromkeys(nodes, 0)
+    for u in nodes:
+        for child in (bdd.lo(u), bdd.hi(u)):
+            if child > 1:
+                recount[child] += 1
+    for r in session.roots:
+        if r > 1:
+            recount[r] += 1
+    assert session._ref == recount
+    assert session.size == len(nodes) == bdd.num_alive_nodes() == bdd._n_alive
+
+
+def assert_session_exact(session):
+    """Reference counts always, and the kept widths when the session keeps them."""
+    assert_exact_refs(session)
+    if session.counts is not None:
+        assert_kept_widths(session)
+
+
 def full_pass_width_sum(bdd, roots):
     """The width sum as a plain callable: sift evaluates it at every position."""
     return width_sum(bdd, roots)
@@ -171,7 +195,7 @@ def root_sum_of_widths(bdd, roots):
 
 
 def apply_moves(session, data, n_moves):
-    """Random swaps and move_vars, checking the kept widths after each."""
+    """Random swaps and move_vars, checking the session after each."""
     t = session.bdd.num_vars
     for _ in range(n_moves):
         if data.draw(st.booleans(), label="move_var"):
@@ -179,34 +203,40 @@ def apply_moves(session, data, n_moves):
             session.move_var(vid, data.draw(st.integers(0, t - 1), label="target"))
         else:
             session.swap(data.draw(st.integers(0, t - 2), label="level"))
-        assert_kept_widths(session)
+        assert_session_exact(session)
 
 
 class TestKeptWidths:
-    @settings(max_examples=60, deadline=None)
-    @given(spec=spec_strategy(max_inputs=4, max_outputs=3), data=st.data())
-    def test_random_cfs(self, spec, data):
+    # widths=False sessions run the same swaps with the recount alone.
+    @settings(max_examples=100, deadline=None)
+    @given(
+        spec=spec_strategy(max_inputs=4, max_outputs=3),
+        widths=st.booleans(),
+        data=st.data(),
+    )
+    def test_random_cfs(self, spec, widths, data):
         cf = CharFunction.from_spec(spec)  # at least one input and one output
-        session = SiftSession(cf.bdd, [cf.root], widths=True)
-        assert_kept_widths(session)
+        session = SiftSession(cf.bdd, [cf.root], widths=widths)
+        assert_session_exact(session)
         apply_moves(session, data, 12)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
         n=st.integers(2, 5),
         tables=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
         extra=st.sampled_from([(), (TRUE,), (FALSE,), (TRUE, FALSE)]),
+        widths=st.booleans(),
         data=st.data(),
     )
-    def test_random_plain_bdds(self, n, tables, extra, data):
+    def test_random_plain_bdds(self, n, tables, extra, widths, data):
         bdd = BDD()
         vids = bdd.add_vars([f"x{i}" for i in range(n)])
         roots = [
             from_truth_table(bdd, vids, [(bits >> m) & 1 for m in range(1 << n)])
             for bits in tables
         ]
-        session = SiftSession(bdd, [*roots, *extra], widths=True)
-        assert_kept_widths(session)
+        session = SiftSession(bdd, [*roots, *extra], widths=widths)
+        assert_session_exact(session)
         apply_moves(session, data, 12)
         for bits, root in zip(tables, roots):
             assert brute_force_truth(bdd, root, vids) == [
@@ -364,3 +394,97 @@ class TestKeptWidthAudit:
         sift(bdd, [f], cost_fn=width_sum)
         assert done
         assert brute_force_truth(bdd, f, vids) == table
+
+
+class TestRefAudit:
+    def test_check_refs_flags_a_corrupt_count(self):
+        bdd, vids, f, _ = random_function(12)
+        session = SiftSession(bdd, [f])
+        session.swap(1)
+        session.check_refs()
+        u = bdd.lo(f) if bdd.lo(f) > 1 else bdd.hi(f)
+        session._ref[u] += 1
+        with pytest.raises(IntegrityError) as info:
+            session.check_refs()
+        assert [v.kind for v in info.value.violations] == ["counter"]
+        assert f"node {u}" in str(info.value)
+
+    def test_check_refs_flags_a_drifted_size(self):
+        bdd, vids, f, _ = random_function(12)
+        session = SiftSession(bdd, [f])
+        session.swap(0)
+        session.size += 1
+        with pytest.raises(IntegrityError, match="live size"):
+            session.check_refs()
+
+    @staticmethod
+    def corrupt_first_swap(monkeypatch):
+        original = SiftSession.swap
+        done = []
+
+        def swap(self, level):
+            original(self, level)
+            if not done:
+                self._ref[self.roots[0]] += 1  # a root never dies: the sift goes on
+                done.append(level)
+
+        monkeypatch.setattr(SiftSession, "swap", swap)
+        return done
+
+    @pytest.mark.parametrize("cost_fn", [None, width_sum])
+    def test_armed_sift_raises_on_a_corrupt_count(self, monkeypatch, cost_fn):
+        monkeypatch.setenv("REPRO_SELFCHECK", "1")
+        done = self.corrupt_first_swap(monkeypatch)
+        bdd, vids, f, _ = random_function(13)
+        with pytest.raises(IntegrityError, match="reference counts"):
+            sift(bdd, [f], cost_fn=cost_fn)
+        assert done
+
+    def test_unarmed_sift_does_not_audit(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SELFCHECK", "0")
+        calls = []
+        monkeypatch.setattr(SiftSession, "check_refs", lambda self: calls.append(1))
+        bdd, vids, f, table = random_function(13)
+        sift(bdd, [f])
+        sift(bdd, [f], cost_fn=width_sum)
+        assert calls == []
+        assert brute_force_truth(bdd, f, vids) == table
+
+
+# ---------------------------------------------------------------------------
+# Sifted managers pinned byte for byte
+# ---------------------------------------------------------------------------
+
+#: BLAKE2b digests of (order, root, _vid, _lo, _hi, _gen, _free,
+#: _peak_alive) after ``CharFunction.sift`` on each Table 5 output half.
+#: Node ids decide results downstream (Alg. 3.3 sorts columns by node id
+#: and breaks clique-cover ties by node id), so a swap must allocate and
+#: free exactly as the mk-based swap these literals were measured with.
+#: They do not depend on PYTHONHASHSEED.
+SIFT_DIGESTS = {
+    ("3-digit decimal adder", 0, "widthsum"): "0ae865b8628f7e7165232ee74a8f0eb2",
+    ("3-digit decimal adder", 0, "nodes"): "fe94549eea4f9ff5cde6474c9e6a4341",
+    ("3-digit decimal adder", 1, "widthsum"): "475c3e4137e9505ed4f47c08f08a7d74",
+    ("3-digit decimal adder", 1, "nodes"): "ce4c97667016f29ef9545bc5fc6cbf3c",
+    ("5-digit 6-nary to binary", 0, "widthsum"): "b4b882e846327e80cc181d8b6c18cc8f",
+    ("5-digit 6-nary to binary", 0, "nodes"): "f436d2e330e1e15259048b21300a2d6a",
+    ("5-digit 6-nary to binary", 1, "widthsum"): "ee5dec65d530bb42ea8138218eaca9c8",
+    ("5-digit 6-nary to binary", 1, "nodes"): "2b850ba52943393691e256225877028e",
+}
+
+
+def manager_digest(cf):
+    bdd = cf.bdd
+    state = (
+        bdd.order(), cf.root, bdd._vid, bdd._lo, bdd._hi, bdd._gen, bdd._free, bdd._peak_alive,
+    )
+    return hashlib.blake2b(repr(state).encode(), digest_size=16).hexdigest()
+
+
+@pytest.mark.parametrize("name", ["3-digit decimal adder", "5-digit 6-nary to binary"])
+def test_sifted_managers_are_byte_identical(name):
+    for index, part in enumerate(get_benchmark(name).build().bipartition()):
+        for cost in ("widthsum", "nodes"):
+            cf = CharFunction.from_isf(part)
+            cf.sift(cost=cost)
+            assert manager_digest(cf) == SIFT_DIGESTS[name, index, cost], (index, cost)
