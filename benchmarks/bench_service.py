@@ -8,10 +8,11 @@ Three artefacts:
   requests.
 * ``BENCH_PR8.json`` — the PR 8 claims: per-op latency distributions
   (p50/p95), the cross-request result cache answering warm repeats
-  with zero engine passes (warm hit rate 1.0), binary RBCF snapshot
-  loads beating the JSON payload path by >= 5x on the decimal
-  multiplier, and 1-vs-2 worker-process throughput on a mixed
-  two-family workload.
+  with zero engine passes (warm hit rate 1.0), and binary RBCF
+  snapshot loads beating the JSON payload path by >= 5x on the decimal
+  multiplier.  Its committed ``worker_throughput`` section compares
+  two worker processes with the engine thread the daemon no longer
+  has; no test rewrites it.
 * ``BENCH_PR9.json`` — the PR 9 resilience claims: under a saturating
   mix of slow cascades and cheap reductions the bounded queue sheds
   the overflow with structured ``overloaded`` errors (reported
@@ -19,9 +20,10 @@ Three artefacts:
   p95, and ``deadline_ms`` cuts a long build short; the shed /
   deadline counters from the daemon's v8 stats ride along.
 
-The daemon is driven in-process (no sockets) through
-:class:`repro.service.server.Service` so the benchmarks time engine
-work, not transport; the throughput rows spawn real worker processes.
+The daemon is driven without sockets through
+:class:`repro.service.server.Service`, so the benchmarks time engine
+work and the worker pipe round trip, not transport; every query runs
+on a forked shard worker process.
 
 Environment:
 
@@ -116,9 +118,9 @@ def _run_daemon(coro_fn, **service_kwargs):
 
 def _serve_twice(benchmark: str) -> dict:
     """One daemon, two identical width_reduce queries; returns timings
-    and the rns shard's counter deltas.  The result cache is disabled
-    so the warm pass exercises the engine (the cache's own zero-pass
-    behaviour is measured separately)."""
+    and the rns shard's counter deltas (as its worker reports them).
+    The result cache is disabled so the warm pass exercises the engine
+    (the cache's own zero-pass behaviour is measured separately)."""
 
     async def scenario(service):
         t0 = time.perf_counter()
@@ -126,8 +128,7 @@ def _serve_twice(benchmark: str) -> dict:
             Request(id="cold", op="width_reduce", params={"benchmark": benchmark})
         )
         cold_s = time.perf_counter() - t0
-        shard = service.pool.get("rns")
-        counters_cold = dict(shard.counters)
+        counters_cold = service.stats()["shards"]["rns"]["counters"]
         t0 = time.perf_counter()
         second = await service.handle_request(
             Request(id="warm", op="width_reduce", params={"benchmark": benchmark})
@@ -135,8 +136,9 @@ def _serve_twice(benchmark: str) -> dict:
         warm_s = time.perf_counter() - t0
         assert first["ok"] and second["ok"]
         assert first["result"]["fingerprint"] == second["result"]["fingerprint"]
-        hits = shard.counters["cache_hits"] - counters_cold["cache_hits"]
-        misses = shard.counters["cache_misses"] - counters_cold["cache_misses"]
+        counters = service.stats()["shards"]["rns"]["counters"]
+        hits = counters["cache_hits"] - counters_cold["cache_hits"]
+        misses = counters["cache_misses"] - counters_cold["cache_misses"]
         cold_lookups = (
             counters_cold["cache_hits"] + counters_cold["cache_misses"]
         )
@@ -235,12 +237,15 @@ def test_result_cache_warm_hit_rate_is_one():
     engine passes: warm hit rate 1.0, unchanged kernel counters."""
     reps = 10
 
+    def rns_steps(service) -> int:
+        return service.stats()["shards"]["rns"]["counters"]["kernel_steps"]
+
     async def scenario(service):
         first = await service.handle_request(
             Request(id="r0", op="width_reduce", params={"benchmark": "3-5 RNS"})
         )
         assert first["ok"]
-        steps_before = service.pool.get("rns").counters["kernel_steps"]
+        steps_before = rns_steps(service)
         t0 = time.perf_counter()
         for i in range(1, reps + 1):
             reply = await service.handle_request(
@@ -250,7 +255,7 @@ def test_result_cache_warm_hit_rate_is_one():
             )
             assert reply["ok"] and reply["meta"]["cached"], reply
         wall = time.perf_counter() - t0
-        steps_after = service.pool.get("rns").counters["kernel_steps"]
+        steps_after = rns_steps(service)
         cache = service.result_cache.stats()
         return wall, steps_before, steps_after, cache
 
@@ -341,60 +346,6 @@ def test_snapshot_load_beats_json_by_5x():
     assert best["speedup"] >= SNAPSHOT_SPEEDUP_FLOOR, best
 
 
-def test_worker_throughput_1_vs_2(tmp_path):
-    """A mixed two-family workload completes faster with two worker
-    processes than with the single in-process engine thread: the slow
-    decimal queries no longer head-of-line-block the fast RNS ones."""
-    workload = [
-        ("width_reduce", {"benchmark": b, "sift": s})
-        for b in ("3-5 RNS", "3-5-7 RNS")
-        for s in (True, False)
-    ] + [
-        ("width_reduce", {"benchmark": "2-digit decimal adder", "sift": s})
-        for s in (True, False)
-    ]
-
-    def run(workers: int) -> float:
-        async def scenario(service):
-            t0 = time.perf_counter()
-            replies = await asyncio.gather(
-                *(
-                    service.handle_request(
-                        Request(id=f"w{i}", op=op, params=params)
-                    )
-                    for i, (op, params) in enumerate(workload)
-                )
-            )
-            assert all(r["ok"] for r in replies), replies
-            return time.perf_counter() - t0
-
-        return _run_daemon(
-            scenario,
-            workers=workers,
-            snapshot_dir=tmp_path / "snaps",
-            result_cache_size=0,
-        )
-
-    # workers=0 is the PR 7 baseline: one engine thread serves every
-    # family sequentially.  (workers=1 would not serialize — the soft
-    # cap is exceeded rather than block a busy family.)
-    solo_s = run(0)
-    duo_s = run(2)
-    row = {
-        "queries": len(workload),
-        "workers_0_wall_s": round(solo_s, 3),
-        "workers_2_wall_s": round(duo_s, 3),
-        "throughput_0_qps": round(len(workload) / solo_s, 2),
-        "throughput_2_qps": round(len(workload) / duo_s, 2),
-        "speedup": round(solo_s / duo_s, 2) if duo_s else None,
-    }
-    _merge_pr8("worker_throughput", row)
-    print(
-        f"throughput: engine thread {row['throughput_0_qps']} q/s, "
-        f"2 workers {row['throughput_2_qps']} q/s ({row['speedup']}x)"
-    )
-
-
 def test_overload_shedding_and_deadlines():
     """The PR 9 overload leg: a saturating burst against a bounded queue.
 
@@ -448,7 +399,7 @@ def test_overload_shedding_and_deadlines():
             )
         )
         # Deadline leg on the same daemon: a ~1s cold build bounded to
-        # 200ms aborts at a governor checkpoint; the thread survives.
+        # 200ms aborts at a governor checkpoint; the worker survives.
         cut = await service.handle_request(
             Request(
                 id="cut",
@@ -481,7 +432,7 @@ def test_overload_shedding_and_deadlines():
     ] * 1e3
     assert cheap_p95_ms < 30_000, cheap_served
     assert cut["ok"] is False and cut["error"]["code"] == "deadline_exceeded"
-    assert after["ok"], "the engine thread survived the aborted build"
+    assert after["ok"], "the worker survived the aborted build"
     assert svc_stats["deadline_exceeded_total"] == 1
     row = {
         "requests": len(workload),

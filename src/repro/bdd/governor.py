@@ -71,22 +71,15 @@ class Budget:
     >>> with Budget(max_nodes=1_000_000):
     ...     f = bdd.apply_and(bdd.var("a"), bdd.var("b"))
 
-    All limits are optional; an unlimited budget never raises.  The
-    deadline clock starts at ``__enter__``.
-
-    ``cumulative=True`` makes the step counter persist across entries:
-    re-entering the budget does *not* reset ``steps`` (or the recorded
-    degradations), so one budget can meter many governed regions — the
-    query service uses this for per-tenant budgets that span requests.
-    The deadline clock still restarts per entry (a wall-clock deadline
-    across disjoint extents is meaningless).
+    All limits are optional; an unlimited budget never raises.  Each
+    entry starts a fresh extent: ``steps`` and the recorded
+    degradations reset, and the deadline clock starts at ``__enter__``.
     """
 
     __slots__ = (
         "max_nodes",
         "max_steps",
         "deadline_s",
-        "cumulative",
         "steps",
         "_deadline",
         "degradations",
@@ -97,21 +90,17 @@ class Budget:
         max_nodes: int | None = None,
         max_steps: int | None = None,
         deadline_s: float | None = None,
-        *,
-        cumulative: bool = False,
     ) -> None:
         self.max_nodes = max_nodes
         self.max_steps = max_steps
         self.deadline_s = deadline_s
-        self.cumulative = cumulative
         self.steps = 0
         self._deadline: float | None = None
         self.degradations: list[str] = []
 
     def __enter__(self) -> "Budget":
-        if not self.cumulative:
-            self.steps = 0
-            self.degradations = []
+        self.steps = 0
+        self.degradations = []
         if self.deadline_s is not None:
             self._deadline = time.monotonic() + self.deadline_s
         _ACTIVE.append(self)
@@ -129,16 +118,6 @@ class Budget:
     def note_degraded(self, reason: str) -> None:
         """Record that a stage fell back to a cheaper path."""
         self.degradations.append(reason)
-
-    def exhausted(self) -> bool:
-        """True when the step ceiling is already spent (non-raising).
-
-        Admission-control helper for cumulative budgets: lets a caller
-        refuse new work up front instead of entering the budget and
-        failing at the first checkpoint.  Node and deadline limits are
-        per-extent and not consulted here.
-        """
-        return self.max_steps is not None and self.steps > self.max_steps
 
     def check(self, bdd=None) -> None:
         """Raise if any limit is exhausted; cheap enough for hot loops."""

@@ -67,8 +67,11 @@ from pathlib import Path
 #: counter, pid, host, last wall-clock beat) — see
 #: :mod:`repro.parallel.fabric` and :mod:`repro.parallel.lease`.  v10
 #: removes the v5 truth-table counters (``tt_*``) with the fast path.
-SCHEMA = "repro-bench-v10"
-SCHEMA_VERSION = 10
+#: v11 removes the service stats' ``mode`` field and the watchdog's
+#: ``freed_nodes`` counter with the daemon's in-process engine thread:
+#: every query runs on a shard worker process.
+SCHEMA = "repro-bench-v11"
+SCHEMA_VERSION = 11
 
 #: Counters that add across managers and processes.  ``peak_nodes``
 #: aggregates with ``max`` instead and is handled separately.

@@ -261,8 +261,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="cumulative kernel-step budget per tenant; exhausted "
-        "tenants are refused at admission (default: unlimited)",
+        help="kernel-step budget per tenant, spent by all its queries, "
+        "failed ones included; exhausted tenants are refused at "
+        "admission (default: unlimited)",
     )
     pserve.add_argument(
         "--housekeep-nodes",
@@ -295,7 +296,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         metavar="K",
         help="consecutive worker deaths/timeouts before a family's "
         "circuit breaker opens and fails fast with 'circuit_open' "
-        "(default: 3; multi-process mode only)",
+        "(default: 3)",
     )
     pserve.add_argument(
         "--breaker-reset",
@@ -332,10 +333,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     pserve.add_argument(
         "--workers",
         type=int,
-        default=0,
+        default=None,
         metavar="N",
-        help="serve with up to N per-family worker processes (0, the "
-        "default, runs queries in-process on one thread)",
+        help="soft cap on live shard worker processes; every query runs "
+        "on its benchmark family's worker (N >= 1; default: one per "
+        "shard family)",
     )
     pserve.add_argument(
         "--snapshot-dir",
@@ -416,6 +418,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error("--resume requires --journal PATH (or --fabric DIR)")
     if getattr(args, "fabric", None) and getattr(args, "journal", None):
         parser.error("--fabric keeps its own journal; drop --journal")
+    if getattr(args, "fabric", None) and getattr(args, "timeout", None) is not None:
+        parser.error("--fabric has no row deadline; drop --timeout")
     command = args.command
     if command == "table4":
         return _cmd_table4(args)
@@ -438,6 +442,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     if command == "pla":
         return _cmd_pla(args)
     if command == "serve":
+        if args.workers is not None and args.workers < 1:
+            parser.error("--workers must be at least 1")
         if args.drain_exit and not (args.journal and args.resume):
             parser.error("--drain-exit requires --journal PATH and --resume")
         if not args.drain_exit and not args.socket and not args.http:
@@ -873,9 +879,7 @@ def _cmd_serve(args) -> int:
         ),
         watchdog_interval_s=args.watchdog_interval,
         request_timeout=args.request_timeout,
-        # A drain must be deterministic and self-contained, so it
-        # always runs in-process regardless of --workers.
-        workers=0 if args.drain_exit else args.workers,
+        workers=args.workers,
         snapshot_dir=args.snapshot_dir,
         result_cache_size=(
             args.result_cache

@@ -184,12 +184,17 @@ class RemoteQueryError(ServiceError):
     the parent re-raises them as this class with :attr:`type_name`
     preserved, so client-facing error responses keep the original
     engine error type (``ResourceLimitError``, ``DeadlineError``, ...)
-    across the process boundary.
+    across the process boundary.  :attr:`stats_delta` is the failed
+    query's engine-counter delta, so the steps it spent are charged
+    like an answer's.
     """
 
-    def __init__(self, type_name: str, message: str) -> None:
+    def __init__(
+        self, type_name: str, message: str, stats_delta: dict | None = None
+    ) -> None:
         super().__init__(message)
         self.type_name = type_name
+        self.stats_delta = stats_delta or {}
 
 
 class OverloadedError(ServiceError):

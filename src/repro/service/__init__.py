@@ -2,24 +2,25 @@
 
 The batch experiment runner cold-starts a manager per invocation and
 throws every computed-table entry away at exit.  This package is the
-serving half of the ROADMAP north star: a long-lived daemon holding a
-pool of warm :class:`~repro.bdd.manager.BDD` managers sharded by
-benchmark family, answering width-reduction / decomposition /
-cascade-synthesis / PLA-reduce queries over a newline-delimited JSON
-protocol (unix socket, optional local HTTP) without rebuilding state
-per request.
+serving half of the ROADMAP north star: a long-lived daemon whose
+per-family worker processes hold warm :class:`~repro.bdd.manager.BDD`
+managers sharded by benchmark family, answering width-reduction /
+decomposition / cascade-synthesis / PLA-reduce queries over a
+newline-delimited JSON protocol (unix socket, optional local HTTP)
+without rebuilding state per request.  Every query runs on its
+family's worker process; the daemon itself runs no engine work.
 
 Modules:
 
 * :mod:`repro.service.protocol` — request/response schema, parsing,
   content-addressed query keys.
-* :mod:`repro.service.shards` — the warm shard pool: per-family base-CF
-  caches (LRU + snapshot-backed), per-shard counters (stats schema
-  v8), query execution.
+* :mod:`repro.service.shards` — the warm shard pool a worker process
+  owns: per-family base-CF caches (LRU + snapshot-backed), per-shard
+  counters (stats schema v8), query execution.
 * :mod:`repro.service.admission` — cost-model-ordered admission queues
-  (shortest-job-first, per family) and per-tenant cumulative budgets.
+  (shortest-job-first, per family) and the per-tenant step ledger.
 * :mod:`repro.service.workers` — per-family shard worker processes and
-  the pipe RPC the daemon dispatches over.
+  the pipe RPC the daemon dispatches every query over.
 * :mod:`repro.service.server` — the asyncio daemon: batching, the
   cross-request result cache, journal-backed durability, drain/resume.
 * :mod:`repro.service.watchdog` — the memory watchdog's staged

@@ -1,25 +1,26 @@
 """Admission control: cost-ordered queueing and per-tenant budgets.
 
-The daemon serves one worker thread (the governor's budget stack is
-process-global), so queue *order* is the whole scheduling policy.  The
+Each shard family's worker process serves one query at a time, so
+queue *order* within a family is the whole scheduling policy.  The
 batch executor schedules longest-first — right for throughput when
 every row must run anyway — but a query service wants the opposite:
 shortest-job-first, so a 4-digit decimal-adder reduction queued behind
 a word-list cascade does not wait minutes for an answer that takes
-milliseconds.  The queue orders by the PR 3 EWMA
-:class:`~repro.parallel.costs.CostModel` estimate; unseen query keys
-are seeded from a structural size heuristic (:func:`estimate_size`)
-derived from the benchmark name, so the order is sensible before the
-first observation lands.  Expensive rows *wait*; they are never
-starved — an arrival can only jump ahead of a job that has not
-started, and observed costs are finite, so every queued job's rank
-eventually comes up.
+milliseconds.  Every family has its own queue, ordered by the PR 3
+EWMA :class:`~repro.parallel.costs.CostModel` estimate; unseen query
+keys are seeded from a structural size heuristic
+(:func:`estimate_size`) derived from the benchmark name, so the order
+is sensible before the first observation lands.  Expensive rows
+*wait*; they are never starved — an arrival can only jump ahead of a
+job that has not started, and observed costs are finite, so every
+queued job's rank eventually comes up.
 
-Per-tenant fairness is a *cumulative* governor budget: all of one
-tenant's queries execute inside its :class:`~repro.bdd.governor.Budget`
-(``cumulative=True``, so kernel steps persist across requests), and an
-exhausted tenant is refused at admission time — a structured denial,
-not a crash mid-query.
+Per-tenant fairness is a step ledger: every reply from a worker
+charges its ``kernel_steps`` to the tenant that asked (:meth:`charge`),
+each dispatched query runs under the tenant's remaining allowance
+(:meth:`tenant_remaining`), and a tenant whose ledger is past
+``tenant_max_steps`` is refused at admission time — a structured
+denial, not a crash mid-query.
 
 PR 9 adds *load shedding*: a bounded queue depth, per-tenant in-flight
 caps, and a watchdog-driven :attr:`Admission.shedding` switch, each of
@@ -41,7 +42,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.bdd.governor import Budget
 from repro.errors import OverloadedError, ServiceError
 from repro.parallel.costs import CostModel
 from repro.service.shards import family_of
@@ -133,10 +133,11 @@ class Admission:
         self.tenant_max_steps = tenant_max_steps
         self.max_queue_depth = max_queue_depth
         self.tenant_max_inflight = tenant_max_inflight
-        self.tenants: dict[str, Budget] = {}
-        #: One shortest-job-first heap per shard family: the worker-
-        #: process dispatcher drains families independently, so a slow
-        #: family's backlog must not be interleaved into a fast one's.
+        #: Kernel steps each tenant has spent, over all its queries.
+        self.tenant_steps: dict[str, int] = {}
+        #: One shortest-job-first heap per shard family: the dispatcher
+        #: drains families independently, so a slow family's backlog
+        #: must not be interleaved into a fast one's.
         self._heaps: dict[str, list[QueuedQuery]] = {}
         self._seq = itertools.count()
         #: Admitted-but-unresolved executions, key -> tenant.  Batched
@@ -150,33 +151,42 @@ class Admission:
 
     # -- tenant budgets -----------------------------------------------
 
-    def tenant_budget(self, tenant: str) -> Budget:
-        """The tenant's cumulative budget (created on first use)."""
-        budget = self.tenants.get(tenant)
-        if budget is None:
-            budget = self.tenants[tenant] = Budget(
-                max_steps=self.tenant_max_steps, cumulative=True
-            )
-        return budget
+    def charge(self, tenant: str, steps: int) -> None:
+        """Add ``steps`` a query spent to the tenant's ledger."""
+        self.tenant_steps[tenant] = self.tenant_steps.get(tenant, 0) + steps
+
+    def tenant_remaining(self, tenant: str) -> int | None:
+        """Steps the tenant may still spend, or ``None`` when unlimited."""
+        if self.tenant_max_steps is None:
+            return None
+        return max(0, self.tenant_max_steps - self.tenant_steps.get(tenant, 0))
+
+    def exhausted(self, tenant: str) -> bool:
+        """True when the tenant has spent past its step ceiling."""
+        return (
+            self.tenant_max_steps is not None
+            and self.tenant_steps.get(tenant, 0) > self.tenant_max_steps
+        )
 
     # -- queue --------------------------------------------------------
 
     def submit(self, request, *, replay: bool = False) -> QueuedQuery:
         """Admit a request; raises :class:`ServiceError` when refused.
 
-        Refusal happens up front — exhausted cumulative tenant budget,
-        bounded queue depth, per-tenant in-flight cap, or watchdog
-        shedding — so a denied query costs nothing and carries a
-        structured error instead of failing at the first governor
-        checkpoint.  ``replay=True`` (journal recovery) skips the
-        overload checks: a journaled request was admitted once already
-        and must never be lost to its own backlog.
+        Refusal happens up front — exhausted tenant ledger, bounded
+        queue depth, per-tenant in-flight cap, or watchdog shedding — so
+        a denied query costs nothing and carries a structured error
+        instead of failing at the first governor checkpoint.
+        ``replay=True`` (journal recovery) skips the overload checks: a
+        journaled request was admitted once already and must never be
+        lost to its own backlog.
         """
-        budget = self.tenant_budget(request.tenant)
-        if budget.exhausted():
+        tenant = request.tenant
+        spent = self.tenant_steps.setdefault(tenant, 0)
+        if self.exhausted(tenant):
             raise ServiceError(
-                f"tenant {request.tenant!r} has exhausted its step budget "
-                f"({budget.steps} of {budget.max_steps} steps spent); "
+                f"tenant {tenant!r} has exhausted its step budget "
+                f"({spent} of {self.tenant_max_steps} steps spent); "
                 "admission refused"
             )
         if not replay:
@@ -252,21 +262,10 @@ class Admission:
         """Families with at least one queued query."""
         return [family for family, heap in self._heaps.items() if heap]
 
-    def pop(self, family: str | None = None) -> QueuedQuery | None:
-        """The cheapest queued query (optionally of one family), or None.
-
-        With ``family=None`` the cheapest query across *all* family
-        heaps is returned — the single-threaded in-process pump's
-        global shortest-job-first order, unchanged from PR 7.
-        """
-        if family is not None:
-            heap = self._heaps.get(family)
-            return heapq.heappop(heap) if heap else None
-        best: str | None = None
-        for name, heap in self._heaps.items():
-            if heap and (best is None or heap[0] < self._heaps[best][0]):
-                best = name
-        return heapq.heappop(self._heaps[best]) if best is not None else None
+    def pop(self, family: str) -> QueuedQuery | None:
+        """The family's cheapest queued query, or None."""
+        heap = self._heaps.get(family)
+        return heapq.heappop(heap) if heap else None
 
     def observe(self, key: str, wall_s: float) -> None:
         """Feed a measured wall time back into the cost model (EWMA)."""
@@ -294,10 +293,10 @@ class Admission:
             "shed_total": self.shed_total,
             "tenants": {
                 name: {
-                    "steps": budget.steps,
-                    "max_steps": budget.max_steps,
-                    "exhausted": budget.exhausted(),
+                    "steps": steps,
+                    "max_steps": self.tenant_max_steps,
+                    "exhausted": self.exhausted(name),
                 }
-                for name, budget in sorted(self.tenants.items())
+                for name, steps in sorted(self.tenant_steps.items())
             },
         }

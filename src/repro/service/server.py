@@ -2,9 +2,10 @@
 
 One :class:`Service` owns
 
-* a :class:`~repro.service.shards.ShardPool` of warm managers,
+* a :class:`~repro.service.workers.WorkerPool` of per-family shard
+  worker processes, each holding that family's warm managers,
 * an :class:`~repro.service.admission.Admission` queue (shortest-job
-  first over the EWMA cost model, per-tenant cumulative budgets),
+  first per family over the EWMA cost model, per-tenant step ledger),
 * a request **batcher**: concurrent requests with the same
   content-addressed query key coalesce onto one computation — every
   waiter gets its own response, the engine runs once,
@@ -19,26 +20,20 @@ One :class:`Service` owns
   NDJSON body, ``GET /stats``, ``GET /healthz``).
 
 Concurrency model: the event loop does parsing, admission, batching,
-caching, and journaling; BDD work runs in one of two modes.
+caching, and journaling; every query runs on its family's worker
+*process* (:mod:`repro.service.workers`), each owning a private
+:class:`~repro.service.shards.ShardPool`.  Families execute
+concurrently — a slow cascade build cannot head-of-line-block an RNS
+lookup — and each worker serves one query at a time, because the
+governor's budget stack and the stats registry are process-global.
+``workers`` caps the live processes (``None``: one per shard family).
+Worker death is a recoverable fault: the process is rebuilt and the
+in-flight query re-journaled and re-executed (PR 4 pool-rebuild
+semantics).  A ``drain`` runs through the same workers.
 
-* **In-process** (``workers=0``, the default): one dedicated worker
-  thread (``ThreadPoolExecutor(max_workers=1)``).  The governor's
-  budget stack and the stats registry are process-global and not
-  thread-aware — the single-worker discipline is what makes per-tenant
-  budgets and per-shard counter attribution sound.
-* **Multi-process** (``workers>=1``): one worker *process* per shard
-  family (:mod:`repro.service.workers`), each owning a private
-  :class:`~repro.service.shards.ShardPool`.  Families execute
-  concurrently — a slow cascade build cannot head-of-line-block an RNS
-  lookup — and each family still serves one query at a time, so the
-  per-process discipline above holds inside every worker.  Worker
-  death is a recoverable fault: the process is rebuilt and the
-  in-flight query re-journaled and re-executed (PR 4 pool-rebuild
-  semantics).
-
-Either way a **cross-request result cache** sits in front of the
-queue: repeated identical queries (same content-addressed key) are
-answered from the cache with zero engine passes.  Epoch-based
+A **cross-request result cache** sits in front of the queue: repeated
+identical queries (same content-addressed key) are answered from the
+cache with zero engine passes.  Epoch-based
 invalidation keeps it honest — a worker restart or an explicit
 ``invalidate`` op bumps the epoch, which orphans every older entry at
 once.
@@ -63,7 +58,6 @@ import json
 import os
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from repro import _faults
@@ -90,7 +84,7 @@ from repro.service.protocol import (
     ok_response,
     parse_request,
 )
-from repro.service.shards import ShardPool
+from repro.service.shards import FAMILIES
 from repro.service.watchdog import MemoryWatchdog
 from repro.service.workers import WorkerPool
 
@@ -193,7 +187,7 @@ class Service:
         tenant_max_steps: int | None = None,
         max_alive: int | None = None,
         request_timeout: float | None = None,
-        workers: int = 0,
+        workers: int | None = None,
         snapshot_dir: str | Path | None = None,
         result_cache_size: int = DEFAULT_RESULT_CACHE,
         max_queue_depth: int | None = None,
@@ -208,17 +202,12 @@ class Service:
         self.http_host = http_host
         self.http_port = http_port
         self.request_timeout = request_timeout
-        self.pool = ShardPool(max_alive=max_alive, snapshot_dir=snapshot_dir)
-        self.worker_pool = (
-            WorkerPool(
-                workers,
-                max_alive=max_alive,
-                snapshot_dir=snapshot_dir,
-                breaker_threshold=breaker_threshold,
-                breaker_reset_s=breaker_reset_s,
-            )
-            if workers >= 1
-            else None
+        self.worker_pool = WorkerPool(
+            len(FAMILIES) if workers is None else workers,
+            max_alive=max_alive,
+            snapshot_dir=snapshot_dir,
+            breaker_threshold=breaker_threshold,
+            breaker_reset_s=breaker_reset_s,
         )
         self.result_cache = ResultCache(result_cache_size)
         costs = CostModel.load(cost_path) if cost_path else CostModel()
@@ -229,7 +218,7 @@ class Service:
             tenant_max_inflight=tenant_max_inflight,
         )
         #: Always constructed — with no limits it is a pure sampler, so
-        #: the v8 ``watchdog`` stats block is present in every mode.
+        #: the v8 ``watchdog`` stats block is always present.
         self.watchdog = MemoryWatchdog(
             self,
             rss_limit_bytes=rss_limit_bytes,
@@ -245,14 +234,11 @@ class Service:
         self._waiters: dict[str, list[tuple[str, asyncio.Future]]] = {}
         self._attempts: dict[str, int] = {}
         #: Families with a query currently running on their worker
-        #: process (multi-process mode only; one query per worker).
+        #: process (one query per worker).
         self._inflight: set[str] = set()
         self._work = asyncio.Event()
         self._stopping = False
         self._stopped = asyncio.Event()
-        self._worker = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-query"
-        )
         self.started_at = time.time()
         self.queries_total = 0
         self.batched_total = 0
@@ -343,27 +329,7 @@ class Service:
         self._work.set()
         return fut
 
-    # -- execution (worker thread) ------------------------------------
-
-    def _run_query(
-        self, req: Request, remaining_s: float | None = None
-    ) -> tuple[str, dict, float]:
-        """Execute one query on the worker thread; returns (family, result, wall).
-
-        ``remaining_s`` is what is left of the request's ``deadline_ms``
-        after queueing; it joins the governor budget as a ``deadline_s``
-        extent, so the kernel's checkpoints abort the build cooperatively
-        (manager stays usable) instead of wedging the worker thread.
-        """
-        budget = self._effective_budget(req.budget, remaining_s)
-        t0 = time.perf_counter()
-        family, result = self.pool.execute(
-            req.op,
-            req.params,
-            budget=budget,
-            tenant_budget=self.admission.tenant_budget(req.tenant),
-        )
-        return family, result, time.perf_counter() - t0
+    # -- execution (worker processes) ---------------------------------
 
     def _effective_budget(
         self, budget: dict | None, remaining_s: float | None
@@ -372,6 +338,10 @@ class Service:
 
         The tightest of the request's own ``deadline_s``, the daemon's
         ``request_timeout``, and the ``deadline_ms`` remainder wins.
+        ``remaining_s`` is what is left of the request's ``deadline_ms``
+        after queueing: as a ``deadline_s`` extent the kernel's
+        checkpoints abort the build cooperatively (manager stays
+        usable) instead of wedging the worker.
         """
         out = dict(budget or {})
         deadlines = [
@@ -402,40 +372,10 @@ class Service:
     async def _pump(self) -> None:
         """The dispatcher: drain the admission queue, cheapest first.
 
-        In-process mode runs queries inline (one at a time, globally
-        shortest-job-first).  Multi-process mode dispatches to one
-        worker per family concurrently — shortest-job-first *within*
-        each family, with at most one query in flight per worker.
+        Dispatches to one worker per family concurrently —
+        shortest-job-first *within* each family, with at most one query
+        in flight per worker.
         """
-        loop = asyncio.get_running_loop()
-        if self.worker_pool is None:
-            while True:
-                item = self.admission.pop()
-                if item is None:
-                    if self._stopping:
-                        break
-                    self._work.clear()
-                    await self._work.wait()
-                    continue
-                req: Request = item.request
-                key = item.key
-                if item.expired():
-                    self._expire(item)
-                    continue
-                try:
-                    family, result, wall = await loop.run_in_executor(
-                        self._worker,
-                        functools.partial(
-                            self._run_query, req, item.remaining_s()
-                        ),
-                    )
-                except Exception as exc:
-                    self.executed += 1
-                    self._resolve(key, error=exc)
-                    continue
-                self._finish(req, key, family, result, wall)
-            self._stopped.set()
-            return
         pending: set[asyncio.Task] = set()
         while True:
             dispatched = False
@@ -461,29 +401,15 @@ class Service:
                 await task
         self._stopped.set()
 
-    def _finish(
-        self, req: Request, key: str, family: str, result: dict, wall: float
-    ) -> None:
-        """Common success bookkeeping: costs, journal, cache, waiters."""
-        self.executed += 1
-        self.admission.observe(key, wall)
-        if self.journal is not None:
-            self.journal.record_result(
-                _row_task(req),
-                TaskResult(
-                    key=key, result=result, wall_s=wall, pid=os.getpid()
-                ),
-            )
-        self.result_cache.put(key, family, result)
-        self._resolve(key, result=result, family=family, wall=wall)
-
     async def _dispatch(self, item: QueuedQuery) -> None:
-        """Run one query on its family's worker process (worker mode).
+        """Run one query on its family's worker process.
 
         A dead worker (crash, SIGKILL, wedge) is rebuilt and the query
         re-queued as a new journaled attempt, up to
         :data:`MAX_WORKER_ATTEMPTS`; engine errors inside a healthy
-        worker are final answers.
+        worker are final answers.  Every reply from a live worker, ok
+        or error, charges its steps to the tenant and its counters to
+        the daemon totals; a dead worker's attempt charges nothing.
         """
         loop = asyncio.get_running_loop()
         req: Request = item.request
@@ -511,17 +437,12 @@ class Service:
         worker = self.worker_pool.get(
             family, busy=frozenset(self._inflight - {family})
         )
-        tenant = self.admission.tenant_budget(req.tenant)
         remaining = item.remaining_s()
         doc = {
             "op": req.op,
             "params": req.params,
             "budget": self._effective_budget(req.budget, remaining),
-            "tenant_remaining": (
-                max(0, tenant.max_steps - tenant.steps)
-                if tenant.max_steps is not None
-                else None
-            ),
+            "tenant_remaining": self.admission.tenant_remaining(req.tenant),
         }
         # The pipe timeout backstops the cooperative deadline: the
         # governor should abort the build first; the grace margin only
@@ -543,8 +464,10 @@ class Service:
             return
         except Exception as exc:
             # A live worker answered with an engine error: that is an
-            # *answer*, not infrastructure failure — the breaker resets.
+            # *answer*, not infrastructure failure — the breaker resets
+            # and the work it did is charged like any answer's.
             breaker.record_success()
+            self._charge(req.tenant, getattr(exc, "stats_delta", {}))
             self.executed += 1
             self._resolve(key, error=exc)
             return
@@ -552,16 +475,26 @@ class Service:
             self._inflight.discard(family)
             self._work.set()
         breaker.record_success()
-        delta = reply.get("stats_delta", {})
+        self._charge(req.tenant, reply.get("stats_delta", {}))
+        family = reply.get("family", family)
+        result = reply.get("result", {})
+        wall = float(reply.get("wall_s", 0.0))
+        self.executed += 1
+        self.admission.observe(key, wall)
+        if self.journal is not None:
+            self.journal.record_result(
+                _row_task(req),
+                TaskResult(
+                    key=key, result=result, wall_s=wall, pid=os.getpid()
+                ),
+            )
+        self.result_cache.put(key, family, result)
+        self._resolve(key, result=result, family=family, wall=wall)
+
+    def _charge(self, tenant: str, delta: dict) -> None:
+        """Fold one worker reply's counter delta into the daemon's books."""
         stats.merge_worker_totals(delta)
-        tenant.steps += int(delta.get("kernel_steps", 0))
-        self._finish(
-            req,
-            key,
-            reply.get("family", family),
-            reply.get("result", {}),
-            float(reply.get("wall_s", 0.0)),
-        )
+        self.admission.charge(tenant, int(delta.get("kernel_steps", 0)))
 
     def _worker_died(self, item: QueuedQuery) -> None:
         """PR 4 pool-rebuild semantics for a dead worker process."""
@@ -736,18 +669,27 @@ class Service:
                 writer.close()
                 return
             method, path = parts[0], parts[1]
-            length = 0
+            length: int | None = 0
             while True:
                 header = await reader.readline()
                 if header in (b"\r\n", b"\n", b""):
                     break
                 name, _, value = header.decode("latin-1").partition(":")
                 if name.strip().lower() == "content-length":
-                    try:
-                        length = int(value.strip())
-                    except ValueError:
-                        length = 0
-            if method == "GET" and path == "/healthz":
+                    value = value.strip()
+                    # HTTP allows only ASCII digits here; int() would
+                    # also take signs, spaces and underscores.
+                    length = (
+                        int(value) if value.isascii() and value.isdigit() else None
+                    )
+            if length is None:
+                body = encode(
+                    error_response(
+                        None, "Content-Length must be a non-negative integer"
+                    )
+                )
+                writer.write(http("400 Bad Request", body, "application/json"))
+            elif method == "GET" and path == "/healthz":
                 body = encode({"ok": True, "protocol": PROTOCOL})
                 writer.write(http("200 OK", body, "application/json"))
             elif method == "GET" and path == "/stats":
@@ -846,14 +788,9 @@ class Service:
 
         Returns the number of queries executed.  Used by
         ``repro serve --drain-exit`` to finish a killed daemon's
-        in-flight work without opening any listener.  Always runs
-        in-process (workers are stopped first): a drain's whole point
-        is a deterministic, self-contained completion of journaled
-        work, which one process provides with nothing to rebuild.
+        in-flight work without opening any listener; the queries run on
+        shard workers exactly as served ones do.
         """
-        if self.worker_pool is not None:
-            self.worker_pool.stop_all()
-            self.worker_pool = None
         before = self.executed
         self._stopping = True
         self._work.set()
@@ -862,9 +799,7 @@ class Service:
         return self.executed - before
 
     def close(self) -> None:
-        self._worker.shutdown(wait=True)
-        if self.worker_pool is not None:
-            self.worker_pool.stop_all()
+        self.worker_pool.stop_all()
         if self.journal is not None:
             self.journal.close()
         if self.admission.costs.path is not None:
@@ -878,30 +813,24 @@ class Service:
     # -- stats --------------------------------------------------------
 
     def stats(self) -> dict:
-        """The daemon's schema-v8 stats document.
+        """The daemon's stats document (schema ``stats.SCHEMA``).
 
-        In multi-process mode the ``shards`` map is assembled from each
-        worker's most recent reply (warm state lives in the workers);
-        the ``workers`` block carries per-process pids, query counts,
-        restart counts, and circuit-breaker states.  v8 adds the
-        resilience counters: ``shed_total``, ``deadline_exceeded_total``
-        and the ``watchdog`` sampling block.
+        The ``shards`` map is assembled from each worker's most recent
+        reply (warm state lives in the workers); the ``workers`` block
+        carries per-process pids, query counts, restart counts, and
+        circuit-breaker states.  v8 added the resilience counters:
+        ``shed_total``, ``deadline_exceeded_total`` and the ``watchdog``
+        sampling block.
         """
-        if self.worker_pool is not None:
-            shards: dict = {}
-            for worker in self.worker_pool.workers.values():
-                shards.update(worker.last_shards)
-        else:
-            shards = self.pool.stats()
-        doc = {
+        shards: dict = {}
+        for worker in self.worker_pool.workers.values():
+            shards.update(worker.last_shards)
+        return {
             "schema": stats.SCHEMA,
             "schema_version": stats.SCHEMA_VERSION,
             "protocol": PROTOCOL,
             "uptime_s": round(time.time() - self.started_at, 3),
             "pid": os.getpid(),
-            "mode": (
-                "multi-process" if self.worker_pool is not None else "in-process"
-            ),
             "queries_total": self.queries_total,
             "batched_total": self.batched_total,
             "executed": self.executed,
@@ -913,7 +842,5 @@ class Service:
             "result_cache": self.result_cache.stats(),
             "shards": shards,
             "admission": self.admission.stats(),
+            "workers": self.worker_pool.stats(),
         }
-        if self.worker_pool is not None:
-            doc["workers"] = self.worker_pool.stats()
-        return doc

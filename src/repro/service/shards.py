@@ -19,9 +19,11 @@ counter blocks of stats schema v8 their meaning: each executed query's
 is attributable per family.
 
 Thread-safety: the governor's budget stack and the stats snapshot are
-process-global, so ALL query execution must happen on the server's
-single worker thread.  Shard methods assume that discipline and do no
-locking of their own.
+process-global, so a pool serves one query at a time.  The daemon
+keeps no pool of its own: each shard worker process
+(:mod:`repro.service.workers`) owns one and runs its queries one by
+one on its main thread.  Shard methods assume that discipline and do
+no locking of their own.
 """
 
 from __future__ import annotations
@@ -238,9 +240,9 @@ class Shard:
     def execute(self, op: str, params: dict) -> dict:
         """Run one compute op on this shard's warm state.
 
-        Must be called on the server's worker thread (see the module
-        docstring); any per-request/tenant budgets are expected to be
-        already entered by the caller.  Engine errors propagate.
+        One query at a time per process (see the module docstring); any
+        per-request/tenant budgets are expected to be already entered
+        by the caller.  Engine errors propagate.
         """
         before = stats.snapshot()
         self.queries += 1
@@ -407,7 +409,7 @@ class Shard:
 
 
 class ShardPool:
-    """All warm shards of one daemon (or worker process), lazy per family."""
+    """All warm shards of one worker process, lazy per family."""
 
     def __init__(
         self,
@@ -435,7 +437,7 @@ class ShardPool:
         budget: dict | None = None,
         tenant_budget: Budget | None = None,
     ) -> tuple[str, dict]:
-        """Route a query to its shard and run it (worker thread only).
+        """Route a query to its shard and run it (one query at a time).
 
         Per-request and per-tenant budgets are entered around the
         computation; budget violations propagate as the governor's

@@ -5,17 +5,17 @@ The shards' ``max_alive`` housekeeping threshold (PR 7) only meters
 accumulates result-cache entries, worker-process heaps, and allocator
 slack that no per-shard counter sees — and a single fixed threshold
 cannot tell "one hot shard" from "the whole process is about to be
-OOM-killed".  The watchdog samples the real signal (process RSS plus
-the live-node total across every shard) on a timer and walks a staged
-degradation ladder, one stage per consecutive over-limit sample:
+OOM-killed".  The watchdog samples the real signal (the daemon's RSS
+plus the live-node total the workers last reported for their shards)
+on a timer and walks a staged degradation ladder, one stage per
+consecutive over-limit sample:
 
-1. **housekeep** — collect query scratch in every in-process shard and
-   drop the cross-request result cache (cheap, reversible: warmth is
-   rebuilt on demand);
-2. **evict** — multi-process mode stops the coldest *idle* worker
-   process (its warm state reloads from snapshots); in-process mode
-   forces whole-CF eviction by housekeeping to half the configured
-   ceiling;
+1. **housekeep** — drop the cross-request result cache (cheap,
+   reversible: answers are recomputed on demand; the workers already
+   collect their own shards' query scratch after every query);
+2. **evict** — stop the coldest *idle* worker process (its warm state
+   reloads from snapshots); with every worker busy nothing is evicted
+   and the next over-limit sample sheds;
 3. **shed** — flip :attr:`~repro.service.admission.Admission.shedding`:
    every new compute admission is refused with a structured
    ``overloaded`` error until pressure clears.
@@ -63,11 +63,10 @@ class MemoryWatchdog:
     """Periodic RSS / alive-node sampler driving staged degradation.
 
     ``rss_limit_bytes`` bounds the daemon's resident set;
-    ``alive_limit`` bounds the live-node total summed across every
-    shard (in-process shards, or the workers' last-reported shard
-    stats in multi-process mode).  Either limit being exceeded makes a
-    sample "over"; both ``None`` leaves the watchdog as a pure sampler
-    whose readings still appear in the stats document.
+    ``alive_limit`` bounds the live-node total summed across the
+    workers' last-reported shard stats.  Either limit being exceeded
+    makes a sample "over"; both ``None`` leaves the watchdog as a pure
+    sampler whose readings still appear in the stats document.
     """
 
     def __init__(
@@ -87,23 +86,17 @@ class MemoryWatchdog:
         self.housekeeps = 0
         self.worker_evictions = 0
         self.sheds = 0
-        self.freed_nodes = 0
         self.last_rss = 0
         self.last_alive = 0
 
     # -- sampling ------------------------------------------------------
 
     def alive_nodes(self) -> int:
-        """Live-node total across every shard the daemon can see."""
-        service = self.service
-        if service.worker_pool is not None:
-            return sum(
-                int(block.get("alive_nodes", 0))
-                for worker in service.worker_pool.workers.values()
-                for block in worker.last_shards.values()
-            )
+        """Live-node total across the shards the workers last reported."""
         return sum(
-            shard.alive_nodes() for shard in service.pool.shards.values()
+            int(block.get("alive_nodes", 0))
+            for worker in self.service.worker_pool.workers.values()
+            for block in worker.last_shards.values()
         )
 
     def over_limit(self) -> bool:
@@ -136,41 +129,18 @@ class MemoryWatchdog:
     # -- the degradation ladder ----------------------------------------
 
     def _housekeep(self) -> None:
-        """Stage 1: collect scratch nodes, drop the result cache."""
+        """Stage 1: drop the result cache."""
         self.housekeeps += 1
-        service = self.service
-        for shard in service.pool.shards.values():
-            self.freed_nodes += shard.housekeep(service.pool.max_alive)
-        service.result_cache.invalidate()
+        self.service.result_cache.invalidate()
 
     def _evict(self) -> None:
-        """Stage 2: give back warm state that snapshots can rebuild."""
+        """Stage 2: stop the coldest worker whose family has no query in
+        flight; its shard state reloads from RBCF snapshots."""
         service = self.service
-        if service.worker_pool is not None:
-            # Stop the coldest worker whose family has no query in
-            # flight; its shard state reloads from RBCF snapshots.
-            pool = service.worker_pool
-            idle = [
-                family
-                for family in pool.workers
-                if family not in service._inflight
-            ]
-            if idle:
-                victim = min(
-                    idle, key=lambda f: pool._last_used.get(f, 0.0)
-                )
-                pool.workers.pop(victim).stop()
-                pool._last_used.pop(victim, None)
-                self.worker_evictions += 1
-                service.result_cache.invalidate()
-                return
-        # In-process (or every worker busy): force whole-CF eviction by
-        # housekeeping to half the configured ceiling.
-        self.housekeeps += 1
-        for shard in service.pool.shards.values():
-            self.freed_nodes += shard.housekeep(
-                max(1, service.pool.max_alive // 2)
-            )
+        if service.worker_pool.stop_coldest(service._inflight) is None:
+            return
+        self.worker_evictions += 1
+        service.result_cache.invalidate()
 
     def _shed(self) -> None:
         """Stage 3: refuse new compute admissions until pressure clears."""
@@ -201,5 +171,4 @@ class MemoryWatchdog:
             "housekeeps": self.housekeeps,
             "worker_evictions": self.worker_evictions,
             "sheds": self.sheds,
-            "freed_nodes": self.freed_nodes,
         }

@@ -1,12 +1,11 @@
-"""Per-family shard worker processes: the service's scale-out layer.
+"""Per-family shard worker processes: where every query runs.
 
-The PR 7 daemon ran every query on one worker *thread*, so a slow
-cascade build head-of-line-blocked a millisecond RNS lookup.  Here each
-benchmark family gets its own worker **process** owning a private
+Each benchmark family gets its own worker **process** owning a private
 :class:`~repro.service.shards.ShardPool`: the asyncio front-end keeps
-the socket/HTTP/admission/journal roles and dispatches queries over a
-pipe-based RPC, so families execute concurrently and a wedged or killed
-worker takes down only its own family's warm state.
+the socket/HTTP/admission/journal roles and dispatches every query
+over a pipe-based RPC, so families execute concurrently (a slow
+cascade build cannot head-of-line-block a millisecond RNS lookup) and
+a wedged or killed worker takes down only its own family's warm state.
 
 Wire format (multiprocessing :class:`~multiprocessing.connection.Pipe`,
 pickled dicts — the same "picklable description" discipline as
@@ -25,12 +24,13 @@ reply::
      "wall_s": ..., "stats_delta": {...}, "shards": {...}}
 
 ``stats_delta`` is the worker-side :func:`repro.bdd.stats.counter_delta`
-of the query; the parent folds it into its own process totals with
-:func:`repro.bdd.stats.merge_worker_totals` (exactly the parallel
-executor's cross-process aggregation) and charges the delta's
-``kernel_steps`` to the tenant's cumulative ledger, which stays
-parent-side.  ``tenant_remaining`` carries the tenant's remaining step
-allowance *into* the worker as a plain per-query budget.
+of the query; for every reply, ok or error, the parent folds it into
+its own process totals with :func:`repro.bdd.stats.merge_worker_totals`
+(exactly the parallel executor's cross-process aggregation) and
+charges the delta's ``kernel_steps`` to the tenant's step ledger,
+which stays parent-side.  ``tenant_remaining`` carries the tenant's
+remaining step allowance *into* the worker as a plain per-query
+budget.
 
 Failure model mirrors the PR 4 executor's pool rebuild: a dead or
 wedged worker raises :class:`~repro.errors.WorkerDied`; the dispatcher
@@ -38,7 +38,7 @@ rebuilds the worker (fresh process, cold shards) and re-executes the
 in-flight query as a new journaled attempt.  Engine errors inside a
 worker are *answers*, not faults — they come back serialized and
 re-raise in the parent as :class:`~repro.errors.RemoteQueryError` with
-the original type name preserved for the client.
+the original type name and the reply's ``stats_delta`` preserved.
 """
 
 from __future__ import annotations
@@ -265,7 +265,7 @@ class ShardWorker:
         ``timeout``) wedged — in the wedged case the process is
         terminated first, so a retry on a fresh worker cannot race the
         zombie.  Engine errors reported by a *live* worker re-raise as
-        :class:`RemoteQueryError`.
+        :class:`RemoteQueryError` carrying the reply's ``stats_delta``.
         """
         self.queries += 1
         try:
@@ -299,7 +299,9 @@ class ShardWorker:
         if not reply.get("ok", False):
             err = reply.get("error") or {}
             raise RemoteQueryError(
-                err.get("type", "ReproError"), err.get("message", "")
+                err.get("type", "ReproError"),
+                err.get("message", ""),
+                reply.get("stats_delta"),
             )
         return reply
 
@@ -346,10 +348,11 @@ class ShardWorker:
 class WorkerPool:
     """All shard workers of one daemon, spawned lazily per family.
 
-    ``max_workers`` is a soft cap on concurrently alive processes: when
-    a new family would exceed it, the least-recently-used *idle* worker
-    is stopped first (its warm state is rebuildable — from snapshots,
-    cheaply).  Busy workers are never reaped.
+    ``max_workers`` (at least 1) is a soft cap on concurrently alive
+    processes: when a new family would exceed it, the
+    least-recently-used *idle* worker is stopped first (its warm state
+    is rebuildable — from snapshots, cheaply).  Busy workers are never
+    reaped.
     """
 
     def __init__(
@@ -361,7 +364,9 @@ class WorkerPool:
         breaker_threshold: int = 3,
         breaker_reset_s: float = 30.0,
     ) -> None:
-        self.max_workers = max(1, int(max_workers))
+        if max_workers < 1:
+            raise ValueError(f"max_workers must be at least 1, got {max_workers}")
+        self.max_workers = max_workers
         self.max_alive = max_alive
         self.snapshot_dir = snapshot_dir
         self.breaker_threshold = breaker_threshold
@@ -387,12 +392,8 @@ class WorkerPool:
         worker = self.workers.get(family)
         if worker is None:
             while len(self.workers) >= self.max_workers:
-                idle = [f for f in self.workers if f not in busy]
-                if not idle:
+                if self.stop_coldest(busy) is None:
                     break  # every worker busy: exceed the soft cap
-                victim = min(idle, key=lambda f: self._last_used.get(f, 0.0))
-                self.workers.pop(victim).stop()
-                self._last_used.pop(victim, None)
             worker = self.workers[family] = ShardWorker(
                 family,
                 max_alive=self.max_alive,
@@ -400,6 +401,17 @@ class WorkerPool:
             )
         self._last_used[family] = time.monotonic()
         return worker
+
+    def stop_coldest(self, busy: tuple | frozenset | set = ()) -> str | None:
+        """Stop the least-recently-used worker whose family is not in
+        ``busy``; returns that family, or None when every worker is busy."""
+        idle = [f for f in self.workers if f not in busy]
+        if not idle:
+            return None
+        victim = min(idle, key=lambda f: self._last_used.get(f, 0.0))
+        self.workers.pop(victim).stop()
+        self._last_used.pop(victim, None)
+        return victim
 
     def restart(self, family: str) -> ShardWorker | None:
         worker = self.workers.get(family)

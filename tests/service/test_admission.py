@@ -1,4 +1,8 @@
-"""Admission control: shortest-job-first order and tenant budgets."""
+"""Admission control: per-family shortest-job-first order and tenant ledgers.
+
+Every query below is an RNS benchmark, so all of them queue in the
+``rns`` family and pop in that family's cost order.
+"""
 
 import pytest
 
@@ -41,10 +45,10 @@ class TestQueueOrder:
         adm.submit(req("cascade", "11-13-15-17 RNS"))
         adm.submit(req("width_reduce", "3-5 RNS"))
         adm.submit(req("decompose", "5-7 RNS", cut_height=3))
-        popped = [adm.pop().request.op for _ in range(3)]
+        popped = [adm.pop("rns").request.op for _ in range(3)]
         assert popped[-1] == "cascade"
         assert popped[0] in ("width_reduce", "decompose")
-        assert adm.pop() is None
+        assert adm.pop("rns") is None
 
     def test_equal_cost_keeps_arrival_order(self):
         adm = Admission(CostModel())
@@ -52,8 +56,8 @@ class TestQueueOrder:
         # An identical query has the identical estimate; the sequence
         # number must break the tie in arrival order.
         second = adm.submit(req("width_reduce", "3-5 RNS"))
-        assert adm.pop() is first
-        assert adm.pop() is second
+        assert adm.pop("rns") is first
+        assert adm.pop("rns") is second
 
     def test_observation_beats_seed(self):
         """A measured wall time re-ranks future arrivals (EWMA wins)."""
@@ -63,42 +67,34 @@ class TestQueueOrder:
         adm.observe(key, 500.0)  # it turned out to be a monster
         adm.submit(cheap_on_paper)
         adm.submit(req("cascade", "11-13-15-17 RNS"))
-        assert adm.pop().request.op == "cascade"
+        assert adm.pop("rns").request.op == "cascade"
 
     def test_len_tracks_queue(self):
         adm = Admission(CostModel())
         assert len(adm) == 0
         adm.submit(req("width_reduce", "3-5 RNS"))
         assert len(adm) == 1
-        adm.pop()
+        adm.pop("rns")
         assert len(adm) == 0
 
 
 class TestTenantBudgets:
     def test_exhausted_tenant_is_refused(self):
         adm = Admission(CostModel(), tenant_max_steps=100)
-        budget = adm.tenant_budget("greedy")
-        budget.steps = 101  # as if prior queries spent it
+        adm.charge("greedy", 60)
+        adm.charge("greedy", 41)  # the ledger adds up across queries
+        assert adm.tenant_remaining("greedy") == 0
         with pytest.raises(ServiceError, match="greedy"):
             adm.submit(req("width_reduce", "3-5 RNS", tenant="greedy"))
         # Other tenants are unaffected.
         adm.submit(req("width_reduce", "3-5 RNS", tenant="frugal"))
-
-    def test_budget_is_cumulative_across_entries(self):
-        adm = Admission(CostModel(), tenant_max_steps=1000)
-        budget = adm.tenant_budget("t")
-        with budget:
-            budget.steps += 400
-        with budget:
-            budget.steps += 400
-        assert budget.steps == 800  # not reset by re-entry
-        assert not budget.exhausted()
+        assert adm.tenant_remaining("frugal") == 100
 
     def test_unlimited_by_default(self):
         adm = Admission(CostModel())
-        budget = adm.tenant_budget("anyone")
-        budget.steps = 10**12
-        assert not budget.exhausted()
+        adm.charge("anyone", 10**12)
+        assert not adm.exhausted("anyone")
+        assert adm.tenant_remaining("anyone") is None
 
     def test_stats_shape(self):
         adm = Admission(CostModel(), tenant_max_steps=50)

@@ -1,10 +1,11 @@
-"""In-process daemon integration: warmth, batching, parity, budgets.
+"""Daemon integration: warmth, batching, parity, budgets, HTTP framing.
 
 These tests drive a :class:`repro.service.server.Service` inside one
-``asyncio.run`` — no subprocesses, no real sockets unless stated — so
-they pin the semantics (warm computed-table reuse, batch coalescing,
-CLI parity via payload fingerprints) without process-management
-flakiness.  The subprocess lifecycle (SIGKILL, resume, drain) lives in
+``asyncio.run`` — its shard worker processes are forked, but there is
+no daemon subprocess and no real socket unless stated — so they pin
+the semantics (warm computed-table reuse, batch coalescing, CLI parity
+via payload fingerprints, tenant accounting) without daemon-management
+flakiness.  The daemon lifecycle (SIGKILL, resume, drain) lives in
 ``test_lifecycle.py``.
 """
 
@@ -54,9 +55,9 @@ class TestWarmShards:
 
         async def scenario(service):
             first = await service.handle_request(wr_request("q1"))
-            counters_cold = dict(service.pool.get("rns").counters)
+            counters_cold = service.stats()["shards"]["rns"]["counters"]
             second = await service.handle_request(wr_request("q2"))
-            counters_warm = service.pool.get("rns").counters
+            counters_warm = service.stats()["shards"]["rns"]["counters"]
             return first, second, counters_cold, counters_warm
 
         first, second, cold, warm = run_service(
@@ -77,9 +78,9 @@ class TestWarmShards:
             return service.stats()
 
         stats = run_service(scenario)
-        assert stats["schema"] == "repro-bench-v10"
-        assert stats["schema_version"] == 10
-        assert stats["mode"] == "in-process"
+        assert stats["schema"] == "repro-bench-v11"
+        assert stats["schema_version"] == 11
+        assert set(stats["workers"]["processes"]) == {"rns"}
         cache = stats["result_cache"]
         assert set(cache) >= {"hits", "misses", "invalidations", "epoch"}
         shard = stats["shards"]["rns"]
@@ -244,10 +245,10 @@ class TestBudgetsAndErrors:
                 )
             )
             # The tenant's ledger records the steps q1 actually spent.
-            budget = service.admission.tenant_budget("t1")
-            assert budget.steps > 0
+            admission = service.admission
+            assert admission.tenant_steps["t1"] > 0
             # Simulate a long history: spend the rest of the ceiling.
-            budget.steps = budget.max_steps + 1
+            admission.tenant_steps["t1"] = admission.tenant_max_steps + 1
             second = await service.handle_request(
                 Request(
                     id="q2", op="width_reduce",
@@ -316,6 +317,41 @@ class TestBudgetsAndErrors:
         # the next request (which runs under its own 100-step ceiling,
         # so either outcome is legitimate — what matters is an answer).
         assert healthy["id"] == "q2"
+
+    def test_failed_worker_query_charges_its_tenant(self):
+        """A query the tenant's ceiling cuts off inside a worker still
+        charges the steps it spent, to the tenant and to the daemon's
+        totals, so the tenant's next request is refused up front."""
+        from repro.bdd.stats import WORKER_TOTALS
+
+        async def scenario(service):
+            steps_before = WORKER_TOTALS.get("kernel_steps", 0)
+            cut = await service.handle_request(
+                Request(
+                    id="q1", op="width_reduce",
+                    params={"benchmark": "5-7-11 RNS"}, tenant="starved",
+                )
+            )
+            merged = WORKER_TOTALS.get("kernel_steps", 0) - steps_before
+            spent = service.admission.stats()["tenants"]["starved"]["steps"]
+            refused = await service.handle_request(
+                Request(
+                    id="q2", op="width_reduce",
+                    params={"benchmark": BENCH}, tenant="starved",
+                )
+            )
+            return cut, spent, merged, refused
+
+        cut, spent, merged, refused = run_service(
+            scenario, workers=1, tenant_max_steps=100
+        )
+        assert cut["ok"] is False
+        assert cut["error"]["type"] == "ResourceLimitError"
+        assert spent >= 100
+        assert merged == spent
+        assert refused["ok"] is False
+        assert refused["error"]["type"] == "ServiceError"
+        assert "exhausted" in refused["error"]["message"]
 
     def test_engine_error_does_not_kill_the_pump(self):
         async def scenario(service):
@@ -389,3 +425,49 @@ class TestJournalIntegration:
             assert replayed.key() == record["key"]
         finally:
             journal.close()
+
+
+def post_query(content_length: str) -> tuple[str, dict]:
+    """POST one ping line to a fresh daemon's HTTP listener with the
+    given ``Content-Length`` header; returns (status line, body doc)."""
+
+    async def main():
+        service = Service(http_host="127.0.0.1", http_port=0)
+        bound = asyncio.Event()
+        server = asyncio.ensure_future(service.serve(ready=bound.set))
+        await bound.wait()
+        try:
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", service.http_port
+            )
+            writer.write(
+                b"POST /query HTTP/1.1\r\nHost: localhost\r\n"
+                + f"Content-Length: {content_length}\r\n\r\n".encode()
+                + b'{"id": "p", "op": "ping"}\n'
+            )
+            await writer.drain()
+            raw = await asyncio.wait_for(reader.read(), timeout=30)
+            writer.close()
+            return raw
+        finally:
+            service._control(Request(id="bye", op="shutdown"))
+            await server
+
+    raw = asyncio.run(main())
+    head, _, body = raw.partition(b"\r\n\r\n")
+    status = head.split(b"\r\n")[0].decode()
+    return status, json.loads(body) if body else {}
+
+
+class TestHttpFraming:
+    def test_negative_content_length_is_a_bad_request(self):
+        status, doc = post_query("-5")
+        assert status == "HTTP/1.1 400 Bad Request"
+        assert doc["ok"] is False
+        assert "Content-Length" in doc["error"]["message"]
+
+    def test_non_numeric_content_length_is_a_bad_request(self):
+        status, doc = post_query("twelve")
+        assert status == "HTTP/1.1 400 Bad Request"
+        assert doc["ok"] is False
+        assert "Content-Length" in doc["error"]["message"]

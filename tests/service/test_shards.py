@@ -179,7 +179,7 @@ class TestSnapshots:
                 docs = await asyncio.gather(
                     *(service.handle_request(r) for r in reqs)
                 )
-                return docs, service.pool.get("rns")
+                return docs, service.stats()["shards"]["rns"]
             finally:
                 service._stopping = True
                 service._work.set()
@@ -190,8 +190,8 @@ class TestSnapshots:
         assert all(doc["ok"] for doc in docs)
         fps = {doc["result"]["fingerprint"] for doc in docs}
         assert len(fps) == 1
-        assert shard.snapshot_loads == 0, "truncated snapshot must miss"
-        assert shard.cold_builds == 1, "coalescing prevents a double build"
+        assert shard["snapshot_loads"] == 0, "truncated snapshot must miss"
+        assert shard["cold_builds"] == 1, "coalescing prevents a double build"
 
     def test_no_snapshot_dir_means_no_files(self, tmp_path):
         shard = Shard("rns")

@@ -7,9 +7,9 @@ The worker layer's contract has three parts worth pinning separately:
   parent needs for schema-v8 accounting.
 * :class:`WorkerPool` — lazy spawn per family with an LRU soft cap
   that never reaps a busy worker.
-* ``Service(workers=N)`` — the asyncio dispatcher end to end,
-  including the PR 4 rebuild semantics: a SIGKILLed worker is replaced
-  and its in-flight query transparently re-executed.
+* ``Service`` — the asyncio dispatcher end to end, including the PR 4
+  rebuild semantics: a SIGKILLed worker is replaced and its in-flight
+  query transparently re-executed.
 """
 
 import asyncio
@@ -22,6 +22,7 @@ import pytest
 from repro.errors import RemoteQueryError, WorkerDied
 from repro.service.protocol import Request
 from repro.service.server import Service
+from repro.service.shards import Shard
 from repro.service.workers import ShardWorker, WorkerPool
 
 BENCH = "3-5 RNS"
@@ -176,7 +177,7 @@ def wr_request(rid: str, benchmark: str = BENCH, **params) -> Request:
 
 
 def run_service(coro_fn, **service_kwargs):
-    """Run ``coro_fn(service)`` against a listener-less worker-mode daemon."""
+    """Run ``coro_fn(service)`` against a listener-less daemon."""
 
     async def main():
         service = Service(**service_kwargs)
@@ -207,8 +208,7 @@ class TestServiceWorkerMode:
         assert rns["ok"] and dec["ok"]
         assert rns["meta"]["shard"] == "rns"
         assert dec["meta"]["shard"] == "decimal"
-        assert stats["schema_version"] == 10
-        assert stats["mode"] == "multi-process"
+        assert stats["schema_version"] == 11
         procs = stats["workers"]["processes"]
         assert set(procs) == {"rns", "decimal"}
         assert all(p["pid"] != os.getpid() for p in procs.values())
@@ -222,16 +222,15 @@ class TestServiceWorkerMode:
         assert WORKER_TOTALS["kernel_steps"] > 0
 
     def test_worker_matches_in_process_fingerprint(self):
+        """A worker's answer equals the same shard query run here."""
+
         async def scenario(service):
             return await service.handle_request(wr_request("q1"))
 
         via_worker = run_service(scenario, workers=1)
-        in_process = run_service(scenario)
-        assert via_worker["ok"] and in_process["ok"]
-        assert (
-            via_worker["result"]["fingerprint"]
-            == in_process["result"]["fingerprint"]
-        )
+        assert via_worker["ok"]
+        in_process = Shard("rns").execute("width_reduce", {"benchmark": BENCH})
+        assert via_worker["result"]["fingerprint"] == in_process["fingerprint"]
 
     def test_sigkilled_worker_rebuilt_and_query_retried(self):
         """The durability criterion: SIGKILL of a single worker is

@@ -53,3 +53,20 @@ class TestCLI:
 
         with pytest.raises(BenchmarkError):
             main(["table4", "definitely-not-a-benchmark"])
+
+    def test_serve_needs_at_least_one_worker(self, capsys):
+        # No listener: the parser must refuse before any other check.
+        with pytest.raises(SystemExit) as info:
+            main(["serve", "--workers", "0"])
+        assert info.value.code == 2
+        assert "--workers must be at least 1" in capsys.readouterr().err
+
+    def test_sweep_rejects_fabric_with_timeout(self, tmp_path, capsys):
+        """A fabric sweep has no row deadline, so ``--timeout`` would
+        only reach the ``--compare`` baseline: refused before any run."""
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "3-5 RNS", "--tables", "4",
+                  "--fabric", str(tmp_path / "fab"), "--timeout", "5"])
+        assert info.value.code == 2
+        assert "--timeout" in capsys.readouterr().err
+        assert not (tmp_path / "fab").exists()
