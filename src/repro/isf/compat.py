@@ -26,9 +26,19 @@ Each predicate has one code path, the node (pair) walk down to the
 terminals, and :mod:`repro.bdd.reference` keeps the seed recursions
 it is checked against.  Neither walk reads configuration: a query is
 a pure function of the manager's state.
+
+:class:`ProbeSignatures` is not a second compatibility predicate but a
+sound pre-test in front of the pair walk: packed on/off words over a
+fixed set of probe input assignments refute a pair when some probe
+admits no output vector, or forces one output to opposite values in
+the two columns.  Either way ``∀X ∃Y : a·b`` is false, so the walk
+would answer False too; pairs the words cannot refute still go to
+:func:`compatible_columns`.
 """
 
 from __future__ import annotations
+
+import random
 
 from repro.bdd import reference
 from repro.bdd.kernel import validator_epoch_bool, validator_epoch_bool_packed
@@ -36,6 +46,13 @@ from repro.bdd.manager import FALSE, TRUE, BDD
 
 _TOT_VALIDATOR = validator_epoch_bool(1)
 _COMPAT_VALIDATOR = validator_epoch_bool_packed(2)
+
+#: Probe input assignments per signature, one bit each.  Wider words
+#: buy little: 64 probes leave 69 of the 97,178 incompatible pairs of a
+#: ``table5-arith`` benchmark round to the walk, 256 probes leave 20.
+PROBES = 64
+_PROBE_ALL = (1 << PROBES) - 1
+_PROBE_SEED = 2005
 
 
 def ordered_total(bdd: BDD, u: int) -> bool:
@@ -190,3 +207,115 @@ def compatible_columns(bdd: BDD, a: int, b: int) -> bool:
         else:
             tier.insert((x << 32) | y, (result, epoch, gen[x], gen[y]))
     return result
+
+
+class ProbeSignatures:
+    """Packed probe signatures of CF nodes, a sound pre-test for pairs.
+
+    Probe ``p`` assigns every input variable ``x`` the bit ``p`` of a
+    fixed random :data:`PROBES`-bit mask drawn for ``x``.  Each node
+    ``u`` gets, bottom-up, three packed ints:
+
+    * ``S``: the probes where the sub-CF of ``u`` admits some output
+      vector;
+    * ``ON``/``OFF``: one :data:`PROBES`-bit block per output variable,
+      the probes where every admitted vector has that output at 1
+      (``ON``) or at 0 (``OFF``).  A probe that admits nothing reads 1
+      in every block, so it never hides a conflict.
+
+    An input node takes each child's bits through its variable's mask
+    (one multiplication spreads the mask to every output block).  An
+    output node ``y_j`` has ``S = S0 | S1``, ``ON = ON0 & ON1`` and
+    ``OFF = OFF0 & OFF1``, except block ``j``, which is ``~S0`` in
+    ``ON`` and ``~S1`` in ``OFF``.  The children never test ``y_j``, so
+    their block ``j`` reads ``~S0``/``~S1`` already and an OR sets it.
+
+    A signature is a function of the node's Boolean function, so the
+    memo stays valid while node ids are not recycled: create one
+    instance per run that neither collects nor reorders.
+    """
+
+    def __init__(self, bdd: BDD) -> None:
+        self._bdd = bdd
+        rng = random.Random(_PROBE_SEED)
+        outputs = [v for v in range(bdd.num_vars) if bdd.is_output_vid(v)]
+        self._width = width = PROBES * len(outputs)
+        all_blocks = (1 << width) - 1
+        spread = sum(1 << (PROBES * k) for k in range(len(outputs)))
+        #: Input vid -> (mask, ~mask, mask in every block, its complement).
+        self._masks: dict[int, tuple[int, int, int, int]] = {}
+        #: Output vid -> bit offset of its block.
+        self._shift = {vid: PROBES * k for k, vid in enumerate(outputs)}
+        for vid in range(bdd.num_vars):
+            if vid not in self._shift:
+                mask = rng.getrandbits(PROBES)
+                blocks = mask * spread
+                self._masks[vid] = (
+                    mask, _PROBE_ALL ^ mask, blocks, all_blocks ^ blocks,
+                )
+        self._sigs: dict[int, tuple[int, int, int]] = {
+            FALSE: (0, all_blocks, all_blocks),
+            TRUE: (_PROBE_ALL, 0, 0),
+        }
+
+    def key(self, u: int) -> tuple[int, int] | None:
+        """Pair-test key of column ``u``: ``(F, G)``, or None.
+
+        A pair ``(a, b)`` is refuted iff ``F_a & G_b != 0``: the low
+        half of the AND finds a probe where ``a`` forces an output to 1
+        and ``b`` forces it to 0, the high half the opposite.  The test
+        is symmetric.  None means some probe admits nothing under
+        ``u``, so no column is compatible with it.
+        """
+        sig = self._sigs.get(u)
+        if sig is None:
+            sig = self._build(u)
+        s, on, off = sig
+        if s != _PROBE_ALL:
+            return None
+        w = self._width
+        return on | off << w, off | on << w
+
+    def _build(self, u: int) -> tuple[int, int, int]:
+        bdd = self._bdd
+        sigs = self._sigs
+        masks = self._masks
+        shift = self._shift
+        vid_arr, lo_arr, hi_arr = bdd._vid, bdd._lo, bdd._hi
+        stack = [u]
+        push = stack.append
+        while stack:
+            v = stack[-1]
+            if v in sigs:
+                stack.pop()
+                continue
+            lo = lo_arr[v]
+            hi = hi_arr[v]
+            sig0 = sigs.get(lo)
+            sig1 = sigs.get(hi)
+            if sig0 is None or sig1 is None:
+                if sig0 is None:
+                    push(lo)
+                if sig1 is None:
+                    push(hi)
+                continue
+            stack.pop()
+            s0, on0, off0 = sig0
+            s1, on1, off1 = sig1
+            vid = vid_arr[v]
+            m = masks.get(vid)
+            if m is None:
+                j = shift[vid]
+                sigs[v] = (
+                    s0 | s1,
+                    on0 & on1 | (_PROBE_ALL ^ s0) << j,
+                    off0 & off1 | (_PROBE_ALL ^ s1) << j,
+                )
+            else:
+                mask, nmask, blocks, nblocks = m
+                sigs[v] = (
+                    s1 & mask | s0 & nmask,
+                    on1 & blocks | on0 & nblocks,
+                    off1 & blocks | off0 & nblocks,
+                )
+        return sigs[u]

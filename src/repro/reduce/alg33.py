@@ -9,20 +9,33 @@ For every height from ``t - 1`` down to 1 (Sect. 3.2):
   4. substitute the merged function for every member and rebuild the
      BDD above the section.
 
-Columns with no don't care anywhere below the section cannot merge
-with anything (two distinct completely specified columns always
-conflict), so they are left out of the quadratic pair loop — this is a
-pure optimization with no effect on the result.
+Step 2 looks at every pair of columns, and two sound filters keep most
+of them from the pair walk.  Two distinct completely specified columns (no don't care anywhere below the section)
+always conflict, so the columns go to :func:`build_compatibility_graph`
+with the specified ones last, and it never visits a pair among them.
+Every other pair meets the probe signatures of
+:class:`~repro.isf.compat.ProbeSignatures` first, which refute most
+incompatible pairs without a walk; only the rest reach
+:func:`~repro.isf.compat.compatible_columns`.  Because both filters are
+sound, the graph, the cover and every node id are the ones the full
+pair loop gives.  Under :func:`repro.bdd.reference.seed_engine` no signature
+is used, so the seed baseline walks every pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
+from repro.bdd import reference
 from repro.cf.charfun import CharFunction
 from repro.cf.width import columns_at_height, substitute_columns
-from repro.isf.compat import compatible_columns, ordered_total
-from repro.reduce.cliquecover import build_compatibility_graph, heuristic_clique_cover
+from repro.isf.compat import ProbeSignatures, compatible_columns, ordered_total
+from repro.reduce.cliquecover import (
+    build_compatibility_graph,
+    heuristic_clique_cover,
+    pair_limit,
+)
 from repro.reduce.dc import DontCareOracle
 from repro.errors import IncompatibleError
 from repro._config import LIMITS
@@ -64,32 +77,35 @@ def algorithm_3_3(
     # loop, and substitution only creates nodes (never mutates), so the
     # per-node dc cache stays valid across heights.
     oracle = DontCareOracle(bdd)
+    # Signatures are memoized per node, which holds for the same reason.
+    # The seed engine walks every pair, like the baseline it stands for.
+    signature = None if reference.SEED_MODE else ProbeSignatures(bdd).key
+    compatible = partial(compatible_columns, bdd)
     for height in range(t - 1, 0, -1):
         columns = columns_at_height(bdd, root, height)
         if len(columns) < 2:
             continue
-        mergeable = [c for c in columns if oracle.column_has_dc(c, height)]
-        specified = [c for c in columns if not oracle.column_has_dc(c, height)]
+        mergeable: list[int] = []
+        specified: list[int] = []
+        for c in columns:
+            (mergeable if oracle.column_has_dc(c, height) else specified).append(c)
         if not mergeable:
             continue
         stats.heights_processed += 1
         # A completely specified column can absorb compatible dc-bearing
-        # columns, so it stays in the graph; but specified-specified
-        # pairs are never compatible and are skipped wholesale.
+        # columns, so it stays in the graph, at the tail, where
+        # build_compatibility_graph skips the specified-specified pairs.
         candidates = mergeable + specified
-        pair_count = [0]
-
-        def is_compat(a: int, b: int) -> bool:
-            if a in specified_set and b in specified_set:
-                return False
-            pair_count[0] += 1
-            return compatible_columns(bdd, a, b)
-
-        specified_set = set(specified)
         adjacency, truncated = build_compatibility_graph(
-            candidates, is_compat, max_pairs=max_pairs
+            candidates,
+            compatible,
+            max_pairs=max_pairs,
+            signature=signature,
+            tail=len(specified),
         )
-        stats.pairs_checked += pair_count[0]
+        k = pair_limit(len(candidates), max_pairs)
+        k_specified = max(0, k - len(mergeable))
+        stats.pairs_checked += k * (k - 1) // 2 - k_specified * (k_specified - 1) // 2
         if truncated:
             stats.truncated_heights.append(height)
         cover = heuristic_clique_cover(candidates, adjacency)

@@ -5,11 +5,18 @@ of cliques is NP-hard [5], so the paper uses a min-degree greedy
 heuristic: repeatedly seed a clique with the minimum-degree remaining
 node and grow it with minimum-degree common neighbours.  Ties are
 broken by node identity for determinism.
+
+The cover keeps every remaining node's degree up to date as cliques
+leave and draws seeds from a lazy heap, so choosing a seed costs a
+heap pop instead of a degree recount over every remaining node; the
+seeds, and so the covers, are the ones the rescan would pick.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
+from heapq import heapify, heappop, heappush
+from math import isqrt
 
 
 def heuristic_clique_cover(
@@ -24,25 +31,29 @@ def heuristic_clique_cover(
     paper's initialization step.
     """
     remaining = set(nodes)
-    cover: list[list[Hashable]] = []
     adjacency_get = adjacency.get
 
     def degree_in(v: Hashable, pool: set) -> int:
-        # Set intersection runs the membership loop in C; the greedy
-        # min-degree selection calls this once per (candidate, step).
+        # Set intersection runs the membership loop in C; the clique
+        # growth calls this once per (candidate, step).
         s = adjacency_get(v)
         return len(s & pool) if s else 0
 
+    index = {v: i for i, v in enumerate(dict.fromkeys(nodes))}
+    degree = {v: degree_in(v, remaining) for v in index}
     # Isolated nodes go straight into the cover.
-    isolated = sorted(
-        (v for v in remaining if degree_in(v, remaining) == 0), key=_sort_key
-    )
-    for v in isolated:
-        cover.append([v])
-        remaining.discard(v)
-
-    while remaining:
-        seed = min(remaining, key=lambda v: (degree_in(v, remaining), _sort_key(v)))
+    isolated = sorted((v for v in index if degree[v] == 0), key=_sort_key)
+    cover: list[list[Hashable]] = [[v] for v in isolated]
+    remaining.difference_update(isolated)
+    # Lazy heap: an entry is stale once its node has left or its degree
+    # has fallen since the push (degrees only fall, so the live entry
+    # of a node is its smallest one).
+    heap = [(degree[v], _sort_key(v), index[v], v) for v in remaining]
+    heapify(heap)
+    while heap:
+        d, _, _, seed = heappop(heap)
+        if seed not in remaining or d != degree[seed]:
+            continue
         clique = [seed]
         neighbours = adjacency_get(seed)
         candidates = (neighbours & remaining) if neighbours else set()
@@ -55,39 +66,77 @@ def heuristic_clique_cover(
             candidates.discard(nxt)
             candidates &= adjacency_get(nxt, set())
         cover.append(sorted(clique, key=_sort_key))
-        remaining -= set(clique)
+        remaining.difference_update(clique)
+        touched = set()
+        for u in clique:
+            s = adjacency_get(u)
+            if s:
+                for w in s & remaining:
+                    degree[w] -= 1
+                    touched.add(w)
+        for w in touched:
+            heappush(heap, (degree[w], _sort_key(w), index[w], w))
     return cover
+
+
+def pair_limit(n: int, max_pairs: int | None) -> int:
+    """How many leading items of ``n`` the pair loop connects.
+
+    All ``n`` when ``max_pairs`` is None or covers every pair;
+    otherwise the largest ``k`` with ``k*(k-1)/2 <= max_pairs``.
+    """
+    if max_pairs is None or n * (n - 1) // 2 <= max_pairs:
+        return n
+    return (1 + isqrt(1 + 8 * max_pairs)) // 2
 
 
 def build_compatibility_graph(
     items: Sequence[Hashable],
-    compatible,
+    compatible: Callable[[Hashable, Hashable], bool],
     *,
     max_pairs: int | None = None,
+    signature: Callable[[Hashable], tuple[int, int] | None] | None = None,
+    tail: int = 0,
 ) -> tuple[dict[Hashable, set], bool]:
     """Pairwise compatibility graph over ``items``.
 
     ``compatible(a, b)`` decides edges.  When ``max_pairs`` is given and
     the quadratic pair count would exceed it, only the first ``k`` items
-    (with ``k*(k-1)/2 <= max_pairs``) are connected and the rest stay
+    (``k`` = :func:`pair_limit`) are connected and the rest stay
     isolated; the second return value reports whether truncation
     happened.
+
+    Two sound filters keep pairs away from ``compatible``:
+
+    * ``signature(v)`` returns a key ``(F, G)``, or None for an item
+      compatible with nothing; a pair is refuted iff ``F_a & G_b`` is
+      non-zero (see :class:`repro.isf.compat.ProbeSignatures`).
+      Without it every key is ``(0, 0)``, which refutes nothing.
+    * Pairs inside the last ``tail`` items are never visited (Alg. 3.3
+      puts its completely specified columns there).
     """
     adjacency: dict[Hashable, set] = {v: set() for v in items}
     n = len(items)
-    truncated = False
-    limit = n
-    if max_pairs is not None and n * (n - 1) // 2 > max_pairs:
-        truncated = True
-        limit = max(2, int((2 * max_pairs) ** 0.5))
-    for i in range(limit):
+    limit = pair_limit(n, max_pairs)
+    if signature is None:
+        keys: list[tuple[int, int] | None] = [(0, 0)] * limit
+    else:
+        keys = [signature(v) for v in items[:limit]]
+    for i in range(min(limit, n - tail)):
+        key = keys[i]
+        if key is None:
+            continue
         a = items[i]
+        f = key[0]
         for j in range(i + 1, limit):
+            other = keys[j]
+            if other is None or f & other[1]:
+                continue
             b = items[j]
             if compatible(a, b):
                 adjacency[a].add(b)
                 adjacency[b].add(a)
-    return adjacency, truncated
+    return adjacency, limit < n
 
 
 def verify_clique_cover(

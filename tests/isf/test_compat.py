@@ -23,6 +23,8 @@ from repro.cf import CharFunction
 from repro.cf.width import columns_at_height
 from repro.errors import ResourceLimitError
 from repro.isf import MultiOutputISF, compatible_columns, ordered_total
+from repro.isf.compat import PROBES, ProbeSignatures
+from repro.reduce import algorithm_3_1
 
 from tests.conftest import brute_force_truth, spec_strategy, random_spec
 
@@ -135,6 +137,88 @@ class TestCompatibleColumns:
                 for fa, fb in zip(isf_a.outputs, isf_b.outputs)
             )
             assert got == want, trial
+
+
+def cf_variants(spec):
+    """The CF of ``spec`` unsifted, sifted, and after one Alg. 3.1 pass
+    (which leaves relation-shaped columns: output nodes with two
+    non-zero children)."""
+    yield CharFunction.from_spec(spec)
+    cf = CharFunction.from_spec(spec)
+    cf.sift()
+    yield cf
+    yield algorithm_3_1(CharFunction.from_spec(spec))
+
+
+def refuted(key_a, key_b):
+    return key_a is None or key_b is None or key_a[0] & key_b[1] != 0
+
+
+def probe_bits(bdd, sigs, u, probe):
+    """(S, ON, OFF) of ``u`` at one probe, by enumerating the outputs."""
+    inputs = {
+        vid: (mask >> probe) & 1 for vid, (mask, *_rest) in sigs._masks.items()
+    }
+    outputs = sorted(sigs._shift, key=sigs._shift.get)
+    admitted = []
+    for ys in itertools.product((0, 1), repeat=len(outputs)):
+        assignment = dict(inputs)
+        assignment.update(zip(outputs, ys))
+        if bdd.evaluate(u, assignment):
+            admitted.append(ys)
+    on = [all(ys[j] == 1 for ys in admitted) for j in range(len(outputs))]
+    off = [all(ys[j] == 0 for ys in admitted) for j in range(len(outputs))]
+    return bool(admitted), on, off
+
+
+class TestProbeSignatures:
+    @settings(max_examples=40, deadline=None)
+    @given(spec_strategy())
+    def test_refuted_pairs_are_incompatible(self, spec):
+        """A pair the signatures refute is one the seed walk rejects,
+        at every height of unsifted, sifted and Alg. 3.1 CFs."""
+        for cf in cf_variants(spec):
+            bdd = cf.bdd
+            sigs = ProbeSignatures(bdd)
+            for height in range(1, bdd.num_vars):
+                cols = columns_at_height(bdd, cf.root, height)
+                for a, b in itertools.combinations(cols, 2):
+                    if refuted(sigs.key(a), sigs.key(b)):
+                        assert not reference.seed_compatible_columns(bdd, a, b)
+                    assert refuted(sigs.key(a), sigs.key(b)) == refuted(
+                        sigs.key(b), sigs.key(a)
+                    )
+
+    @settings(max_examples=15, deadline=None)
+    @given(spec_strategy(max_inputs=3, max_outputs=2))
+    def test_bits_match_enumeration(self, spec):
+        """S, ON and OFF of every column equal the admitted output
+        vectors enumerated at each probe."""
+        for cf in cf_variants(spec):
+            bdd = cf.bdd
+            sigs = ProbeSignatures(bdd)
+            for height in range(1, bdd.num_vars):
+                for u in columns_at_height(bdd, cf.root, height):
+                    sigs.key(u)
+                    s, on, off = sigs._sigs[u]
+                    for probe in range(0, PROBES, 7):
+                        sat, want_on, want_off = probe_bits(bdd, sigs, u, probe)
+                        assert (s >> probe) & 1 == sat
+                        for j, shift in enumerate(sorted(sigs._shift.values())):
+                            bit = shift + probe
+                            # A probe that admits nothing reads 1 everywhere.
+                            assert (on >> bit) & 1 == (want_on[j] or not sat)
+                            assert (off >> bit) & 1 == (want_off[j] or not sat)
+
+    def test_non_total_column_has_no_key(self):
+        bdd = BDD()
+        x = bdd.add_var("x")
+        y = bdd.add_var("y", kind="output")
+        sigs = ProbeSignatures(bdd)
+        # x AND y admits nothing at x = 0.
+        assert sigs.key(bdd.apply_and(bdd.var(x), bdd.var(y))) is None
+        assert sigs.key(TRUE) == (0, 0)
+        assert sigs.key(FALSE) is None
 
 
 class TestKernelMatchesReference:

@@ -1,14 +1,27 @@
 """Tests for Algorithm 3.3 (clique-cover width reduction)."""
 
+import hashlib
 import random
 
+import pytest
 from hypothesis import given, settings
 
+from repro.bdd import reference
+from repro.benchfns.registry import get_benchmark
 from repro.cf import CharFunction, max_width, refines_spec, width_profile
+from repro.experiments.runner import build_sifted_cf
 from repro.isf import table1_spec
-from repro.reduce import algorithm_3_3
+from repro.reduce import algorithm_3_3, reduce_support
+import repro.reduce.alg33 as alg33
 
 from tests.conftest import spec_strategy, random_spec
+
+
+def table5_inputs(name):
+    """The sifted, support-reduced CFs Table 5 feeds to Alg. 3.3."""
+    for part in get_benchmark(name).build().bipartition():
+        cf, _removed = reduce_support(build_sifted_cf(part))
+        yield cf
 
 
 class TestExample36:
@@ -98,3 +111,90 @@ class TestRandomized:
             after = width_profile(reduced.bdd, reduced.root)
             t = cf.num_vars
             assert after[t - 1] <= before[t - 1]
+
+
+# ---------------------------------------------------------------------------
+# Alg. 3.3 pinned byte for byte
+# ---------------------------------------------------------------------------
+
+#: BLAKE2b digests of (root, _vid, _lo, _hi, _gen, _free, pairs_checked,
+#: merges, heights_processed) after Alg. 3.3 on each Table 5 output half.
+#: The pair filters and the clique cover's seed heap must leave the
+#: graph, the cover and every allocation exactly as the full pair loop
+#: and the rescanning cover these literals were measured with.
+ALG33_DIGESTS = {
+    ("3-digit decimal adder", 0): "499e5a407f7e36a563b53224d50ca434",
+    ("3-digit decimal adder", 1): "d4fca050fa0017a0a13cd8a7a518a97d",
+    ("5-digit 6-nary to binary", 0): "b21ade26104579141c9347f06fc79917",
+    ("5-digit 6-nary to binary", 1): "59b5c1e8ac193efe5b2fb4b0535052ea",
+}
+
+
+def alg33_digest(cf, stats):
+    bdd = cf.bdd
+    state = (
+        cf.root, bdd._vid, bdd._lo, bdd._hi, bdd._gen, bdd._free,
+        stats.pairs_checked, stats.merges, stats.heights_processed,
+    )
+    return hashlib.blake2b(repr(state).encode(), digest_size=16).hexdigest()
+
+
+@pytest.mark.parametrize("name", ["3-digit decimal adder", "5-digit 6-nary to binary"])
+def test_alg33_managers_are_byte_identical(name):
+    for index, cf in enumerate(table5_inputs(name)):
+        reduced, stats = algorithm_3_3(cf)
+        assert alg33_digest(reduced, stats) == ALG33_DIGESTS[name, index], index
+
+
+class TestPairFilters:
+    def test_most_incompatible_pairs_never_walk(self, monkeypatch):
+        """The probe signatures refute at least 90 % of the decimal
+        adder's incompatible pairs; compatible pairs all reach the walk."""
+        verdicts = []
+        walk = alg33.compatible_columns
+
+        def counting(bdd, a, b):
+            verdicts.append(walk(bdd, a, b))
+            return verdicts[-1]
+
+        monkeypatch.setattr(alg33, "compatible_columns", counting)
+        pairs = 0
+        for cf in table5_inputs("3-digit decimal adder"):
+            pairs += algorithm_3_3(cf)[1].pairs_checked
+        incompatible = pairs - sum(verdicts)
+        walked = verdicts.count(False)
+        assert incompatible > 1000
+        assert incompatible - walked >= 0.9 * incompatible, (walked, incompatible)
+
+    def test_seed_engine_walks_every_counted_pair(self, monkeypatch):
+        """Under the seed engine no signature is used: the seed pair
+        walk runs exactly ``pairs_checked`` times."""
+        calls = []
+        seed = reference.seed_compatible_columns
+
+        def counting(bdd, a, b):
+            calls.append((a, b))
+            return seed(bdd, a, b)
+
+        monkeypatch.setattr(reference, "seed_compatible_columns", counting)
+        rng = random.Random(5)
+        specs = [table1_spec()] + [
+            random_spec(rng, n_inputs=4, n_outputs=3) for _ in range(6)
+        ]
+        with reference.seed_engine():
+            for spec in specs:
+                calls.clear()
+                _, stats = algorithm_3_3(CharFunction.from_spec(spec))
+                assert len(calls) == stats.pairs_checked
+
+    def test_truncated_pair_count(self):
+        """``pairs_checked`` counts the pairs of the first ``k`` columns,
+        ``k*(k-1)/2 <= max_pairs``, less those among specified columns."""
+        cf = CharFunction.from_spec(table1_spec())
+        _, full = algorithm_3_3(cf)
+        for max_pairs in (0, 1, 3):
+            _, stats = algorithm_3_3(
+                CharFunction.from_spec(table1_spec()), max_pairs=max_pairs
+            )
+            assert stats.pairs_checked <= full.pairs_checked
+            assert stats.pairs_checked <= max_pairs * stats.heights_processed
