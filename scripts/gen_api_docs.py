@@ -32,6 +32,7 @@ PACKAGES = [
     "repro.parallel.fabric",
     "repro.parallel.journal",
     "repro.parallel.lease",
+    "repro.parallel.worker",
     "repro.service",
     "repro.service.watchdog",
     "repro.service.workers",

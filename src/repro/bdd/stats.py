@@ -224,7 +224,8 @@ def merge_additive(totals: dict, delta: dict) -> dict:
 def merge_worker_totals(delta: dict) -> None:
     """Fold one worker process's counter delta into this process.
 
-    Called by the parallel executor for each completed row task so that
+    Called by the sweep's row book for each row computed in another
+    process, and by the query service for each worker reply, so that
     :func:`snapshot` (and therefore :func:`record` regions wrapping a
     parallel sweep) accounts for work done in worker processes.
     """

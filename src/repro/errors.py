@@ -167,13 +167,15 @@ class ServiceError(ReproError):
 
 
 class WorkerDied(ServiceError):
-    """A shard worker process died while (or before) serving a query.
+    """A worker process died, or hit its deadline, before it replied.
 
-    The daemon's dispatcher treats this as a recoverable infrastructure
-    fault, mirroring the batch executor's pool-rebuild semantics: the
-    worker is rebuilt, the in-flight query is re-journaled as a new
-    attempt and re-executed.  Only after repeated deaths does the error
-    reach the client.
+    Raised by :meth:`repro.parallel.worker.WorkerProcess.call`, which
+    both the query service's shard workers and the sweep pool run on.
+    Either way only that one worker is restarted.  The daemon's
+    dispatcher re-journals the in-flight query as a new attempt and
+    re-executes it, and only after repeated deaths does the error reach
+    the client; the sweep pool charges the row that worker was running
+    one attempt.
     """
 
 
@@ -246,7 +248,7 @@ class FaultInjected(ReproError):
 
     Only ever raised when the fault-injection environment hook of
     :mod:`repro._faults` is armed; it exists so the executor's and the
-    query service's recovery paths (retry, pool rebuild, quarantine,
+    query service's recovery paths (retry, worker restart, quarantine,
     circuit breaking) are testable in CI without depending on real
     crashes.
     """

@@ -172,7 +172,7 @@ def run_table5(
 ) -> list[Table5Row]:
     """Run the reconstructed Table 5 over the arithmetic functions.
 
-    ``jobs`` fans the rows out over the process-pool executor
+    ``jobs`` fans the rows out over that many worker processes
     (:func:`repro.parallel.run_tasks`); results are bit-identical at
     any jobs value.  ``timeout``/``retries``/``node_limit`` bound each
     row, ``journal``/``resume`` make the sweep crash-safe (see

@@ -181,14 +181,14 @@ def run_table6(
     """Both designs for every configured word list size.
 
     With ``jobs > 1`` each word-list size becomes one row task on the
-    process-pool executor (:func:`repro.parallel.run_tasks`);
+    worker-process executor (:func:`repro.parallel.run_tasks`);
     ``timeout``/``retries``/``node_limit`` bound each row and
     ``journal``/``resume`` make the sweep crash-safe (see
     :func:`repro.experiments.table4.run_table4`).
     """
     if jobs > 1 or timeout is not None or node_limit is not None or journal is not None:
         # Row bounds are enforced by the executor, so a bounded run
-        # goes through it even at jobs=1 (in-process, no pool).
+        # goes through it even at jobs=1 (in-process, no workers).
         from repro.parallel import run_tasks, table6_task
 
         sizes = list(sizes) if sizes is not None else list(word_list_sizes())

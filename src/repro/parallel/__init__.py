@@ -1,15 +1,19 @@
 """Process-parallel experiment runner with cost-aware scheduling.
 
 The Sect. 5 sweeps are dozens of independent per-benchmark pipelines;
-this package fans them out over a shared-nothing process pool:
+this package fans them out over shared-nothing worker processes:
 
 * :mod:`repro.parallel.tasks` — :class:`RowTask` descriptions, the
   worker entry point, and parent-side parity checks on shipped CFs.
 * :mod:`repro.parallel.costs` — :class:`CostModel`, longest-first
   scheduling seeded from BENCH_*.json wall times.
 * :mod:`repro.parallel.executor` — :func:`run_tasks` /
-  :class:`SweepReport`, including cross-process engine-stats
-  aggregation.
+  :class:`SweepReport`, and the :class:`~repro.parallel.executor.RowBook`
+  every sweep engine keeps its rows in (resume replay, journaling,
+  retry-or-quarantine, report assembly with cross-process stats).
+* :mod:`repro.parallel.worker` — :class:`~repro.parallel.worker.WorkerProcess`,
+  one forked worker behind a pipe: the sweep pool runs on it, and so do
+  the query service's shard workers.
 * :mod:`repro.parallel.journal` — :class:`Journal`, the fsync'd
   write-ahead record of sweep progress behind ``--journal``/``--resume``
   (crash-safe resume of interrupted sweeps), plus read-only scanning
@@ -27,8 +31,8 @@ default everywhere; pass ``--jobs N`` on the CLI (or ``jobs=N``) to
 parallelize.  Results are bit-identical at any jobs value.
 
 Execution is fault tolerant: per-attempt row deadlines (``timeout=``),
-bounded retries with exponential backoff and pool rebuilds, and
-structured quarantine (:class:`TaskFailure` on
+bounded retries with exponential backoff, a restart of only the worker
+that died or hung, and structured quarantine (:class:`TaskFailure` on
 ``SweepReport.failures``) instead of raising — see
 :mod:`repro.parallel.executor`.
 """

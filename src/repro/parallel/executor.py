@@ -1,68 +1,73 @@
-"""Fault-tolerant shared-nothing process-pool execution of row tasks.
+"""Fault-tolerant shared-nothing execution of row tasks, and the row book.
 
 :func:`run_tasks` is the one entry point: it schedules the given
 :class:`~repro.parallel.tasks.RowTask`s longest-first (see
-:mod:`repro.parallel.costs`), fans them out over a
-``ProcessPoolExecutor`` with ``jobs`` workers, and reassembles results
+:mod:`repro.parallel.costs`), fans them out over ``jobs`` forked
+:class:`~repro.parallel.worker.WorkerProcess` workers — the same class
+the query service runs its shard workers on — and reassembles results
 in submission order.  ``jobs=1`` short-circuits to an in-process loop —
 byte-for-byte the pre-parallel sequential path, with no pickling and no
-pool — which the determinism tests use as the reference.
+workers — which the determinism tests use as the reference.
 
 Fault tolerance: every row carries an optional per-attempt ``timeout``
 and a bounded retry budget (``retries`` extra attempts with exponential
 backoff).  A row attempt can fail three ways, all survivable:
 
-* **worker exception** — the future carries it back; the row is
-  retried, and the final allowed attempt runs *in the parent process*
-  so that pool-transport problems (e.g. unpicklable results) cannot
-  starve a row that computes fine.
-* **worker death** (``BrokenProcessPool``) — the pool is torn down and
-  rebuilt; every inflight row is charged one attempt (the dead worker
-  cannot be attributed) and requeued or quarantined.
-* **hang** — a row past its deadline cannot be cancelled cooperatively,
-  so the pool is killed (workers terminated), only the expired row is
-  charged an attempt, and the innocent inflight rows are requeued
-  uncharged on a fresh pool.
+* **exception** — the worker reports the error text and a traceback
+  digest; the row is charged ``failed`` and retried, and the final
+  allowed attempt runs *in the parent process* so that transport
+  problems (e.g. an unpicklable result) cannot starve a row that
+  computes fine.
+* **worker death** — the row that worker was running is charged
+  ``crashed``, booked to the worker's pid, and that one worker is
+  restarted; the other workers keep their rows.  A result that cannot
+  be pickled ends its worker, so it is charged ``crashed`` too.
+* **hang** — a row past its deadline (measured from dispatch) gets its
+  worker terminated and restarted and is charged ``timeout``; nothing
+  else is touched.
 
 Rows that exhaust their attempts are quarantined as structured
 :class:`TaskFailure` records on ``SweepReport.failures`` — ``run_tasks``
 **never raises for a row failure** and never returns fewer than
 ``len(tasks)`` outcomes (``results + failures``, checked by an
-invariant).  ``KeyboardInterrupt`` cancels the queue and shuts the pool
-down before propagating.
+invariant).  The workers are stopped when ``run_tasks`` returns or
+raises, ``KeyboardInterrupt`` included.
 
-Cross-process stats: every worker measures its own engine-counter delta
-around the row; the executor sums those deltas into
-``SweepReport.stats_totals`` and (for ``jobs > 1``) folds them into the
-parent's :mod:`repro.bdd.stats` registry via
+Every sweep engine — the in-process loop, the pool and the fabric
+(:func:`repro.parallel.fabric.run_fabric`) — keeps its books in one
+:class:`RowBook`: resume replay, the journal, the retry-or-quarantine
+rule and the report.
+
+Cross-process stats: every row measures its own engine-counter delta;
+the book sums those deltas into ``SweepReport.stats_totals`` and folds
+the deltas of rows computed in *other* processes into this process's
+:mod:`repro.bdd.stats` registry via
 :func:`~repro.bdd.stats.merge_worker_totals`, so engine-wide snapshots
-keep working when the work happened elsewhere.  The additive counters
-of an N-worker sweep equal those of the same sweep at ``jobs=1``
-(pinned by ``tests/parallel/test_aggregate.py``); completed rows
-aggregate and feed the cost model even when other rows failed.
+keep working when the work happened elsewhere, and a row run here is
+never counted twice.  The additive counters of an N-worker sweep equal
+those of the same sweep at ``jobs=1`` (pinned by
+``tests/parallel/test_aggregate.py``); completed rows aggregate and
+feed the cost model even when other rows failed.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import signal
 import time
 import traceback
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
 from collections.abc import Sequence
+from concurrent.futures import FIRST_COMPLETED, Future, wait
+from dataclasses import dataclass, field, replace
 
 from repro.bdd import stats
 from repro.bdd.governor import Budget
-from repro.errors import DeadlineError, ReproError, ResourceLimitError
+from repro.errors import DeadlineError, ReproError, ResourceLimitError, WorkerDied
 from repro.parallel.costs import CostModel
 from repro.parallel.tasks import RowTask, TaskResult, execute_task
-
-#: Grace period (seconds) for terminated worker processes to exit
-#: before they are killed outright during a pool teardown.
-_KILL_GRACE_S = 5.0
+from repro.parallel.worker import WorkerProcess
 
 
 @dataclass
@@ -80,10 +85,12 @@ class TaskFailure:
     """One quarantined row: every attempt failed (or timed out).
 
     ``status`` is ``"timeout"`` when the last attempt hit the row
-    deadline, ``"crashed"`` when it took the worker process down, and
-    ``"failed"`` for an ordinary exception.  ``traceback_digest`` is a
-    short stable hash of the full traceback plus the innermost frame,
-    enough to group identical failures without shipping whole dumps.
+    deadline, ``"crashed"`` when its worker process died (a result that
+    cannot be pickled ends the worker too), ``"failed"`` for an ordinary
+    exception, and ``"worker-lost"`` when a fabric lease expired.
+    ``traceback_digest`` is a short stable hash of the full traceback
+    plus the innermost frame, enough to group identical failures
+    without shipping whole dumps.
     """
 
     key: str
@@ -97,7 +104,7 @@ class TaskFailure:
 
 @dataclass
 class SweepReport:
-    """Everything one :func:`run_tasks` call produced and measured."""
+    """Everything one sweep (:func:`run_tasks` or a fabric) produced."""
 
     jobs: int
     wall_s: float
@@ -194,29 +201,146 @@ def _describe(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a pool down even when its workers are hung or dead.
+class RowBook:
+    """One sweep's account of its rows, kept the same by every engine.
 
-    ``shutdown`` alone joins workers, which never returns for a hung
-    one, so the workers are terminated *first*: their death trips the
-    pool's own broken-pool detection, which is what unwinds the
-    management thread (shutting down before terminating leaves that
-    thread waiting forever and deadlocks interpreter exit, which joins
-    it from an atexit hook).  The ``shutdown`` afterwards then has
-    nothing left to wait on.
+    The in-process loop and the pool of :func:`run_tasks` and the fabric
+    coordinator (:func:`repro.parallel.fabric.run_fabric`) each drive
+    one book per sweep; they differ only in how an attempt runs.  The
+    book replays journaled rows on resume, journals (durably) every
+    attempt, result and quarantine, applies the retry-or-quarantine
+    rule, and assembles the :class:`SweepReport`.
     """
-    # _processes is None once a broken pool has torn itself down.
-    processes = list((getattr(pool, "_processes", None) or {}).values())
-    for proc in processes:
-        if proc.is_alive():
-            proc.terminate()
-    deadline = time.monotonic() + _KILL_GRACE_S
-    for proc in processes:
-        proc.join(timeout=max(0.0, deadline - time.monotonic()))
-        if proc.is_alive():  # pragma: no cover - terminate() normally suffices
-            proc.kill()
-            proc.join(timeout=1.0)
-    pool.shutdown(wait=True, cancel_futures=True)
+
+    def __init__(
+        self,
+        tasks: Sequence[RowTask],
+        *,
+        retries: int,
+        journal: "Journal | None" = None,
+    ) -> None:
+        self.tasks = list(tasks)
+        self.retries = retries
+        self.journal = journal
+        self.results: list[TaskResult | None] = [None] * len(self.tasks)
+        self.failures: dict[int, TaskFailure] = {}
+        #: Failed attempts charged per row.
+        self.attempts = [0] * len(self.tasks)
+        #: Seconds spent in failed attempts per row.
+        self.elapsed = [0.0] * len(self.tasks)
+        self.retried = 0
+        self.worker_failures: dict[str, int] = {}
+        #: Rows replayed from the journal instead of run.
+        self.resumed: list[int] = []
+        if journal is not None and journal.resume:
+            for i, replayed in journal.resumable(self.tasks).items():
+                self.results[i] = replayed
+                self.resumed.append(i)
+
+    def settled(self, i: int) -> bool:
+        """Does row ``i`` have its result or its quarantine record?"""
+        return self.results[i] is not None or i in self.failures
+
+    def complete(self) -> bool:
+        return all(self.settled(i) for i in range(len(self.tasks)))
+
+    def attempt(self, i: int) -> None:
+        """Journal that an attempt of row ``i`` is starting."""
+        if self.journal is not None:
+            self.journal.record_attempt(self.tasks[i], self.attempts[i] + 1)
+
+    def result(self, i: int, result: TaskResult) -> None:
+        """Row ``i`` completed: keep and journal its result."""
+        self.results[i] = result
+        if self.journal is not None:
+            self.journal.record_result(self.tasks[i], result)
+
+    def failure(
+        self,
+        i: int,
+        status: str,
+        error: str,
+        digest: str = "",
+        *,
+        pid: int | None = None,
+        elapsed_s: float = 0.0,
+    ) -> bool:
+        """Charge one failed attempt of row ``i``; True if it may retry.
+
+        Within ``retries`` extra attempts the row retries; after that it
+        is quarantined as a journaled :class:`TaskFailure`.  ``pid``
+        books the attempt to a worker process (``0`` is this process);
+        the fabric, which cannot attribute it, books none.
+        """
+        self.attempts[i] += 1
+        self.elapsed[i] += elapsed_s
+        if pid is not None:
+            who = str(pid) if pid else "parent"
+            self.worker_failures[who] = self.worker_failures.get(who, 0) + 1
+        if self.attempts[i] <= self.retries:
+            self.retried += 1
+            return True
+        self.failures[i] = TaskFailure(
+            key=self.tasks[i].key,
+            status=status,
+            attempts=self.attempts[i],
+            error=error,
+            traceback_digest=digest,
+            elapsed_s=self.elapsed[i],
+            pid=pid or 0,
+        )
+        if self.journal is not None:
+            self.journal.record_failure(self.tasks[i], self.failures[i])
+        return False
+
+    def report(
+        self,
+        *,
+        jobs: int,
+        wall_s: float,
+        order: Sequence[int],
+        cost_model: CostModel,
+        merge_stats: bool,
+    ) -> SweepReport:
+        """The sweep's :class:`SweepReport`, in submission order.
+
+        ``order`` is the planned schedule over all rows — resumed rows
+        keep their slot, so a resumed run's schedule matches an
+        uninterrupted run's.  With ``merge_stats`` the deltas of rows
+        computed in another process (a worker, or the process that
+        journaled a resumed row) fold into this process's stats
+        registry; rows run here are in it already.  Completed rows feed
+        their wall times to ``cost_model`` (failures feed nothing).
+        """
+        results = [r for r in self.results if r is not None]
+        if len(results) + len(self.failures) != len(self.tasks):
+            raise ReproError(
+                f"sweep lost rows: {len(self.tasks)} tasks -> "
+                f"{len(results)} results + {len(self.failures)} failures"
+            )
+        report = SweepReport(
+            jobs=jobs,
+            wall_s=wall_s,
+            results=results,
+            schedule=[self.tasks[i].key for i in order],
+            failures=[self.failures[i] for i in sorted(self.failures)],
+            retries=self.retried,
+            rows_resumed=len(self.resumed),
+            journal_path=str(self.journal.path) if self.journal is not None else None,
+        )
+        report.stats_totals = aggregate_stats(report)
+        report.workers = _worker_usage(results, wall_s, self.worker_failures)
+        busiest = max((u.busy_s for u in report.workers.values()), default=0.0)
+        report.scheduling_overhead_s = max(0.0, wall_s - busiest)
+        if merge_stats:
+            here = os.getpid()
+            for result in results:
+                if result.pid != here:
+                    stats.merge_worker_totals(result.stats_delta)
+        for result in results:
+            cost_model.observe(result.key, result.wall_s)
+        cost_model.save()
+        return report
 
 
 def _attempt_inline(task: RowTask, timeout: float | None) -> TaskResult:
@@ -241,6 +365,42 @@ def _attempt_inline(task: RowTask, timeout: float | None) -> TaskResult:
                 budget=deadline,
             ) from exc
         raise
+
+
+def _run_inline(book: RowBook, i: int, timeout: float | None) -> bool:
+    """One attempt of row ``i`` in this process; True if it may retry.
+
+    Every attempt of the ``jobs=1`` loop runs here, and so does the
+    pool's last allowed attempt of a row.
+    """
+    book.attempt(i)
+    t_start = time.perf_counter()
+    try:
+        result = _attempt_inline(book.tasks[i], timeout)
+    except Exception as exc:
+        status = "timeout" if isinstance(exc, DeadlineError) else "failed"
+        return book.failure(
+            i, status, _describe(exc), _traceback_digest(exc),
+            pid=0, elapsed_s=time.perf_counter() - t_start,
+        )
+    book.result(i, result)
+    return False
+
+
+def _row_handler():
+    """A sweep worker's handler, built in the worker: one row per message.
+
+    The reply is the row's :class:`TaskResult`, or the error text and
+    traceback digest of the exception it raised.
+    """
+
+    def run_row(task: RowTask):
+        try:
+            return execute_task(task)
+        except Exception as exc:  # noqa: BLE001 - reported, not dropped
+            return _describe(exc), _traceback_digest(exc)
+
+    return run_row
 
 
 def run_tasks(
@@ -295,214 +455,63 @@ def run_tasks(
     own_journal = journal is not None and not isinstance(journal, Journal)
     if own_journal:
         journal = Journal(journal, resume=resume)
-    order = cost_model.schedule(tasks)
+    # The in-process path runs (and reports) submission order.
+    order = cost_model.schedule(tasks) if jobs > 1 else range(len(tasks))
     t0 = time.perf_counter()
-    results: list[TaskResult | None] = [None] * len(tasks)
-    failures: dict[int, TaskFailure] = {}
-    attempts = [0] * len(tasks)  # failed attempts consumed per row
-    elapsed = [0.0] * len(tasks)
-    total_retries = 0
-    worker_failures: dict[str, int] = {}
-
-    rows_resumed = 0
-    if journal is not None and journal.resume:
-        for i, replayed in journal.resumable(tasks).items():
-            results[i] = replayed
-            rows_resumed += 1
-
-    def note_failure(i: int, exc: BaseException, *, status: str, pid: int = 0) -> bool:
-        """Charge one failed attempt; True if the row may retry."""
-        nonlocal total_retries
-        attempts[i] += 1
-        worker_failures[str(pid) if pid else "parent"] = (
-            worker_failures.get(str(pid) if pid else "parent", 0) + 1
-        )
-        if attempts[i] <= retries:
-            total_retries += 1
-            return True
-        failures[i] = TaskFailure(
-            key=tasks[i].key,
-            status=status,
-            attempts=attempts[i],
-            error=_describe(exc),
-            traceback_digest=_traceback_digest(exc),
-            elapsed_s=elapsed[i],
-            pid=pid,
-        )
-        if journal is not None:
-            journal.record_failure(tasks[i], failures[i])
-        return False
-
-    def note_attempt(i: int) -> None:
-        """Journal (durably) that an attempt of row ``i`` is starting."""
-        if journal is not None:
-            journal.record_attempt(tasks[i], attempts[i] + 1)
-
-    def note_result(i: int) -> None:
-        """Journal (durably) row ``i``'s completed result."""
-        if journal is not None and results[i] is not None:
-            journal.record_result(tasks[i], results[i])
-
-    def run_final_inline(i: int) -> None:
-        """Last allowed attempt, in the parent process."""
-        note_attempt(i)
-        t_start = time.perf_counter()
-        try:
-            results[i] = _attempt_inline(tasks[i], timeout)
-        except KeyboardInterrupt:
-            raise
-        except DeadlineError as exc:
-            elapsed[i] += time.perf_counter() - t_start
-            note_failure(i, exc, status="timeout")
-        except Exception as exc:
-            elapsed[i] += time.perf_counter() - t_start
-            note_failure(i, exc, status="failed")
-        else:
-            elapsed[i] += time.perf_counter() - t_start
-            note_result(i)
-
     try:
+        book = RowBook(tasks, retries=retries, journal=journal)
         if jobs <= 1:
-            # In-process path: submission order, no pool, no pickling —
-            # the deterministic reference path, with the same retry and
+            # In-process path: no workers, no pickling — the
+            # deterministic reference path, with the same retry and
             # quarantine semantics as the pool path.
-            for i, task in enumerate(tasks):
-                while results[i] is None and i not in failures:
-                    note_attempt(i)
-                    t_start = time.perf_counter()
-                    try:
-                        results[i] = _attempt_inline(task, timeout)
-                    except KeyboardInterrupt:
-                        raise
-                    except DeadlineError as exc:
-                        elapsed[i] += time.perf_counter() - t_start
-                        if note_failure(i, exc, status="timeout"):
-                            time.sleep(backoff_s * (2 ** (attempts[i] - 1)))
-                    except Exception as exc:
-                        elapsed[i] += time.perf_counter() - t_start
-                        if note_failure(i, exc, status="failed"):
-                            time.sleep(backoff_s * (2 ** (attempts[i] - 1)))
-                    else:
-                        elapsed[i] += time.perf_counter() - t_start
-                        note_result(i)
+            for i in order:
+                while not book.settled(i):
+                    if _run_inline(book, i, timeout):
+                        time.sleep(backoff_s * (2 ** (book.attempts[i] - 1)))
         else:
-            _run_pool(
-                tasks,
-                order,
-                jobs,
-                timeout,
-                retries,
-                backoff_s,
-                results,
-                failures,
-                attempts,
-                elapsed,
-                note_failure,
-                run_final_inline,
-                note_attempt,
-                note_result,
-            )
+            _run_pool(book, order, jobs, timeout, backoff_s)
     finally:
         if own_journal:
             journal.close()
-    wall = time.perf_counter() - t0
-
-    # The schedule lists the *planned* order over all tasks — resumed
-    # rows keep their slot, so a resumed run's schedule (and the rest of
-    # its BENCH record) matches an uninterrupted run's.
-    executed = order if jobs > 1 else range(len(tasks))
-    report = SweepReport(
+    return book.report(
         jobs=jobs,
-        wall_s=wall,
-        results=[r for r in results if r is not None],
-        schedule=[tasks[i].key for i in executed],
-        failures=[failures[i] for i in sorted(failures)],
-        retries=total_retries,
-        rows_resumed=rows_resumed,
-        journal_path=str(journal.path) if journal is not None else None,
+        wall_s=time.perf_counter() - t0,
+        order=order,
+        cost_model=cost_model,
+        merge_stats=merge_stats,
     )
-    if len(report.results) + len(report.failures) != len(tasks):
-        raise ReproError(
-            f"executor lost rows: {len(tasks)} tasks -> "
-            f"{len(report.results)} results + {len(report.failures)} failures"
-        )
-    report.stats_totals = _aggregate(report)
-    report.workers = _worker_usage(report.results, wall, worker_failures)
-    busiest = max((u.busy_s for u in report.workers.values()), default=0.0)
-    report.scheduling_overhead_s = max(0.0, wall - busiest)
-    if jobs > 1 and merge_stats:
-        stats.merge_worker_totals(report.stats_totals)
-    for result in report.results:
-        cost_model.observe(result.key, result.wall_s)
-    cost_model.save()
-    return report
 
 
 def _run_pool(
-    tasks: list[RowTask],
-    order: list[int],
+    book: RowBook,
+    order: Sequence[int],
     jobs: int,
     timeout: float | None,
-    retries: int,
     backoff_s: float,
-    results: list[TaskResult | None],
-    failures: dict[int, TaskFailure],
-    attempts: list[int],
-    elapsed: list[float],
-    note_failure,
-    run_final_inline,
-    note_attempt=lambda i: None,
-    note_result=lambda i: None,
 ) -> None:
-    """The pool scheduling loop of :func:`run_tasks` (jobs > 1).
+    """The pool loop of :func:`run_tasks` (``jobs > 1``).
 
-    At most ``jobs`` rows are inflight at once, so a submitted future is
-    (modulo worker startup) running — which makes a per-attempt deadline
-    measured from submission honest, and keeps a pool teardown cheap.
+    ``min(jobs, rows to run)`` workers each run one row at a time, so
+    at most ``jobs`` rows are in flight and a deadline measured from
+    dispatch is honest.  A worker that dies, or that the deadline
+    terminates, is restarted alone and only its row is charged, booked
+    to its pid: ``timeout`` when the deadline's SIGTERM ended it,
+    ``crashed`` for any other death.
     """
     # Rows pre-filled by a journal resume never dispatch.
     ready: deque[tuple[int, float]] = deque(
-        (i, 0.0) for i in order if results[i] is None
+        (i, 0.0) for i in order if not book.settled(i)
     )
-    pool = ProcessPoolExecutor(max_workers=jobs)
-    pending: dict[Future, tuple[int, float | None, float]] = {}
-
-    def submit(i: int) -> None:
-        note_attempt(i)
-        fut = pool.submit(execute_task, tasks[i])
-        now = time.monotonic()
-        pending[fut] = (i, now + timeout if timeout is not None else None, now)
-
-    def requeue(i: int, *, charged: bool, exc: BaseException | None = None,
-                status: str = "failed", pid: int = 0) -> None:
-        if not charged:
-            ready.append((i, 0.0))
-            return
-        if note_failure(i, exc, status=status, pid=pid):
-            delay = backoff_s * (2 ** (attempts[i] - 1))
-            ready.append((i, time.monotonic() + delay))
-
-    def rebuild_pool() -> None:
-        nonlocal pool
-        _kill_pool(pool)
-        pool = ProcessPoolExecutor(max_workers=jobs)
-
-    def drain_broken(exc: BaseException) -> None:
-        """All inflight rows are charged one attempt: the dead worker
-        cannot be attributed, and charging everyone keeps the retry
-        budget an upper bound (the honest direction to be wrong in)."""
-        inflight = list(pending.items())
-        pending.clear()
-        now = time.monotonic()
-        for _fut, (i, _dl, t_sub) in inflight:
-            elapsed[i] += now - t_sub
-            requeue(i, charged=True, exc=exc, status="crashed")
-        rebuild_pool()
-
+    workers = [
+        WorkerProcess(_row_handler, name=f"repro-sweep-{k}")
+        for k in range(min(jobs, len(ready)))
+    ]
+    idle = list(workers)
+    running: dict[Future, tuple[int, WorkerProcess, float]] = {}
     try:
-        while ready or pending:
+        while ready or running:
             now = time.monotonic()
-            while ready and len(pending) < jobs:
+            while ready and idle:
                 # Pull the first dispatchable row (backoff respected).
                 for _ in range(len(ready)):
                     i, not_before = ready.popleft()
@@ -511,82 +520,40 @@ def _run_pool(
                     ready.append((i, not_before))
                 else:
                     break
-                if retries > 0 and attempts[i] == retries:
-                    run_final_inline(i)
-                else:
-                    submit(i)
-            if not pending:
-                if ready:
-                    # Everything is backing off; sleep to the earliest.
-                    time.sleep(
-                        max(0.0, min(nb for _, nb in ready) - time.monotonic())
-                    )
-                continue
+                if book.retries and book.attempts[i] == book.retries:
+                    _run_inline(book, i, timeout)  # the last allowed attempt
+                    continue
+                worker = idle.pop()
+                book.attempt(i)
+                fut = worker.executor.submit(worker.call, book.tasks[i], timeout=timeout)
+                running[fut] = (i, worker, time.monotonic())
             wait_s = None
-            deadlines = [dl for _, dl, _ in pending.values() if dl is not None]
-            if deadlines:
-                wait_s = max(0.0, min(deadlines) - time.monotonic())
-            backoffs = [nb for _, nb in ready if nb > now]
-            if backoffs and len(pending) < jobs:
-                soonest = max(0.0, min(backoffs) - time.monotonic())
-                wait_s = soonest if wait_s is None else min(wait_s, soonest)
-            done, _ = wait(pending, timeout=wait_s, return_when=FIRST_COMPLETED)
-            now = time.monotonic()
-            broken: BaseException | None = None
+            if ready and idle:
+                # Everything ready is backing off: wake for the earliest.
+                wait_s = max(0.0, min(nb for _, nb in ready) - time.monotonic())
+            if not running:
+                time.sleep(wait_s or 0.0)
+                continue
+            done, _ = wait(running, timeout=wait_s, return_when=FIRST_COMPLETED)
             for fut in done:
-                i, _dl, t_sub = pending.pop(fut)
-                elapsed[i] += now - t_sub
+                i, worker, t_sub = running.pop(fut)
+                elapsed = time.monotonic() - t_sub
+                process, status = worker.process, "failed"
                 try:
-                    results[i] = fut.result()
-                    note_result(i)
-                except BrokenProcessPool as exc:
-                    broken = exc
-                    requeue(i, charged=True, exc=exc, status="crashed")
-                except KeyboardInterrupt:
-                    raise
-                except Exception as exc:
-                    requeue(i, charged=True, exc=exc, status="failed")
-            if broken is not None:
-                drain_broken(broken)
-                continue
-            # Deadline sweep: expired rows charge an attempt; a running
-            # row cannot be cancelled, so the whole pool is killed and
-            # the innocent inflight rows requeue uncharged.
-            expired = [
-                (fut, entry)
-                for fut, entry in pending.items()
-                if entry[1] is not None and now >= entry[1]
-            ]
-            if not expired:
-                continue
-            must_kill = False
-            for fut, (i, _dl, t_sub) in expired:
-                del pending[fut]
-                elapsed[i] += now - t_sub
-                if fut.cancel():
-                    # Never started (rare: worker was still spawning);
-                    # not the row's fault — requeue uncharged.
-                    requeue(i, charged=False)
-                else:
-                    must_kill = True
-                    exc = DeadlineError(
-                        f"{tasks[i].key}: attempt exceeded {timeout:.3f}s"
-                    )
-                    requeue(i, charged=True, exc=exc, status="timeout")
-            if must_kill:
-                innocents = [entry for entry in pending.values()]
-                pending.clear()
-                for i, _dl, t_sub in innocents:
-                    elapsed[i] += now - t_sub
-                    requeue(i, charged=False)
-                rebuild_pool()
-    except BaseException:
-        # KeyboardInterrupt (and anything unexpected): cancel the queue
-        # and tear the pool down before propagating.
-        _kill_pool(pool)
-        raise
-    else:
-        pool.shutdown(wait=True, cancel_futures=True)
+                    reply = fut.result()
+                except WorkerDied as exc:
+                    worker.restart()  # reaps the dead process first
+                    status = "timeout" if process.exitcode == -signal.SIGTERM else "crashed"
+                    reply = _describe(exc), _traceback_digest(exc)
+                idle.append(worker)
+                if isinstance(reply, TaskResult):
+                    book.result(i, reply)
+                elif book.failure(i, status, *reply, pid=process.pid, elapsed_s=elapsed):
+                    delay = backoff_s * (2 ** (book.attempts[i] - 1))
+                    ready.append((i, time.monotonic() + delay))
+    finally:
+        for worker in workers:
+            worker.stop()
 
 
 def aggregate_stats(report: SweepReport) -> dict:
@@ -613,12 +580,6 @@ def aggregate_stats(report: SweepReport) -> dict:
     totals["retries"] = report.retries
     totals["rows_resumed"] = report.rows_resumed
     return totals
-
-
-# The fabric coordinator (:mod:`repro.parallel.fabric`) aggregates its
-# reports through the same function, so N elastic workers total exactly
-# like N pool workers; the leading-underscore name predates that reuse.
-_aggregate = aggregate_stats
 
 
 def _worker_usage(

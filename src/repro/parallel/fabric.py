@@ -9,9 +9,10 @@ rows from a :class:`~repro.parallel.lease.LeaseLedger` colocated with
 the sweep's write-ahead journal, heartbeat while executing, and append
 checksummed results to per-worker segments.  One coordinator
 (``repro sweep --fabric``) seeds the task set, watches heartbeats,
-reclaims expired leases, and merges accepted results into the same
-:class:`~repro.parallel.executor.SweepReport` / stats / cost-model
-machinery the pool path uses — so N elastic workers with arbitrary
+reclaims expired leases, and keeps its rows in the same
+:class:`~repro.parallel.executor.RowBook` as the pool and the
+in-process loop (resume replay, journal, retry-or-quarantine rule,
+report and stats merge) — so N elastic workers with arbitrary
 SIGKILLs produce totals and row fingerprints identical to a ``jobs=1``
 run (the kill-equivalence gate, pinned by
 ``tests/parallel/test_fabric.py`` and the CI ``fabric-smoke`` job).
@@ -32,10 +33,9 @@ Row lifecycle (the coordinator's state machine, DESIGN.md §13)::
   wall clocks are never consulted, so clock skew cannot expire (or
   immortalise) a lease.
 * **expired → fenced**: the coordinator bumps the row's epoch file
-  durably, *then* removes the lease.  One attempt is charged (the dead
-  worker cannot be attributed, same honesty as the pool's broken-pool
-  charging); within the retry budget the row becomes pending again,
-  beyond it the row is quarantined as a ``worker-lost``
+  durably, *then* removes the lease.  One attempt is charged; within
+  the retry budget the row becomes pending again, beyond it the row is
+  quarantined as a ``worker-lost``
   :class:`~repro.parallel.executor.TaskFailure`.
 * **committed → accepted**: a result record whose epoch equals the
   row's current fence epoch, for a row not already done, is decoded,
@@ -43,6 +43,9 @@ Row lifecycle (the coordinator's state machine, DESIGN.md §13)::
   fenced (stale) epoch is rejected and counted, never merged; a second
   valid record for a done row is a duplicate, also rejected — so no row
   is ever double-counted no matter how many times it was executed.
+  A resumed coordinator re-reads every segment from the start, so the
+  record its predecessor accepted for a replayed row comes by once
+  more; it is skipped, not counted as a duplicate.
 
 Fault sites (:mod:`repro._faults`): ``fabric:<key>`` fires in a worker
 right after it wins a lease (``crash``/``abort`` simulate machine loss
@@ -70,12 +73,10 @@ from repro.bdd import stats
 from repro.errors import ReproError
 from repro.parallel.costs import CostModel
 from repro.parallel.executor import (
+    RowBook,
     SweepReport,
-    TaskFailure,
     _describe,
     _traceback_digest,
-    _worker_usage,
-    aggregate_stats,
 )
 from repro.parallel.journal import (
     Journal,
@@ -358,11 +359,12 @@ def run_fabric(
     """Coordinate a fabric sweep over ``tasks``; see the module doc.
 
     Seeds the task file (LPT order from the flocked ``cost_model``),
-    journals accepted outcomes into ``<root>/journal.jsonl`` with the
-    executor's exact record types, reclaims expired leases with fencing,
+    keeps its books in a :class:`~repro.parallel.executor.RowBook` —
+    the one :func:`run_tasks` keeps, journaled into
+    ``<root>/journal.jsonl`` — reclaims expired leases with fencing,
     and returns a :class:`SweepReport` whose results, failures, totals,
-    and cost-model feedback match :func:`run_tasks` semantics — with
-    the fabric accounting on ``report.fabric``.
+    and cost-model feedback match :func:`run_tasks` semantics, with the
+    fabric accounting on ``report.fabric``.
 
     ``local_work=True`` (the default) runs one in-process worker thread,
     so a bare coordinator completes the sweep alone; external
@@ -386,14 +388,9 @@ def run_fabric(
         # not ask for is dropped.
         ledger.clear_done()
     coordinator_pid = os.getpid()
-    n = len(tasks)
     by_config = {config_hash(t): i for i, t in enumerate(tasks)}
     order = cost_model.schedule(tasks)
     t0 = time.perf_counter()
-    results: list[Any] = [None] * n
-    failures: dict[int, TaskFailure] = {}
-    attempts = [0] * n
-    total_retries = 0
     counters = {
         "leases_granted": 0,
         "leases_expired": 0,
@@ -404,13 +401,13 @@ def run_fabric(
     journaled_leases: set[tuple[str, int]] = set()
 
     journal = Journal(root / JOURNAL_NAME, resume=resume)
-    rows_resumed = 0
     try:
-        if resume:
-            for i, replayed in journal.resumable(list(tasks)).items():
-                results[i] = replayed
-                rows_resumed += 1
-                ledger.mark_done(config_hash(tasks[i]), replayed.status)
+        book = RowBook(tasks, retries=retries, journal=journal)
+        for i in book.resumed:
+            ledger.mark_done(config_hash(tasks[i]), book.results[i].status)
+        # Segments are re-read from offset 0 on resume, so each resumed
+        # row's accepted record comes by once more; it is not a duplicate.
+        predecessor_accepted = set(book.resumed)
 
         seed_tasks(root / TASKS_NAME, tasks, order, lease_ttl=ledger.lease_ttl)
 
@@ -418,68 +415,60 @@ def run_fabric(
             ledger.fence(config)
             counters["leases_fenced"] += 1
 
-        def charge_failure(
-            i: int, config: str, *, status: str, error: str, digest: str = "",
+        def charge(
+            i: int, config: str, status: str, error: str, digest: str = ""
         ) -> None:
-            """One failed attempt for row ``i``: retry (via fencing) or
-            quarantine — the executor's ``note_failure`` semantics."""
-            nonlocal total_retries
-            attempts[i] += 1
-            if attempts[i] <= retries:
-                total_retries += 1
-                fence(config)  # invalidate + make re-leasable
-                return
-            failures[i] = TaskFailure(
-                key=tasks[i].key,
-                status=status,
-                attempts=attempts[i],
-                error=error,
-                traceback_digest=digest,
-            )
-            journal.record_failure(tasks[i], failures[i])
-            ledger.mark_done(config, f"failed:{status}")
-            fence(config)  # a zombie's late result must still be stale
+            """One failed attempt: re-leasable (retry) or done (quarantined)
+            — fenced either way, so a zombie's late result is stale."""
+            if not book.failure(i, status, error, digest):
+                ledger.mark_done(config, f"failed:{status}")
+            fence(config)
+
+        def observe_grant(i: int, config: str, epoch: int) -> None:
+            if (config, epoch) not in journaled_leases:
+                journaled_leases.add((config, epoch))
+                counters["leases_granted"] += 1
+                book.attempt(i)
 
         def accept(record: dict) -> None:
             config = record.get("config")
             i = by_config.get(config)
             if i is None:
                 return  # a row this sweep does not ask for
-            if results[i] is not None or i in failures:
-                counters["results_duplicate"] += 1
-                return
             try:
                 epoch = int(record.get("epoch", -1))
             except (TypeError, ValueError):
                 epoch = -1
+            if book.settled(i):
+                if i in predecessor_accepted and epoch == ledger.fence_epoch(config):
+                    predecessor_accepted.discard(i)
+                else:
+                    counters["results_duplicate"] += 1
+                return
             if epoch != ledger.fence_epoch(config):
                 counters["results_stale"] += 1
                 return
-            if (config, epoch) not in journaled_leases:
-                # A fast row can be leased, executed, and committed all
-                # within one poll interval — the reap loop never saw the
-                # lease, so observe the grant at acceptance instead.
-                journaled_leases.add((config, epoch))
-                counters["leases_granted"] += 1
-                journal.record_attempt(tasks[i], attempts[i] + 1)
+            # A fast row can be leased, executed, and committed all
+            # within one poll interval — the reap loop never saw the
+            # lease, so observe the grant at acceptance instead.
+            observe_grant(i, config, epoch)
             if record.get("type") == "failure":
-                charge_failure(
+                charge(
                     i, config,
-                    status=str(record.get("status", "failed")),
-                    error=str(record.get("error", "")),
-                    digest=str(record.get("traceback_digest", "")),
+                    str(record.get("status", "failed")),
+                    str(record.get("error", "")),
+                    str(record.get("traceback_digest", "")),
                 )
                 return
             try:
                 result = decode_result_payload(record["payload"])
             except Exception as exc:
-                charge_failure(
-                    i, config, status="failed",
-                    error=f"undecodable result payload: {_describe(exc)}",
+                charge(
+                    i, config, "failed",
+                    f"undecodable result payload: {_describe(exc)}",
                 )
                 return
-            results[i] = result
-            journal.record_result(tasks[i], result)
+            book.result(i, result)
             ledger.mark_done(config, result.status)
             ledger.clear_lease(config)
             # Coordinator-loss site: abort here simulates dying right
@@ -490,11 +479,7 @@ def run_fabric(
             """Expire silent leases; journal attempts for fresh ones."""
             for lease in ledger.leases():
                 i = by_config.get(lease.config)
-                if (
-                    i is None
-                    or results[i] is not None
-                    or i in failures
-                ):
+                if i is None or book.settled(i):
                     ledger.clear_lease(lease.config)
                     continue
                 if lease.epoch != ledger.fence_epoch(lease.config):
@@ -503,19 +488,13 @@ def run_fabric(
                     # invalidated, just not removed yet.
                     ledger.clear_lease(lease.config)
                     continue
-                if (lease.config, lease.epoch) not in journaled_leases:
-                    journaled_leases.add((lease.config, lease.epoch))
-                    counters["leases_granted"] += 1
-                    journal.record_attempt(tasks[i], attempts[i] + 1)
+                observe_grant(i, lease.config, lease.epoch)
                 if ledger.lease_expired(lease):
                     counters["leases_expired"] += 1
-                    charge_failure(
-                        i, lease.config, status="worker-lost",
-                        error=(
-                            f"lease held by {lease.worker} (epoch "
-                            f"{lease.epoch}) expired without a heartbeat "
-                            f"for {ledger.lease_ttl:.1f}s"
-                        ),
+                    charge(
+                        i, lease.config, "worker-lost",
+                        f"lease held by {lease.worker} (epoch {lease.epoch}) "
+                        f"expired without a heartbeat for {ledger.lease_ttl:.1f}s",
                     )
 
         local_stop = threading.Event()
@@ -537,12 +516,12 @@ def run_fabric(
             local_thread.start()
 
         try:
-            while sum(1 for r in results if r is not None) + len(failures) < n:
+            while not book.complete():
                 ledger.observe_liveness()
                 for record in ledger.read_new_records():
                     accept(record)
                 reap()
-                if sum(1 for r in results if r is not None) + len(failures) >= n:
+                if book.complete():
                     break
                 time.sleep(poll_s)
         finally:
@@ -552,27 +531,14 @@ def run_fabric(
     finally:
         journal.close()
 
-    wall = time.perf_counter() - t0
     worker_docs = ledger.worker_records()
-    report = SweepReport(
+    report = book.report(
         jobs=max(1, len(worker_docs)),
-        wall_s=wall,
-        results=[r for r in results if r is not None],
-        schedule=[tasks[i].key for i in order],
-        failures=[failures[i] for i in sorted(failures)],
-        retries=total_retries,
-        rows_resumed=rows_resumed,
-        journal_path=str(root / JOURNAL_NAME),
+        wall_s=time.perf_counter() - t0,
+        order=order,
+        cost_model=cost_model,
+        merge_stats=merge_stats,
     )
-    if len(report.results) + len(report.failures) != n:
-        raise ReproError(
-            f"fabric lost rows: {n} tasks -> {len(report.results)} results "
-            f"+ {len(report.failures)} failures"
-        )
-    report.stats_totals = aggregate_stats(report)
-    report.workers = _worker_usage(report.results, wall, None)
-    busiest = max((u.busy_s for u in report.workers.values()), default=0.0)
-    report.scheduling_overhead_s = max(0.0, wall - busiest)
     report.fabric = {
         **counters,
         "lease_ttl": ledger.lease_ttl,
@@ -586,21 +552,6 @@ def run_fabric(
             for worker, doc in worker_docs.items()
         },
     }
-    if merge_stats:
-        # Rows computed in *other* processes (external workers, or rows
-        # resumed from a previous coordinator incarnation) must fold
-        # into this process's stats registry, exactly as the pool path
-        # merges worker deltas; rows the in-process local worker ran are
-        # already in the live registry and must not double-merge.
-        remote = {}
-        for result in report.results:
-            if result.pid != coordinator_pid:
-                stats.merge_additive(remote, result.stats_delta)
-        if remote:
-            stats.merge_worker_totals(remote)
-    for result in report.results:
-        cost_model.observe(result.key, result.wall_s)
-    cost_model.save()
     return report
 
 

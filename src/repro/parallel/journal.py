@@ -160,9 +160,6 @@ def decode_result_payload(payload: str) -> TaskResult:
     return pickle.loads(base64.b64decode(payload.encode("ascii")))
 
 
-_encode_result = encode_result_payload
-_decode_result = decode_result_payload
-
 
 class Journal:
     """One sweep's write-ahead journal file (JSONL, append-only).
@@ -368,7 +365,7 @@ class Journal:
             "key": task.key,
             "config": config_hash(task),
             "status": result.status,
-            "payload": _encode_result(result),
+            "payload": encode_result_payload(result),
         })
 
     def record_failure(self, task: RowTask, failure: Any) -> None:
@@ -411,7 +408,7 @@ class Journal:
         out: dict[str, TaskResult] = {}
         for key, record in self._results.items():
             try:
-                out[key] = _decode_result(record["payload"])
+                out[key] = decode_result_payload(record["payload"])
             except Exception:
                 continue
         return out
@@ -439,7 +436,7 @@ class Journal:
             if record.get("status") not in RESUMABLE_STATUSES:
                 continue
             try:
-                result = _decode_result(record["payload"])
+                result = decode_result_payload(record["payload"])
             except Exception:
                 warnings.warn(
                     f"journal {self.path}: result payload for {task.key} "

@@ -166,17 +166,6 @@ class TaskResult:
     degraded: tuple[str, ...] = ()
 
 
-# ----------------------------------------------------------------------
-# Deterministic fault injection (see module docstring).  The machinery
-# lives in :mod:`repro._faults` since PR 9 so the query service can arm
-# the same spec; these aliases keep the executor-era names importable.
-# ----------------------------------------------------------------------
-
-_parse_fault_spec = _faults.parse_spec
-_claim_fault = _faults.claim
-_UNPICKLABLE = _faults.UNPICKLABLE
-
-
 def _maybe_inject(task: RowTask) -> Any | None:
     """Fire a configured fault for ``task``; returns a result poison.
 
@@ -254,10 +243,9 @@ _DISPATCH = {
 def execute_task(task: RowTask) -> TaskResult:
     """Run one row task in the current process.
 
-    This is the worker entry point (it must stay a module-level
-    function so :mod:`concurrent.futures` can pickle it); the ``jobs=1``
-    fallback calls it in-process, which is exactly the pre-parallel
-    sequential path.
+    Sweep workers run it on each :class:`RowTask` they receive; the
+    ``jobs=1`` path and the pool's last allowed attempt call it
+    in-process, which is exactly the pre-parallel sequential path.
 
     A ``node_limit`` option runs the row under a
     :class:`~repro.bdd.governor.Budget`; only errors raised by *that*

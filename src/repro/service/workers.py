@@ -6,10 +6,13 @@ the socket/HTTP/admission/journal roles and dispatches every query
 over a pipe-based RPC, so families execute concurrently (a slow
 cascade build cannot head-of-line-block a millisecond RNS lookup) and
 a wedged or killed worker takes down only its own family's warm state.
+The process plumbing (fork, pipe, liveness polls, deadline, restart)
+is :class:`repro.parallel.worker.WorkerProcess`, the same class the
+sweep pool runs its rows on.
 
-Wire format (multiprocessing :class:`~multiprocessing.connection.Pipe`,
-pickled dicts — the same "picklable description" discipline as
-:mod:`repro.parallel.tasks` row tasks):
+Wire format (pickled dicts over the worker's pipe — the same
+"picklable description" discipline as :mod:`repro.parallel.tasks` row
+tasks):
 
 request::
 
@@ -26,69 +29,51 @@ reply::
 ``stats_delta`` is the worker-side :func:`repro.bdd.stats.counter_delta`
 of the query; for every reply, ok or error, the parent folds it into
 its own process totals with :func:`repro.bdd.stats.merge_worker_totals`
-(exactly the parallel executor's cross-process aggregation) and
-charges the delta's ``kernel_steps`` to the tenant's step ledger,
-which stays parent-side.  ``tenant_remaining`` carries the tenant's
-remaining step allowance *into* the worker as a plain per-query
-budget.
+(exactly the sweep pool's cross-process aggregation) and charges the
+delta's ``kernel_steps`` to the tenant's step ledger, which stays
+parent-side.  ``tenant_remaining`` carries the tenant's remaining step
+allowance *into* the worker as a plain per-query budget.
 
-Failure model mirrors the PR 4 executor's pool rebuild: a dead or
-wedged worker raises :class:`~repro.errors.WorkerDied`; the dispatcher
-rebuilds the worker (fresh process, cold shards) and re-executes the
-in-flight query as a new journaled attempt.  Engine errors inside a
-worker are *answers*, not faults — they come back serialized and
-re-raise in the parent as :class:`~repro.errors.RemoteQueryError` with
-the original type name and the reply's ``stats_delta`` preserved.
+Failure model: a dead or wedged worker raises
+:class:`~repro.errors.WorkerDied`; the dispatcher restarts that one
+worker (fresh process, cold shards) and re-executes the in-flight
+query as a new journaled attempt.  Engine errors inside a worker are
+*answers*, not faults — they come back serialized and re-raise in the
+parent as :class:`~repro.errors.RemoteQueryError` with the original
+type name and the reply's ``stats_delta`` preserved.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from repro import _faults
-from repro.errors import RemoteQueryError, WorkerDied
+from repro.errors import RemoteQueryError
+from repro.parallel.worker import WorkerProcess
 
 __all__ = ["CircuitBreaker", "ShardWorker", "WorkerPool"]
 
-#: Sentinel asking a worker's loop to exit cleanly.
-_STOP = "__stop__"
 
-#: Seconds between liveness probes while waiting on a worker reply.
-_POLL_S = 0.1
-
-
-def _worker_main(
+def _shard_handler(
     family: str,
-    conn,
-    daemon_conn,
     max_alive: int | None,
     snapshot_dir: str | None,
-    fault_parent: int | None = None,
-) -> None:
-    """The worker process body: serve queries for one family, forever.
+    fault_parent: int,
+):
+    """Build one family's query handler, once, inside its worker process.
 
-    Runs a private :class:`ShardPool` (warm managers live here, not in
-    the daemon) and answers one request at a time.  Every reply carries
-    the query's engine-counter delta and the pool's shard stats so the
-    parent can keep schema-v8 accounting without sharing memory.
+    The handler runs a private :class:`ShardPool` (warm managers live
+    here, not in the daemon).  Every reply carries the query's
+    engine-counter delta and the pool's shard stats so the parent can
+    keep schema-v8 accounting without sharing memory.
 
     The chaos hook :func:`repro._faults.fire` runs once per request at
     the ``service:<family>`` site; ``fault_parent`` is the daemon's pid
     so the same spec drives both worker-process kills and in-process
     degradations, exactly like row tasks' ``fault_parent``.
-
-    ``daemon_conn`` is the daemon's end of this worker's pipe, which
-    the fork copied in.  It is closed first: while the worker holds it,
-    ``conn.recv()`` never sees EOF, and a SIGKILLed daemon would leave
-    the worker running forever.  A worker forked later also holds the
-    daemon ends of its older siblings; it exits on EOF too, which
-    releases them in turn.
     """
-    daemon_conn.close()
     # Imports happen here (not module top) so a fork()ed child touches
     # the engine modules only after it owns them.
     from repro.bdd import stats
@@ -96,13 +81,8 @@ def _worker_main(
     from repro.service.shards import ShardPool
 
     pool = ShardPool(max_alive=max_alive, snapshot_dir=snapshot_dir)
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            break
-        if msg == _STOP:
-            break
+
+    def handle(msg: dict) -> dict:
         before = stats.snapshot()
         t0 = time.perf_counter()
         reply: dict
@@ -135,13 +115,9 @@ def _worker_main(
             # ``pickle`` fault: shipping the reply must fail, like a row
             # task whose result cannot cross the process boundary.
             reply["poison"] = poison
-        try:
-            conn.send(reply)
-        except (BrokenPipeError, OSError):
-            break
-        except Exception:  # noqa: BLE001 - unpicklable reply: die like a crash
-            break
-    conn.close()
+        return reply
+
+    return handle
 
 
 class CircuitBreaker:
@@ -207,14 +183,15 @@ class CircuitBreaker:
         }
 
 
-class ShardWorker:
-    """One family's worker process plus its parent-side plumbing.
+class ShardWorker(WorkerProcess):
+    """One family's worker process, answering queries with a shard pool.
 
-    The paired :class:`~concurrent.futures.ThreadPoolExecutor` (one
-    thread) exists so the asyncio dispatcher can park the blocking pipe
-    round-trip off the event loop; one thread per worker preserves the
-    one-query-at-a-time discipline each worker's budget accounting
-    assumes.
+    The process plumbing is :class:`WorkerProcess`'s; this class adds
+    the query count, the last reply's shard stats and the error
+    translation.  Its one-thread ``executor`` lets the asyncio
+    dispatcher park the blocking pipe round trip off the event loop,
+    one query at a time per process, which the worker's budget
+    accounting assumes.
     """
 
     def __init__(
@@ -225,76 +202,27 @@ class ShardWorker:
         snapshot_dir: str | Path | None = None,
     ) -> None:
         self.family = family
-        self.max_alive = max_alive
-        self.snapshot_dir = str(snapshot_dir) if snapshot_dir else None
         self.queries = 0
-        self.restarts = 0
         #: Shard stats from the worker's most recent reply — the
         #: parent's only view of warm state living in another process.
         self.last_shards: dict = {}
-        self.executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix=f"repro-worker-{family}"
+        snapshot = str(snapshot_dir) if snapshot_dir else None
+        super().__init__(
+            _shard_handler,
+            (family, max_alive, snapshot, os.getpid()),  # fault_parent: this daemon
+            name=f"repro-shard-{family}",
         )
-        self._spawn()
-
-    def _spawn(self) -> None:
-        ctx = multiprocessing.get_context("fork")
-        self._conn, child_conn = ctx.Pipe(duplex=True)
-        self.process = ctx.Process(
-            target=_worker_main,
-            args=(
-                self.family,
-                child_conn,
-                self._conn,
-                self.max_alive,
-                self.snapshot_dir,
-                os.getpid(),  # fault_parent: the daemon's pid
-            ),
-            name=f"repro-shard-{self.family}",
-            daemon=True,
-        )
-        self.process.start()
-        child_conn.close()
-
-    # -- RPC ----------------------------------------------------------
 
     def call(self, doc: dict, *, timeout: float | None = None) -> dict:
-        """One blocking request/reply round trip (executor thread only).
+        """One query round trip (executor thread only).
 
-        Raises :class:`WorkerDied` when the process is gone or (with
-        ``timeout``) wedged — in the wedged case the process is
-        terminated first, so a retry on a fresh worker cannot race the
-        zombie.  Engine errors reported by a *live* worker re-raise as
+        Raises :class:`~repro.errors.WorkerDied` when the process is
+        gone or wedged (see :meth:`WorkerProcess.call`).  Engine errors
+        reported by a *live* worker re-raise as
         :class:`RemoteQueryError` carrying the reply's ``stats_delta``.
         """
         self.queries += 1
-        try:
-            self._conn.send(doc)
-        except (BrokenPipeError, OSError) as exc:
-            raise WorkerDied(
-                f"worker {self.family!r} is gone (send failed: {exc})"
-            ) from exc
-        deadline = time.monotonic() + timeout if timeout is not None else None
-        while True:
-            try:
-                if self._conn.poll(_POLL_S):
-                    reply = self._conn.recv()
-                    break
-            except (EOFError, OSError) as exc:
-                raise WorkerDied(
-                    f"worker {self.family!r} died mid-query"
-                ) from exc
-            if not self.process.is_alive():
-                raise WorkerDied(
-                    f"worker {self.family!r} (pid {self.process.pid}) died "
-                    "mid-query"
-                )
-            if deadline is not None and time.monotonic() >= deadline:
-                self.process.terminate()
-                raise WorkerDied(
-                    f"worker {self.family!r} exceeded {timeout:.1f}s; "
-                    "terminated"
-                )
+        reply = super().call(doc, timeout=timeout)
         self.last_shards = reply.get("shards", self.last_shards)
         if not reply.get("ok", False):
             err = reply.get("error") or {}
@@ -304,34 +232,6 @@ class ShardWorker:
                 reply.get("stats_delta"),
             )
         return reply
-
-    # -- lifecycle ----------------------------------------------------
-
-    def restart(self) -> None:
-        """Replace a dead/wedged process with a fresh (cold) one."""
-        self._teardown_process()
-        self.restarts += 1
-        self._spawn()
-
-    def stop(self) -> None:
-        """Ask the worker to exit, then reap it (idempotent)."""
-        try:
-            self._conn.send(_STOP)
-        except (BrokenPipeError, OSError):
-            pass
-        self._teardown_process()
-        self.executor.shutdown(wait=False)
-
-    def _teardown_process(self) -> None:
-        try:
-            self._conn.close()
-        except OSError:
-            pass
-        if self.process.is_alive():
-            self.process.join(timeout=2.0)
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join(timeout=2.0)
 
     def stats(self) -> dict:
         """This worker's schema-v8 counter block."""

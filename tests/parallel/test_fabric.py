@@ -34,6 +34,7 @@ from repro.parallel.fabric import (
     task_from_doc,
 )
 from repro.parallel.journal import (
+    Journal,
     config_hash,
     encode_result_payload,
     scan_journal,
@@ -167,6 +168,57 @@ class TestFencingRejection:
         (failure,) = report.failures
         assert failure.key == t0.key
         assert "undecodable" in failure.error
+
+
+class TestResumedCoordinator:
+    """A resumed coordinator re-reads every segment from offset 0, so
+    the record its predecessor accepted comes by again; that record is
+    not a duplicate, but a second valid record at its epoch is."""
+
+    def _killed_after_row0(self, root, executed):
+        # The predecessor accepted and journaled row 0, then died before
+        # row 1's record (already in the segment) was read.
+        ledger = LeaseLedger(root)
+        ledger.ensure_dirs()
+        for task in TASKS:
+            ledger.append_result(
+                "local-1", config_hash(task), task.key, 0,
+                encode_result_payload(executed[task.key]), status="ok",
+            )
+        with Journal(root / "journal.jsonl") as journal:
+            journal.record_attempt(TASKS[0], 1)
+            journal.record_result(TASKS[0], executed[TASKS[0].key])
+        return ledger
+
+    def test_predecessor_accepted_record_is_not_a_duplicate(
+        self, tmp_path, executed
+    ):
+        root = tmp_path / "fab"
+        self._killed_after_row0(root, executed)
+        report = run_fabric(
+            TASKS, root, resume=True, local_work=False, poll_s=0.02
+        )
+        assert [r.key for r in report.results] == [t.key for t in TASKS]
+        assert report.rows_resumed == 1
+        assert report.fabric["results_duplicate"] == 0
+        assert report.fabric["results_stale"] == 0
+
+    def test_second_record_at_a_resumed_rows_epoch_is_a_duplicate(
+        self, tmp_path, executed
+    ):
+        root = tmp_path / "fab"
+        ledger = self._killed_after_row0(root, executed)
+        t0 = TASKS[0]
+        ledger.append_result(
+            "local-2", config_hash(t0), t0.key, 0,
+            encode_result_payload(executed[t0.key]), status="ok",
+        )
+        report = run_fabric(
+            TASKS, root, resume=True, local_work=False, poll_s=0.02
+        )
+        assert len(report.results) == len(TASKS)
+        assert report.rows_resumed == 1
+        assert report.fabric["results_duplicate"] == 1
 
 
 class TestWorkerLoss:

@@ -1,26 +1,32 @@
 """Failure-matrix tests for the fault-tolerant executor.
 
 Faults are injected deterministically through ``REPRO_FAULT_INJECT``
-(see :mod:`repro.parallel.tasks`): worker crashes (BrokenProcessPool +
-pool rebuild), hangs hitting the row deadline (pool kill + requeue),
-unpicklable results (final-attempt in-process fallback), and plain
+(see :mod:`repro._faults`): worker crashes (that one worker restarts,
+only its row is charged), hangs hitting the row deadline (that one
+worker is terminated and restarted), unpicklable results (the worker
+dies on the reply; the final attempt runs in-process), and plain
 exceptions (retry then quarantine).  Throughout, the invariant is that
 ``run_tasks`` never loses a row: ``len(results) + len(failures) ==
 len(tasks)``, and it never raises for a row failure.
 """
 
+import multiprocessing
+import os
+
 import pytest
 
+from repro._faults import parse_spec
 from repro.bdd import stats
 from repro.errors import FaultInjected
 from repro.parallel import (
     CostModel,
     execute_task,
     run_tasks,
+    scan_journal,
     table4_task,
     table5_task,
 )
-from repro.parallel.tasks import _parse_fault_spec
+from repro.parallel.executor import RowBook
 
 ROWS = [table4_task("3-5 RNS"), table4_task("3-7 RNS"), table5_task("3-5 RNS")]
 
@@ -49,17 +55,17 @@ def fault_env(monkeypatch, tmp_path):
 class TestSpecParsing:
     def test_modes_keys_counts(self):
         spec = "crash=table4:foo;hang=table5:a b@2; raise = t6:x "
-        assert _parse_fault_spec(spec) == [
+        assert parse_spec(spec) == [
             ("crash", "table4:foo", None),
             ("hang", "table5:a b", 2),
             ("raise", "t6:x", None),
         ]
 
     def test_garbage_entries_skipped(self):
-        assert _parse_fault_spec(";;no-equals;=;") == [("", "", None)]
+        assert parse_spec(";;no-equals;=;") == [("", "", None)]
 
     def test_empty(self):
-        assert _parse_fault_spec("") == []
+        assert parse_spec("") == []
 
 
 class TestInjectedExceptions:
@@ -96,8 +102,8 @@ class TestInjectedExceptions:
 
 class TestCrashMidSweep:
     def test_crash_rebuilds_pool_and_retry_succeeds(self, fault_env):
-        # The crash kills a worker (BrokenProcessPool); the pool is
-        # rebuilt and the count-limited fault does not fire again.
+        # The crash kills one worker, which is restarted; the
+        # count-limited fault does not fire again.
         fault_env("crash=table4:3-5 RNS@1")
         report = run_tasks(
             ROWS, jobs=2, cost_model=CostModel(), retries=2, backoff_s=0.01
@@ -107,12 +113,31 @@ class TestCrashMidSweep:
         assert report.retries >= 1  # at least the crashed row was charged
         assert report.stats_totals["rows_completed"] == len(ROWS)
 
+    def test_crash_charges_only_its_row_to_its_worker(self, fault_env):
+        # One death costs one retry, booked to the pid of the worker
+        # that died — not to every row in flight, and not to "parent".
+        fault_env("crash=table4:3-5 RNS@1")
+        report = run_tasks(
+            ROWS, jobs=2, cost_model=CostModel(), retries=2, backoff_s=0.01
+        )
+        assert not report.failures
+        assert report.retries == 1
+        charged = {
+            who: usage.failures
+            for who, usage in report.workers.items()
+            if usage.failures
+        }
+        assert "parent" not in charged
+        ((who, count),) = charged.items()
+        assert count == 1
+        assert int(who) != os.getpid()
+
     def test_persistent_crash_quarantines_row_only(self, fault_env):
         fault_env("crash=table4:3-5 RNS", state=False)
         report = run_tasks(
             ROWS, jobs=2, cost_model=CostModel(), retries=1, backoff_s=0.01
         )
-        # Non-faulted rows complete even though the pool broke mid-sweep.
+        # Non-faulted rows complete even though a worker died mid-sweep.
         assert sorted(r.key for r in report.results) == [
             "table4:3-7 RNS",
             "table5:3-5 RNS",
@@ -151,12 +176,55 @@ class TestHangAndDeadline:
         assert failure.status == "timeout"
         assert failure.attempts == 1
         assert failure.elapsed_s >= 3.0
-        # Innocent inflight rows were requeued uncharged and completed.
+        # Only the hung row's worker was stopped; the others completed.
         assert sorted(r.key for r in report.results) == [
             "table4:3-7 RNS",
             "table5:3-5 RNS",
         ]
         assert report.retries == 0
+
+    def test_deadline_stops_only_the_hung_worker(
+        self, fault_env, monkeypatch, tmp_path
+    ):
+        # The second worker runs two 1.5 s rows back to back; the hung
+        # row's 2.25 s deadline fires while the second one runs.  Only
+        # the hung worker is stopped, so that row finishes on its first
+        # attempt instead of starting over.
+        fault_env(
+            "hang=table4:3-5 RNS;slow=table5:3-5 RNS;slow=table4:3-7 RNS",
+            hang_s=600,
+            state=False,
+        )
+        monkeypatch.setenv("REPRO_FAULT_SLOW_S", "1.5")
+        journal = tmp_path / "sweep.jsonl"
+        longest_first = CostModel(
+            {"table4:3-5 RNS": 3.0, "table5:3-5 RNS": 2.0, "table4:3-7 RNS": 1.0}
+        )
+        report = run_tasks(
+            ROWS,
+            jobs=2,
+            cost_model=longest_first,
+            timeout=2.25,
+            retries=0,
+            journal=journal,
+        )
+        (failure,) = report.failures
+        assert failure.key == "table4:3-5 RNS"
+        assert failure.status == "timeout"
+        attempts = [
+            r["key"] for r in scan_journal(journal) if r.get("type") == "attempt"
+        ]
+        assert sorted(attempts) == sorted(t.key for t in ROWS)
+
+    def test_interrupt_stops_every_worker(self, monkeypatch):
+        def interrupt(book, i, result):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(RowBook, "result", interrupt)
+        before = {p.pid for p in multiprocessing.active_children()}
+        with pytest.raises(KeyboardInterrupt):
+            run_tasks(ROWS, jobs=2, cost_model=CostModel(), retries=0)
+        assert {p.pid for p in multiprocessing.active_children()} <= before
 
     def test_inline_deadline_at_jobs_1(self, fault_env):
         fault_env("hang=table4:3-5 RNS", hang_s=600, state=False)
@@ -175,8 +243,9 @@ class TestHangAndDeadline:
 
 class TestPickleFallback:
     def test_final_attempt_runs_in_process(self, fault_env):
-        # The worker computes the row but cannot ship it back; the
-        # final attempt runs in the parent, where nothing is pickled.
+        # The worker computes the row but cannot ship it back, which
+        # ends the worker; the final attempt runs in the parent, where
+        # nothing is pickled.
         fault_env("pickle=table4:3-5 RNS", state=False)
         report = run_tasks(
             [table4_task("3-5 RNS"), table4_task("3-7 RNS")],
@@ -191,6 +260,25 @@ class TestPickleFallback:
             "table4:3-7 RNS",
         ]
         assert report.retries == 1
+
+
+    def test_registry_counts_a_parent_rescued_row_once(self, fault_env):
+        # The rescued row ran here, so its counters are in this
+        # process's registry already; only worker rows are merged.
+        fault_env("pickle=table4:3-5 RNS", state=False)
+        before = stats.snapshot()
+        report = run_tasks(
+            [table4_task("3-5 RNS"), table4_task("3-7 RNS")],
+            jobs=2,
+            cost_model=CostModel(),
+            retries=1,
+            backoff_s=0.01,
+        )
+        after = stats.snapshot()
+        assert not report.failures
+        assert report.stats_totals["op_calls"] > 0
+        for key in stats.ADDITIVE_KEYS:
+            assert after[key] - before[key] == report.stats_totals[key], key
 
 
 class TestPartialAggregation:
