@@ -46,6 +46,7 @@ from repro.bdd.traversal import (
     crossing_targets,
     internal_nodes,
     level_profile,
+    node_ranks,
     nodes_by_level,
     sections_of,
 )
@@ -80,6 +81,7 @@ __all__ = [
     "force_input_order",
     "force_order",
     "crossing_targets",
+    "node_ranks",
     "sections_of",
     "charfunction_payload",
     "dump_charfunction",

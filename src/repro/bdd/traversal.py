@@ -53,6 +53,14 @@ def crossing_targets(
     variables ``t``), entry ``l`` of this list is the section at height
     ``t - l``; callers convert as needed.
     """
+    return _crossing_walk(bdd, roots, count_true)[0]
+
+
+def _crossing_walk(
+    bdd: BDD, roots: Iterable[int], count_true: bool
+) -> tuple[list[set[int]], dict[int, int]]:
+    """The sections of :func:`crossing_targets` and the ranks of
+    :func:`node_ranks`, from one pre-order walk."""
     t = bdd.num_vars
     sections: list[set[int]] = [set() for _ in range(t + 1)]
     level_fn = bdd.level
@@ -70,28 +78,29 @@ def crossing_targets(
         for section in range(from_level + 1, to_level + 1):
             sections[section].add(target)
 
-    seen: set[int] = set()
-    seen_add = seen.add
+    rank: dict[int, int] = {}
     root_list = [r for r in roots]
     for r in root_list:
         record(r, -1)
-    stack = [r for r in root_list if r > 1]
+    stack = root_list[::-1]
     push = stack.append
     while stack:
         u = stack.pop()
-        if u in seen:
+        if u in rank:
             continue
-        seen_add(u)
+        rank[u] = len(rank)
+        if u <= 1:
+            continue
         level = level_fn(u)
-        child = lo_of(u)
-        record(child, level)
-        if child > 1 and child not in seen:
-            push(child)
-        child = hi_of(u)
-        record(child, level)
-        if child > 1 and child not in seen:
-            push(child)
-    return sections
+        lo = lo_of(u)
+        hi = hi_of(u)
+        record(lo, level)
+        record(hi, level)
+        if hi not in rank:
+            push(hi)
+        if lo not in rank:
+            push(lo)
+    return sections, rank
 
 
 def crossing_counts(
@@ -187,7 +196,31 @@ def sections_of(
     *,
     count_true: bool = True,
 ) -> list[set[int]]:
-    """Memoized :func:`crossing_targets` for repeated column queries.
+    """Memoized :func:`crossing_targets` for repeated column queries."""
+    return ranked_sections(bdd, roots, count_true=count_true)[0]
+
+
+def node_ranks(bdd: BDD, roots: Iterable[int]) -> dict[int, int]:
+    """Pre-order position of every node reachable from ``roots``.
+
+    Depth first from each root in turn, lo child before hi child,
+    terminals included.  A rank depends only on the structure below
+    the roots, never on how the manager numbered its nodes, so a copy
+    of the BDD in another manager ranks its nodes alike; Algorithm 3.3
+    orders its columns and breaks its ties by rank.  The walk is the
+    one :func:`ranked_sections` memoizes, so it runs once per root.
+    """
+    return ranked_sections(bdd, roots)[1]
+
+
+def ranked_sections(
+    bdd: BDD,
+    roots: Iterable[int],
+    *,
+    count_true: bool = True,
+) -> tuple[list[set[int]], dict[int, int]]:
+    """The sections of :func:`crossing_targets` and the ranks of
+    :func:`node_ranks`, memoized per root.
 
     Algorithm 3.3 asks for the columns of the same root once per
     height; the memo makes that one traversal per root instead of one
@@ -198,7 +231,7 @@ def sections_of(
     is one or two roots).
     """
     if reference.SEED_MODE:
-        return crossing_targets(bdd, roots, count_true=count_true)
+        return _crossing_walk(bdd, roots, count_true)
     root_tuple = tuple(roots)
     key = (root_tuple, count_true)
     gen = bdd._gen
@@ -207,11 +240,11 @@ def sections_of(
     entry = memo.get(key)
     if entry is not None and entry[0] == gens:
         return entry[1]
-    sections = crossing_targets(bdd, root_tuple, count_true=count_true)
+    walk = _crossing_walk(bdd, root_tuple, count_true)
     if len(memo) >= 4:
         memo.pop(next(iter(memo)))
-    memo[key] = (gens, sections)
-    return sections
+    memo[key] = (gens, walk)
+    return walk
 
 
 def count_paths_to_one(bdd: BDD, root: int) -> int:

@@ -11,6 +11,11 @@ a don't-care of ``f_i`` appears as a path on which the ``y_i`` node is
 *missing* — the node is redundant and vanishes during reduction
 (Fig. 1(c)).
 
+χ is built in one memoized walk over all outputs' ``(f_i0, f_i1)``
+pairs (:func:`_chi_walk`), not as the product the formula writes: the
+product's intermediate terms were up to 13 times larger than χ, and
+the walk allocates χ's nodes only.
+
 :class:`CharFunction` owns one BDD manager per characteristic function
 so that reordering experiments on different output partitions are
 independent.
@@ -20,10 +25,11 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
+from repro.bdd import governor as _governor
 from repro.bdd.manager import FALSE, TRUE, BDD
 from repro.bdd.transfer import transfer
 from repro.bdd import reorder
-from repro.errors import SpecificationError
+from repro.errors import SpecificationError, VariableError
 from repro.isf.compat import ordered_total
 from repro.isf.function import MultiOutputISF
 from repro.isf.ternary import MultiOutputSpec
@@ -82,6 +88,11 @@ class CharFunction:
         of the source manager, top first) — e.g. the FORCE arrangement
         from :func:`repro.bdd.force.force_input_order`; the default is
         the source manager's current order.
+
+        χ comes from one walk over the triples in the ISF's own manager,
+        which allocates only χ's nodes; with ``input_order`` the triples
+        are first re-normalized into the new manager and the same walk
+        runs there.
         """
         src = isf.bdd
         if y_names is None:
@@ -138,23 +149,17 @@ class CharFunction:
             vid_map[src_vid] = dst.add_var(src.name_of(src_vid), kind="input")
             place_outputs(position_of[src_vid])
 
-        # Transfer the triples and conjoin the per-output terms,
-        # bottom-most output first (keeps intermediate products small).
-        term_order = sorted(
-            range(isf.n_outputs), key=lambda i: dst.level_of_vid(output_vids[i]),
-            reverse=True,
-        )
-        root = TRUE
-        for i in term_order:
-            out = isf.outputs[i]
-            f0, f1 = transfer(src, dst, [out.f0, out.f1], vid_map)
-            fd = dst.apply_not(dst.apply_or(f0, f1))
-            y = dst.var(output_vids[i])
-            ny = dst.nvar(output_vids[i])
-            term = dst.apply_or(
-                dst.apply_or(dst.apply_and(ny, f0), dst.apply_and(y, f1)), fd
-            )
-            root = dst.apply_and(root, term)
+        pairs = [(out.f0, out.f1) for out in isf.outputs]
+        if input_order is None:
+            # The source order of the inputs is the destination's: walk
+            # the triples where they are.
+            root = _chi_walk(src, dst, pairs, output_vids, vid_map)
+        else:
+            # A new input order: re-normalize the triples into the
+            # destination first, then walk them there.
+            flat = transfer(src, dst, [f for pair in pairs for f in pair], vid_map)
+            pairs = list(zip(flat[0::2], flat[1::2]))
+            root = _chi_walk(dst, dst, pairs, output_vids, None)
 
         cf = CharFunction(
             dst,
@@ -415,3 +420,162 @@ class CharFunction:
         if self.bdd is not other.bdd:
             raise SpecificationError("refines() requires CFs on one manager")
         return self.bdd.implies(self.root, other.root)
+
+
+def _chi_walk(
+    src: BDD,
+    dst: BDD,
+    pairs: Sequence[tuple[int, int]],
+    output_vids: Sequence[int],
+    vid_map: Mapping[int, int] | None,
+) -> int:
+    """χ of the ``(f0, f1)`` pairs, built in ``dst`` by one memoized walk.
+
+    The pairs are nodes of ``src``, whose input order must agree with
+    ``dst``'s; ``vid_map`` maps their vids into ``dst`` (None when
+    ``src`` is ``dst``).  A walk state is a flat tuple
+    ``(k, f0, f1, ...)`` of the pairs whose ``y`` is not yet placed, in
+    the order of their ``y`` levels, ``k`` numbering the outputs in
+    that order.  The
+    state determines its product of terms, and the product gives each
+    term back, so the memo is exact and every node the walk makes is a
+    node of χ.  Only a pair still open at its ``y`` level (a care-value
+    placement hint put ``y`` above variables the don't-care mask reads)
+    costs kernel work: its ``¬f1``/``¬f0`` are conjoined with the rest.
+
+    Each state visit and each negated node is one step, charged to
+    ``dst``'s ``kernel_steps`` and, every
+    :data:`~repro.bdd.governor.CHECK_INTERVAL` steps, to the active
+    budgets, as the apply kernel charges its frames.
+    """
+    n_vars = src.num_vars
+    if vid_map is None:
+        dvid = list(range(n_vars))
+    else:
+        dvid = [-1] * n_vars
+        for s, d in vid_map.items():
+            dvid[s] = d
+    dst_level = dst._level_of
+    # Level of every src variable in dst; -1 (above everything) marks a
+    # variable the map does not cover, so the walk meets it first.
+    level = [dst_level[d] if d >= 0 else -1 for d in dvid]
+    by_level = sorted(range(len(pairs)), key=lambda i: dst_level[output_vids[i]])
+    y_level = [dst_level[output_vids[i]] for i in by_level]
+    y_vid = [output_vids[i] for i in by_level]
+    vid_arr, lo_arr, hi_arr = src._vid, src._lo, src._hi
+    mk = dst.mk
+    governed = _governor._ACTIVE
+    check_mask = _governor.CHECK_INTERVAL - 1
+    steps = 0
+    negated: dict[int, int] = {FALSE: TRUE, TRUE: FALSE}
+
+    def negation(u: int) -> int:
+        """``¬u`` in ``dst``: a node-for-node copy with the leaves swapped."""
+        nonlocal steps
+        stack = [u]
+        while stack:
+            v = stack[-1]
+            if v in negated:
+                stack.pop()
+                continue
+            lo = negated.get(lo_arr[v])
+            hi = negated.get(hi_arr[v])
+            if lo is None:
+                stack.append(lo_arr[v])
+            if hi is None:
+                stack.append(hi_arr[v])
+            if lo is None or hi is None:
+                continue
+            stack.pop()
+            if dvid[vid_arr[v]] < 0:
+                raise _not_an_input(src, vid_arr[v])
+            negated[v] = mk(dvid[vid_arr[v]], lo, hi)
+            steps += 1
+            if governed and not steps & check_mask:
+                _governor.checkpoint(dst, check_mask + 1)
+        return negated[u]
+
+    memo: dict[tuple[int, ...], int] = {(): TRUE}
+    start = tuple(
+        x for k, i in enumerate(by_level) for x in (k, pairs[i][0], pairs[i][1])
+    )
+    # Frames: (state, None) visits a state; (state, x, lo, hi) makes its
+    # node once the child states are done (x = -1: a y node over lo).
+    stack: list[tuple] = [(start, None)]
+    if governed:
+        _governor.checkpoint(dst)
+    try:
+        while stack:
+            frame = stack.pop()
+            state = frame[0]
+            if len(frame) == 4:
+                _, x, lo_state, hi_state = frame
+                if x >= 0:
+                    memo[state] = mk(dvid[x], memo[lo_state], memo[hi_state])
+                    continue
+                below = memo[lo_state]
+                f0, f1 = state[1], state[2]
+                if f0 <= 1 and f1 <= 1:
+                    if f0 and f1:
+                        raise SpecificationError(
+                            "f_0 and f_1 must be disjoint (Definition 2.1)"
+                        )
+                    lo = FALSE if f1 else below
+                    hi = FALSE if f0 else below
+                else:
+                    lo = dst.apply_and(below, negation(f1))
+                    hi = dst.apply_and(below, negation(f0))
+                memo[state] = mk(y_vid[state[0]], lo, hi)
+                continue
+            steps += 1
+            if governed and not steps & check_mask:
+                _governor.checkpoint(dst, check_mask + 1)
+            if state in memo:
+                continue
+            top = y_level[state[0]]
+            x = -1
+            for u in state[1::3] + state[2::3]:
+                if u > 1 and level[vid_arr[u]] < top:
+                    x = vid_arr[u]
+                    top = level[x]
+            if x < 0:
+                rest = state[3:]
+                stack.append((state, -1, rest, None))
+                if rest not in memo:
+                    stack.append((rest, None))
+                continue
+            if dvid[x] < 0:
+                raise _not_an_input(src, x)
+            lo_state: list[int] = []
+            hi_state: list[int] = []
+            for j in range(0, len(state), 3):
+                f0, f1 = state[j + 1], state[j + 2]
+                if f0 > 1 and vid_arr[f0] == x:
+                    f0_lo, f0_hi = lo_arr[f0], hi_arr[f0]
+                else:
+                    f0_lo = f0_hi = f0
+                if f1 > 1 and vid_arr[f1] == x:
+                    f1_lo, f1_hi = lo_arr[f1], hi_arr[f1]
+                else:
+                    f1_lo = f1_hi = f1
+                lo_state += (state[j], f0_lo, f1_lo)
+                hi_state += (state[j], f0_hi, f1_hi)
+            lo_key, hi_key = tuple(lo_state), tuple(hi_state)
+            stack.append((state, x, lo_key, hi_key))
+            if hi_key not in memo:
+                stack.append((hi_key, None))
+            if lo_key not in memo:
+                stack.append((lo_key, None))
+        # Charge the sub-interval remainder, as kernel.run does, so the
+        # budgets see every step of a short build.
+        if governed and steps & check_mask:
+            _governor.checkpoint(dst, steps & check_mask)
+    finally:
+        dst._kernel_steps += steps
+    return memo[start]
+
+
+def _not_an_input(bdd: BDD, vid: int) -> VariableError:
+    return VariableError(
+        f"the function reads {bdd.name_of(vid)!r}, which is not one of its inputs"
+    )

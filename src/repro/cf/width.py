@@ -13,7 +13,7 @@ corresponds to excluding the constant 0 target).
 
 Width *counts* go through :func:`~repro.bdd.traversal.crossing_counts`
 (one linear pass, no set materialization); column *sets* go through the
-memoized :func:`~repro.bdd.traversal.sections_of` so Algorithm 3.3's
+memoized :func:`~repro.bdd.traversal.ranked_sections` so Algorithm 3.3's
 per-height queries share one traversal.  A width-sum sift does not
 call :func:`sum_of_widths` at every position: its
 :class:`~repro.bdd.reorder.SiftSession` keeps the same counts up to
@@ -23,7 +23,7 @@ date inside each swap (see the note at the end of this module).
 from __future__ import annotations
 
 from repro.bdd.manager import TRUE, BDD
-from repro.bdd.traversal import crossing_counts, sections_of
+from repro.bdd.traversal import crossing_counts, ranked_sections
 
 
 def width_profile(bdd: BDD, root: int) -> list[int]:
@@ -56,24 +56,26 @@ def columns_at_height(bdd: BDD, root: int, height: int) -> list[int]:
     Targets are the nodes below the section that receive an edge from
     above it; the constant 0 is excluded by Definition 3.5.  The
     constant 1 *is* a column (an "all don't care" column) and may be
-    merged with any other column by Algorithm 3.3.  Results are sorted
-    for determinism.
+    merged with any other column by Algorithm 3.3.  Columns come in
+    rank order (:func:`~repro.bdd.traversal.node_ranks`), which depends
+    on the BDD's structure alone, not on its node ids.
     """
     t = bdd.num_vars
     if not (1 <= height <= t):
         raise ValueError(f"height must be in 1..{t}, got {height}")
-    sections = sections_of(bdd, [root])
-    return sorted(sections[t - height])
+    sections, ranks = ranked_sections(bdd, [root])
+    return sorted(sections[t - height], key=ranks.__getitem__)
 
 
 def all_columns(bdd: BDD, root: int) -> list[list[int]]:
-    """Column sets for every height ``0 .. t`` in one traversal."""
+    """Rank-ordered column sets for every height ``0 .. t`` in one traversal."""
     t = bdd.num_vars
-    sections = sections_of(bdd, [root])
+    sections, ranks = ranked_sections(bdd, [root])
+    rank = ranks.__getitem__
     result: list[list[int]] = [[] for _ in range(t + 1)]
     result[0] = [TRUE] if root != 0 else []
     for height in range(1, t + 1):
-        result[height] = sorted(sections[t - height])
+        result[height] = sorted(sections[t - height], key=rank)
     return result
 
 

@@ -9,23 +9,29 @@ For every height from ``t - 1`` down to 1 (Sect. 3.2):
   4. substitute the merged function for every member and rebuild the
      BDD above the section.
 
+Columns are ordered, and the clique cover breaks its ties, by *rank*:
+a node's pre-order position in a depth-first walk from the current
+root, lo child before hi child (:func:`~repro.bdd.traversal.node_ranks`).
+Ranks depend on the CF alone, so the result does too: a CF built
+another way, copied into a fresh manager or loaded from an RBCF
+snapshot reduces to the same CF, which node ids did not guarantee.
+
 Step 2 looks at every pair of columns, and two sound filters keep most
-of them from the pair walk.  Two distinct completely specified columns (no don't care anywhere below the section)
-always conflict, so the columns go to :func:`build_compatibility_graph`
-with the specified ones last, and it never visits a pair among them.
-Every other pair meets the probe signatures of
-:class:`~repro.isf.compat.ProbeSignatures` first, which refute most
-incompatible pairs without a walk; only the rest reach
-:func:`~repro.isf.compat.compatible_columns`.  Because both filters are
-sound, the graph, the cover and every node id are the ones the full
-pair loop gives.  Under :func:`repro.bdd.reference.seed_engine` no signature
+of them from the pair walk.  Two distinct completely specified columns
+(no don't care anywhere below the section) always conflict, so the
+columns go to :func:`build_compatibility_graph` with the specified ones
+last, and it never visits a pair among them.  Every other pair meets
+the probe signatures of :class:`~repro.isf.compat.ProbeSignatures`
+first, which refute most incompatible pairs without a walk; only the
+rest reach :func:`~repro.isf.compat.compatible_columns`.  Because both
+filters are sound, the graph and the cover are the ones the full pair
+loop gives.  Under :func:`repro.bdd.reference.seed_engine` no signature
 is used, so the seed baseline walks every pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 from repro.bdd import reference
 from repro.cf.charfun import CharFunction
@@ -80,7 +86,6 @@ def algorithm_3_3(
     # Signatures are memoized per node, which holds for the same reason.
     # The seed engine walks every pair, like the baseline it stands for.
     signature = None if reference.SEED_MODE else ProbeSignatures(bdd).key
-    compatible = partial(compatible_columns, bdd)
     for height in range(t - 1, 0, -1):
         columns = columns_at_height(bdd, root, height)
         if len(columns) < 2:
@@ -92,15 +97,21 @@ def algorithm_3_3(
         if not mergeable:
             continue
         stats.heights_processed += 1
-        # A completely specified column can absorb compatible dc-bearing
-        # columns, so it stays in the graph, at the tail, where
-        # build_compatibility_graph skips the specified-specified pairs.
-        candidates = mergeable + specified
+        # The graph and the cover see each column as its position in
+        # the rank-ordered columns, so their tie-breaks follow the
+        # structure, not the node numbering.  A completely specified
+        # column can absorb compatible dc-bearing columns, so it stays
+        # in the graph, at the tail, where build_compatibility_graph
+        # skips the specified-specified pairs.
+        index_of = {c: i for i, c in enumerate(columns)}
+        candidates = [index_of[c] for c in mergeable + specified]
         adjacency, truncated = build_compatibility_graph(
             candidates,
-            compatible,
+            lambda a, b: compatible_columns(bdd, columns[a], columns[b]),
             max_pairs=max_pairs,
-            signature=signature,
+            signature=(
+                None if signature is None else lambda i: signature(columns[i])
+            ),
             tail=len(specified),
         )
         k = pair_limit(len(candidates), max_pairs)
@@ -113,12 +124,13 @@ def algorithm_3_3(
         for clique in cover:
             if len(clique) < 2:
                 continue
-            merged = bdd.apply_and_many(clique)
+            members = [columns[i] for i in clique]
+            merged = bdd.apply_and_many(members)
             if not ordered_total(bdd, merged):
                 raise IncompatibleError(
                     "pairwise-compatible clique produced a non-total product"
                 )
-            for member in clique:
+            for member in members:
                 if member != merged:
                     substitution[member] = merged
             stats.merges += len(clique) - 1

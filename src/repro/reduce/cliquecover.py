@@ -3,8 +3,10 @@
 Covering the compatibility graph (Definition 3.8) with a minimum number
 of cliques is NP-hard [5], so the paper uses a min-degree greedy
 heuristic: repeatedly seed a clique with the minimum-degree remaining
-node and grow it with minimum-degree common neighbours.  Ties are
-broken by node identity for determinism.
+node and grow it with minimum-degree common neighbours.  Ties go to the
+smaller node (ints by value) for determinism; Algorithm 3.3 passes each
+column as its position in rank order, so its ties follow the CF's
+structure, not node ids.
 
 The cover keeps every remaining node's degree up to date as cliques
 leave and draws seeds from a lazy heap, so choosing a seed costs a

@@ -88,3 +88,30 @@ def test_deep_counting_and_cubes():
     assert len(cubes) == 1
     assert all(bit == 1 for bit in cubes[0].values())
     assert len(cubes[0]) == N_DEEP
+
+
+def test_deep_charfunction_build():
+    """``CharFunction.from_isf`` walks 2200 inputs without recursing, on
+    both of its paths: an output placed below its whole support, and
+    one that a placement hint puts right under the first input, whose
+    2199-deep remainder is negated and conjoined below its ``y``."""
+    from repro.bdd import transfer
+    from repro.cf import CharFunction
+    from repro.isf import ISF, MultiOutputISF
+
+    bdd, vids = _chain_manager()
+    ones = bdd.apply_and_many(bdd.var(v) for v in vids)
+    zeros = bdd.apply_and_many(bdd.nvar(v) for v in vids)
+    out = ISF(bdd, zeros, ones)
+    isf = MultiOutputISF(
+        bdd, vids, [out, out], placement_supports=[frozenset(vids), {vids[0]}]
+    )
+    cf = CharFunction.from_isf(isf)
+    dst = cf.bdd
+    assert dst.order()[:3] == ["x0", "y2", "x1"] and dst.order()[-1] == "y1"
+    f0, f1 = transfer(bdd, dst, [zeros, ones], {v: dst.vid(bdd.name_of(v)) for v in vids})
+    expected = dst.apply_and_many(
+        dst.ite(dst.var(y), dst.apply_not(f0), dst.apply_not(f1))
+        for y in cf.output_vids
+    )
+    assert cf.root == expected

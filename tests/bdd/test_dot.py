@@ -46,3 +46,18 @@ class TestToDot:
         bdd, f = small_bdd()
         dot = to_dot(bdd, {"chi": f})
         assert dot.count("rank=same") == 2
+
+    def test_names_follow_structure_not_node_ids(self):
+        """Nodes are named by pre-order rank (constants n0/n1, the root
+        n2), so a differently numbered copy draws the same."""
+        bdd, f = small_bdd()
+        other = BDD()
+        x = other.add_var("x1")
+        y = other.add_var("y1", kind="output")
+        other.mk(x, 0, 1)  # shifts every later id
+        hi = other.mk(y, 0, 1)  # allocated before lo, unlike small_bdd
+        g = other.mk(x, other.mk(y, 1, 0), hi)
+        assert g != f
+        dot = to_dot(bdd, {"chi": f})
+        assert dot == to_dot(other, {"chi": g})
+        assert '"root_chi" -> "n2";' in dot

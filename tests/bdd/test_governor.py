@@ -7,6 +7,7 @@ compute the same functions a fresh ungoverned manager computes.
 """
 
 import itertools
+import re
 
 import pytest
 
@@ -173,3 +174,46 @@ class TestCheckpointSemantics:
         # Charged in CHECK_INTERVAL quanta: one interval past the limit
         # at most (this is a governor, not a hard rlimit).
         assert budget.steps <= 10 + 2 * governor.CHECK_INTERVAL
+
+
+class TestCharFunctionBuild:
+    """The one-walk CF build is governed like the apply kernel: its
+    state visits are steps, checked every CHECK_INTERVAL of them."""
+
+    @staticmethod
+    def _wordlist_isf():
+        from repro.benchfns.wordlist import (
+            WordList,
+            build_wordlist_isf,
+            generate_words,
+        )
+
+        return build_wordlist_isf(WordList(generate_words(250, seed=2005)))
+
+    def test_walk_steps_are_charged(self):
+        isf = self._wordlist_isf()
+        with Budget() as budget:
+            cf = CharFunction.from_isf(isf)
+        # No kernel operation runs for this ISF: every step is the walk's.
+        assert budget.steps > cf.num_nodes()
+        assert budget.steps == cf.bdd._kernel_steps
+
+    def test_node_budget_stops_the_build(self):
+        isf = self._wordlist_isf()
+        with pytest.raises(ResourceLimitError, match="node budget") as excinfo:
+            with Budget(max_nodes=1000):
+                CharFunction.from_isf(isf)
+        # One node per visited state, made when its children are done:
+        # one interval's visits plus the nodes still pending on the walk's
+        # path, at most one per variable.
+        alive = int(re.search(r"\((\d+) nodes alive\)", str(excinfo.value))[1])
+        depth = len(isf.input_vids) + isf.n_outputs
+        assert alive <= 1000 + governor.CHECK_INTERVAL + depth
+
+    def test_step_budget_stops_the_build(self):
+        isf = self._wordlist_isf()
+        budget = Budget(max_steps=2000)
+        with pytest.raises(ResourceLimitError, match="apply-step budget"):
+            with budget:
+                CharFunction.from_isf(isf)
+        assert budget.steps <= 2000 + governor.CHECK_INTERVAL
