@@ -20,7 +20,6 @@ PACKAGES = [
     "repro.bdd",
     "repro.bdd.check",
     "repro.bdd.governor",
-    "repro.bdd.hashtable",
     "repro.isf",
     "repro.cf",
     "repro.reduce",

@@ -134,7 +134,8 @@ def check_manager(bdd, roots: Iterable[int] = ()) -> list[InvariantViolation]:
     # Unique tables vs node arrays.
     for vid, table in enumerate(bdd._unique):
         level = bdd._level_of[vid]
-        for (lo, hi), u in table.items():
+        for key, u in table.items():
+            lo, hi = key >> 32, key & 0xFFFFFFFF
             where = f"node {u}"
             if not (2 <= u < n_nodes):
                 _violation(out, "unique_table", where,
@@ -178,7 +179,7 @@ def check_manager(bdd, roots: Iterable[int] = ()) -> list[InvariantViolation]:
             _violation(out, "dangling", f"node {u}",
                        "reachable node is freed or out of range")
             continue
-        if bdd._unique[bdd._vid[u]].get((bdd._lo[u], bdd._hi[u])) != u:
+        if bdd._unique[bdd._vid[u]].get((bdd._lo[u] << 32) | bdd._hi[u]) != u:
             _violation(out, "unique_table", f"node {u}",
                        "reachable node missing from its unique table")
         stack.append(bdd._lo[u])
@@ -204,7 +205,7 @@ def check_manager(bdd, roots: Iterable[int] = ()) -> list[InvariantViolation]:
         validator = tier.validator
         if validator is None:
             continue
-        for key, value in tier.entries():
+        for key, value in tier.data.items():
             try:
                 live = validator(key, value, gen, epoch)
             except Exception:

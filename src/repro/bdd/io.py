@@ -26,8 +26,8 @@ loop at all**: the parallel node arrays are filled with
 ``array.tolist()`` + ``list.extend`` and each variable's unique table
 with one ``dict.update(zip(packed_slice, range(...)))`` — all C-level
 bulk operations over ``mmap``-backed buffers.  The precomputed ``u64``
-column is exactly the :func:`repro.bdd.hashtable.pack2` unique-table
-key, so nothing is re-derived at load time.
+column is exactly the ``(lo << 32) | hi`` unique-table key, so nothing
+is re-derived at load time.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ from array import array
 from collections.abc import Mapping
 from pathlib import Path
 
-from repro.bdd.hashtable import check_capacity
-from repro.bdd.manager import BDD
+from repro.bdd.manager import BDD, check_capacity
 from repro.cf.charfun import CharFunction
 from repro.errors import BDDError
 
@@ -417,7 +416,7 @@ def load_snapshot_bytes(buf: bytes | memoryview) -> CharFunction:
         data = dict(zip(keys[pos:stop], ids_all[pos:stop]))
         if len(data) != count:
             raise BDDError("snapshot contains duplicate nodes at one level")
-        bdd._unique[vids[var_index]].data = data
+        bdd._unique[vids[var_index]] = data
         vid_fill.extend([vids[var_index]] * count)
         pos = stop
     bdd._vid.extend(vid_fill)

@@ -17,12 +17,11 @@ in the style of mature BDD packages (CUDD/ABC):
   ``ite(f,g,0)=f∧g``, ``ite(f,g,f)=f∧g``, ``ite(f,f,h)=f∨h``,
   ``ite(f,0,1)=¬f`` — delegations land in the AND/OR/NOT tiers where
   they share entries with direct calls).
-* **Packed computed tables.**  Each operator owns a
-  :class:`~repro.bdd.hashtable.PackedCache`: operand ids packed into
-  one integer key, entries in flat parallel lists, two-slot probing
-  with overwrite eviction (a computed table may forget, never lie).
-  No tuple is allocated on the probe path.  Named analysis tiers
-  (tot/compat/gcf) keep the dict-backed :class:`OpCache`.
+* **One computed-table class.**  Each operator owns an
+  :class:`OpCache`, the bounded dict the named analysis tiers
+  (tot/compat/gcf/rgc) use too.  Kernel keys pack the operand ids into
+  one integer (32-bit fields), so a probe is one ``dict.get`` with no
+  key tuple; a full tier drops its oldest quarter.
 * **Selective invalidation.**  Cache entries are *generation-stamped*:
   every value records, for each node id it references, the node's
   generation counter at insert time.  Reordering swaps and garbage
@@ -44,22 +43,9 @@ from __future__ import annotations
 from itertools import islice
 
 from repro.bdd import governor as _governor
-from repro.bdd.hashtable import (
-    KIND_BINARY,
-    KIND_COFACTOR,
-    KIND_COMPOSE,
-    KIND_ITE,
-    KIND_NOT,
-    KIND_QUANT,
-    PackedCache,
-)
 
 _GOVERNED = _governor._ACTIVE  # the live budget stack (empty = ungoverned)
 _CHECK_MASK = _governor.CHECK_INTERVAL - 1
-
-#: Knuth multiplicative-hash constant (kept in sync with hashtable.py;
-#: the probe sequences are inlined here on the hot path).
-_MULT = 2654435761
 
 #: Level assigned to terminal nodes: below every variable.
 TERMINAL_LEVEL = 1 << 30
@@ -82,15 +68,14 @@ N_OPS = 9
 
 
 class OpCache:
-    """One dict-backed computed table: a bounded dict plus counters.
+    """One computed table: a bounded dict plus counters.
 
-    The kernel opcodes use :class:`~repro.bdd.hashtable.PackedCache`
-    instead; this class remains the container for the *named* analysis
-    tiers (``tot``/``compat``/``gcf``), whose keys are small and whose
-    probe volume is far below the kernel's.  Values are tuples
-    ``(result, gen(node_1), ..., gen(node_k), gen(result))`` where
-    ``node_1..k`` are the node-valued operands of the key;
-    ``validator`` re-checks those generations (and, for
+    Every tier is one: the nine kernel opcodes' and the named analysis
+    tiers (``tot``/``compat``/``gcf``/``rgc``).  Callers probe
+    :attr:`data` directly and count their own hits and misses.  Kernel
+    values are tuples ``(result, gen(node_1), ..., gen(node_k),
+    gen(result))`` where ``node_1..k`` are the node-valued operands of
+    the key; ``validator`` re-checks those generations (and, for
     order-sensitive tiers, the manager's reorder epoch) so stale
     entries read as misses.  Eviction is FIFO in batches of a quarter
     of the capacity — cheap, and old entries are exactly the ones
@@ -150,10 +135,6 @@ class OpCache:
             dropped = len(dead)
         self.invalidations += dropped
         return dropped
-
-    def entries(self):
-        """Yield ``(key, value)`` pairs (audit-layer protocol)."""
-        yield from self.data.items()
 
     def clear(self) -> None:
         self.invalidations += len(self.data)
@@ -265,38 +246,38 @@ def _term_quant(bdd, f, _gid, _c):
     return None
 
 
-# Generation validators: the audit layer (repro.bdd.check) re-checks
-# entries yielded by ``tier.entries()`` against these, in the legacy
-# unpacked form (see PackedCache.entries).
+# Generation validators over the packed kernel keys: ``OpCache.purge``
+# (run by ``BDD.collect``) and the audit in repro.bdd.check re-check
+# entries against these.
 
 
-def _v_binary(key, v, gen, _epoch):
-    return gen[key[0]] == v[1] and gen[key[1]] == v[2] and gen[v[0]] == v[3]
+def _v_binary(key, v, gen, _epoch):  # key (a << 32) | b
+    return gen[key >> 32] == v[1] and gen[key & 0xFFFFFFFF] == v[2] and gen[v[0]] == v[3]
 
 
-def _v_unary(key, v, gen, _epoch):
+def _v_unary(key, v, gen, _epoch):  # key a
     return gen[key] == v[1] and gen[v[0]] == v[2]
 
 
-def _v_ite(key, v, gen, _epoch):
+def _v_ite(key, v, gen, _epoch):  # key (f << 64) | (g << 32) | h
     return (
-        gen[key[0]] == v[1]
-        and gen[key[1]] == v[2]
-        and gen[key[2]] == v[3]
+        gen[key >> 64] == v[1]
+        and gen[(key >> 32) & 0xFFFFFFFF] == v[2]
+        and gen[key & 0xFFFFFFFF] == v[3]
         and gen[v[0]] == v[4]
     )
 
 
-def _v_cofactor(key, v, gen, _epoch):
-    return gen[key[0]] == v[1] and gen[v[0]] == v[2]
+def _v_cofactor(key, v, gen, _epoch):  # key (f << 64) | (vid << 32) | bit
+    return gen[key >> 64] == v[1] and gen[v[0]] == v[2]
 
 
-def _v_compose(key, v, gen, _epoch):
-    return gen[key[0]] == v[1] and gen[key[2]] == v[2] and gen[v[0]] == v[3]
+def _v_compose(key, v, gen, _epoch):  # key (f << 64) | (vid << 32) | g
+    return gen[key >> 64] == v[1] and gen[key & 0xFFFFFFFF] == v[2] and gen[v[0]] == v[3]
 
 
-def _v_quant(key, v, gen, _epoch):
-    return gen[key[0]] == v[1] and gen[v[0]] == v[2]
+def _v_quant(key, v, gen, _epoch):  # key (f << 32) | gid
+    return gen[key >> 32] == v[1] and gen[v[0]] == v[2]
 
 
 def validator_epoch_bool(key_nodes: int):
@@ -324,9 +305,9 @@ def validator_epoch_bool(key_nodes: int):
 def validator_epoch_bool_packed(key_nodes: int):
     """Like :func:`validator_epoch_bool` for packed-int keys.
 
-    The ``tot``/``compat`` tiers pack their node operands with
-    :func:`repro.bdd.hashtable.pack2` to skip tuple allocation on the
-    pairwise sweeps; this validator unpacks the 32-bit fields inline.
+    The ``tot``/``compat`` tiers pack their node operands as
+    ``(a << 32) | b`` to skip tuple allocation on the pairwise sweeps;
+    this validator unpacks the 32-bit fields inline.
     """
 
     if key_nodes == 1:
@@ -351,10 +332,9 @@ class OpSpec:
         "commutative",
         "terminal",
         "validator",
-        "kind",
     )
 
-    def __init__(self, code, name, symbol, arity, commutative, terminal, validator, kind):
+    def __init__(self, code, name, symbol, arity, commutative, terminal, validator):
         self.code = code
         self.name = name
         self.symbol = symbol
@@ -362,31 +342,28 @@ class OpSpec:
         self.commutative = commutative
         self.terminal = terminal
         self.validator = validator
-        self.kind = kind
 
 
 #: The operator table, indexed by opcode.
 OPS: tuple[OpSpec, ...] = (
-    OpSpec(OP_AND, "and", "&", 2, True, _term_and, _v_binary, KIND_BINARY),
-    OpSpec(OP_OR, "or", "|", 2, True, _term_or, _v_binary, KIND_BINARY),
-    OpSpec(OP_XOR, "xor", "^", 2, True, _term_xor, _v_binary, KIND_BINARY),
-    OpSpec(OP_NOT, "not", "~", 1, False, _term_not, _v_unary, KIND_NOT),
-    OpSpec(OP_ITE, "ite", "?", 3, False, _term_ite, _v_ite, KIND_ITE),
-    OpSpec(OP_COFACTOR, "cofactor", "co", 3, False, _term_cofactor, _v_cofactor, KIND_COFACTOR),
-    OpSpec(OP_COMPOSE, "compose", "cmp", 3, False, _term_compose, _v_compose, KIND_COMPOSE),
-    OpSpec(OP_EXISTS, "exists", "ex", 2, False, _term_quant, _v_quant, KIND_QUANT),
-    OpSpec(OP_FORALL, "forall", "fa", 2, False, _term_quant, _v_quant, KIND_QUANT),
+    OpSpec(OP_AND, "and", "&", 2, True, _term_and, _v_binary),
+    OpSpec(OP_OR, "or", "|", 2, True, _term_or, _v_binary),
+    OpSpec(OP_XOR, "xor", "^", 2, True, _term_xor, _v_binary),
+    OpSpec(OP_NOT, "not", "~", 1, False, _term_not, _v_unary),
+    OpSpec(OP_ITE, "ite", "?", 3, False, _term_ite, _v_ite),
+    OpSpec(OP_COFACTOR, "cofactor", "co", 3, False, _term_cofactor, _v_cofactor),
+    OpSpec(OP_COMPOSE, "compose", "cmp", 3, False, _term_compose, _v_compose),
+    OpSpec(OP_EXISTS, "exists", "ex", 2, False, _term_quant, _v_quant),
+    OpSpec(OP_FORALL, "forall", "fa", 2, False, _term_quant, _v_quant),
 )
 
 _TERMINAL = tuple(spec.terminal for spec in OPS)
 _COMMUTATIVE = tuple(spec.commutative for spec in OPS)
 
 
-def make_kernel_tiers(capacity: int) -> tuple[PackedCache, ...]:
+def make_kernel_tiers(capacity: int) -> tuple[OpCache, ...]:
     """Fresh per-operator computed tables, indexed by opcode."""
-    return tuple(
-        PackedCache(spec.name, capacity, spec.kind, spec.validator) for spec in OPS
-    )
+    return tuple(OpCache(spec.name, capacity, spec.validator) for spec in OPS)
 
 
 # Frame tags for the explicit evaluation stack.
@@ -464,20 +441,16 @@ def run(bdd, op: int, a: int, b: int = -1, c: int = -1) -> int:
 
                 if op <= OP_XOR:
                     key = (a << 32) | b
-                    i = ((key ^ (key >> 30) ^ (key >> 59)) * _MULT) & cache.mask
-                    ck = cache.keys
-                    if ck[i] != key:
-                        i ^= 1
-                    if ck[i] == key:
-                        r = cache.res[i]
-                        if (
-                            gen[a] == cache.s1[i]
-                            and gen[b] == cache.s2[i]
-                            and gen[r] == cache.s3[i]
-                        ):
-                            cache.hits += 1
-                            out.append(r)
-                            continue
+                    v = cache.data.get(key)
+                    if (
+                        v is not None
+                        and gen[a] == v[1]
+                        and gen[b] == v[2]
+                        and gen[v[0]] == v[3]
+                    ):
+                        cache.hits += 1
+                        out.append(v[0])
+                        continue
                     cache.misses += 1
                     la = level_of[vid_arr[a]]
                     lb = level_of[vid_arr[b]]
@@ -498,16 +471,11 @@ def run(bdd, op: int, a: int, b: int = -1, c: int = -1) -> int:
                     push((_VISIT, op, a0, b0, -1))
 
                 elif op == OP_NOT:
-                    i = ((a ^ (a >> 30) ^ (a >> 59)) * _MULT) & cache.mask
-                    ck = cache.keys
-                    if ck[i] != a:
-                        i ^= 1
-                    if ck[i] == a:
-                        r = cache.res[i]
-                        if gen[a] == cache.s1[i] and gen[r] == cache.s2[i]:
-                            cache.hits += 1
-                            out.append(r)
-                            continue
+                    v = cache.data.get(a)
+                    if v is not None and gen[a] == v[1] and gen[v[0]] == v[2]:
+                        cache.hits += 1
+                        out.append(v[0])
+                        continue
                     cache.misses += 1
                     push((_COMBINE, op, a, vid_arr[a], a, -1, -1))
                     push((_VISIT, op, hi_arr[a], -1, -1))
@@ -515,10 +483,18 @@ def run(bdd, op: int, a: int, b: int = -1, c: int = -1) -> int:
 
                 elif op == OP_ITE:
                     key = (a << 64) | (b << 32) | c
-                    v = cache.get_n3(key, a, b, c, gen)
-                    if v >= 0:
-                        out.append(v)
+                    v = cache.data.get(key)
+                    if (
+                        v is not None
+                        and gen[a] == v[1]
+                        and gen[b] == v[2]
+                        and gen[c] == v[3]
+                        and gen[v[0]] == v[4]
+                    ):
+                        cache.hits += 1
+                        out.append(v[0])
                         continue
+                    cache.misses += 1
                     la = level_of[vid_arr[a]]  # f is internal past the terminal rule
                     lb = TERMINAL_LEVEL if b <= 1 else level_of[vid_arr[b]]
                     lc = TERMINAL_LEVEL if c <= 1 else level_of[vid_arr[c]]
@@ -544,13 +520,15 @@ def run(bdd, op: int, a: int, b: int = -1, c: int = -1) -> int:
 
                 elif op == OP_COFACTOR:
                     key = (a << 64) | (b << 32) | c
-                    v = cache.get_n1(key, a, gen)
-                    if v >= 0:
-                        out.append(v)
+                    v = cache.data.get(key)
+                    if v is not None and gen[a] == v[1] and gen[v[0]] == v[2]:
+                        cache.hits += 1
+                        out.append(v[0])
                         continue
+                    cache.misses += 1
                     if level_of[vid_arr[a]] == level_of[b]:
                         r = hi_arr[a] if c else lo_arr[a]
-                        cache.put_n1(key, a, r, gen)
+                        cache.insert(key, (r, gen[a], gen[r]))
                         out.append(r)
                     else:
                         push((_COMBINE, op, key, vid_arr[a], a, -1, -1))
@@ -559,10 +537,17 @@ def run(bdd, op: int, a: int, b: int = -1, c: int = -1) -> int:
 
                 elif op == OP_COMPOSE:
                     key = (a << 64) | (b << 32) | c
-                    v = cache.get_n2(key, a, c, gen)
-                    if v >= 0:
-                        out.append(v)
+                    v = cache.data.get(key)
+                    if (
+                        v is not None
+                        and gen[a] == v[1]
+                        and gen[c] == v[2]
+                        and gen[v[0]] == v[3]
+                    ):
+                        cache.hits += 1
+                        out.append(v[0])
                         continue
+                    cache.misses += 1
                     if level_of[vid_arr[a]] == level_of[b]:
                         push((_STORE, op, key, a, c))
                         push((_VISIT, OP_ITE, c, hi_arr[a], lo_arr[a]))
@@ -574,10 +559,12 @@ def run(bdd, op: int, a: int, b: int = -1, c: int = -1) -> int:
 
                 else:  # OP_EXISTS / OP_FORALL
                     key = (a << 32) | b
-                    v = cache.get_n1(key, a, gen)
-                    if v >= 0:
-                        out.append(v)
+                    v = cache.data.get(key)
+                    if v is not None and gen[a] == v[1] and gen[v[0]] == v[2]:
+                        cache.hits += 1
+                        out.append(v[0])
                         continue
+                    cache.misses += 1
                     vid = vid_arr[a]
                     push((_QUANT, op, key, a, vid, vid in groups[b]))
                     push((_VISIT, op, hi_arr[a], b, -1))
@@ -591,24 +578,26 @@ def run(bdd, op: int, a: int, b: int = -1, c: int = -1) -> int:
                 cache = tiers[op]
                 key = frame[2]
                 if op <= OP_XOR:
-                    cache.put_n2(key, frame[4], frame[5], r, gen)
+                    cache.insert(key, (r, gen[frame[4]], gen[frame[5]], gen[r]))
                 elif op == OP_NOT:
-                    cache.put_n1(key, key, r, gen)
+                    cache.insert(key, (r, gen[key], gen[r]))
                     # Complement is an involution; prime the reverse entry.
-                    cache.put_n1(r, r, key, gen)
+                    cache.insert(r, (key, gen[r], gen[key]))
                 elif op == OP_ITE:
-                    cache.put_n3(key, frame[4], frame[5], frame[6], r, gen)
+                    cache.insert(
+                        key, (r, gen[frame[4]], gen[frame[5]], gen[frame[6]], gen[r])
+                    )
                 else:  # OP_COFACTOR
-                    cache.put_n1(key, frame[4], r, gen)
+                    cache.insert(key, (r, gen[frame[4]], gen[r]))
                 out.append(r)
 
             elif tag == _STORE:
                 op = frame[1]
                 r = out[-1]
                 if frame[4] < 0:  # quantifier result: stamp the operand
-                    tiers[op].put_n1(frame[2], frame[3], r, gen)
+                    tiers[op].insert(frame[2], (r, gen[frame[3]], gen[r]))
                 else:  # compose result: stamp f and g
-                    tiers[op].put_n2(frame[2], frame[3], frame[4], r, gen)
+                    tiers[op].insert(frame[2], (r, gen[frame[3]], gen[frame[4]], gen[r]))
 
             elif tag == _QUANT:
                 op = frame[1]
@@ -627,7 +616,7 @@ def run(bdd, op: int, a: int, b: int = -1, c: int = -1) -> int:
                     )
                 else:
                     r = mk(frame[4], lo_r, hi_r)
-                    tiers[op].put_n1(frame[2], frame[3], r, gen)
+                    tiers[op].insert(frame[2], (r, gen[frame[3]], gen[r]))
                     out.append(r)
 
             else:  # _SUBST: compose's upper-level rebuild through ITE

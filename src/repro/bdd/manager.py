@@ -25,7 +25,13 @@ library is used.  Design notes:
   recursion limit.  Each operator owns a bounded computed table
   (:class:`~repro.bdd.kernel.OpCache`); entries are generation-stamped
   so reordering and garbage collection invalidate *selectively*
-  instead of clearing the tables (see :meth:`cache_stats`).
+  instead of clearing the tables (see :meth:`cache_stats`).  The
+  operation wrappers count the call and enter the kernel, whose first
+  visit frame applies the terminal rules and probes the tier.
+* Unique tables and kernel cache keys pack node ids into 32-bit
+  fields (``(lo << 32) | hi`` per variable), so a probe hashes one
+  int and allocates no tuple; :func:`check_capacity` keeps ids inside
+  that range.
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from repro.bdd import stats
-from repro.bdd.hashtable import _MULT, UniqueTable, check_capacity, pack2
 from repro.bdd.kernel import (
     FALSE,
     TRUE,
@@ -51,12 +56,34 @@ from repro.bdd.kernel import (
     make_kernel_tiers,
     run,
 )
-from repro.errors import ForeignNodeError, VariableError
+from repro.errors import CapacityError, ForeignNodeError, VariableError
 
 __all__ = ["BDD", "FALSE", "TRUE", "TERMINAL_LEVEL"]
 
 #: Default capacity of each operation-cache tier.
 DEFAULT_CACHE_CAPACITY = 1 << 18
+
+#: Largest node id a packed 32-bit key field can carry.  Ids 0/1 are
+#: the constants and ``2**32 - 1`` is kept unallocatable, so allocation
+#: must stop at ``2**32 - 2``.
+MAX_NODE_ID = (1 << 32) - 2
+
+
+def check_capacity(next_id: int) -> None:
+    """Refuse to allocate a node id the packed keys cannot represent.
+
+    Called by ``BDD.mk`` (and the other allocation sites) before growing
+    the node arrays; one integer compare on the (rare) fresh-allocation
+    branch.  Raising here — at the 2³² boundary — replaces silently
+    packing a 33-bit id into a 32-bit field and colliding with an
+    unrelated node.
+    """
+    if next_id > MAX_NODE_ID:
+        raise CapacityError(
+            f"node-id space exhausted: cannot allocate id {next_id} "
+            f"(packed 32-bit keys bound ids at {MAX_NODE_ID})",
+            limit=MAX_NODE_ID,
+        )
 
 
 class BDD:
@@ -74,9 +101,8 @@ class BDD:
         # cache entries referencing a recycled id read as stale.
         self._gen: list[int] = [0, 0]
         self._free: list[int] = []
-        # Per-variable unique tables: vid -> packed (lo, hi) -> node
-        # (dict over packed int keys; see repro.bdd.hashtable).
-        self._unique: list[UniqueTable] = []
+        # Per-variable unique tables: vid -> {(lo << 32) | hi: node}.
+        self._unique: list[dict[int, int]] = []
         # Variable metadata.
         self._names: list[str] = []
         self._kinds: list[str] = []
@@ -127,7 +153,7 @@ class BDD:
         self._name2vid[name] = vid
         self._level_of.append(len(self._var_at_level))
         self._var_at_level.append(vid)
-        self._unique.append(UniqueTable())
+        self._unique.append({})
         return vid
 
     def add_vars(self, names: Iterable[str], kind: str = "input") -> list[int]:
@@ -210,11 +236,10 @@ class BDD:
         """
         if lo == hi:
             return lo
-        # Packed key + direct dict probe: the hottest path in the
-        # engine, so no tuple allocation and no wrapper method call.
-        data = self._unique[vid].data
-        key = pack2(lo, hi)
-        u = data.get(key)
+        # Packed key: the hottest path in the engine allocates no tuple.
+        table = self._unique[vid]
+        key = (lo << 32) | hi
+        u = table.get(key)
         if u is not None:
             return u
         if self._free:
@@ -229,7 +254,7 @@ class BDD:
             self._lo.append(lo)
             self._hi.append(hi)
             self._gen.append(0)
-        data[key] = u
+        table[key] = u
         n = self._n_alive + 1
         self._n_alive = n
         if n > self._peak_alive:
@@ -250,104 +275,24 @@ class BDD:
     # Boolean operations (all evaluated by the iterative kernel)
     # ------------------------------------------------------------------
 
-    # Each wrapper probes its tier inline before entering the kernel:
-    # a top-level cache hit (the common case in the pairwise analyses)
-    # then costs one packed-slot read instead of a full evaluator
-    # setup.  The probe counts only hits — the kernel re-probes on the
-    # way in and owns the miss/insert accounting.
-
     def apply_and(self, f: int, g: int) -> int:
         """Conjunction of two functions."""
         self._op_calls += 1
-        if f == FALSE or g == FALSE:
-            return FALSE
-        if f == TRUE:
-            return g
-        if g == TRUE or f == g:
-            return f
-        if f > g:
-            f, g = g, f
-        tier = self._kernel_tiers[OP_AND]
-        key = (f << 32) | g
-        i = ((key ^ (key >> 30) ^ (key >> 59)) * _MULT) & tier.mask
-        keys = tier.keys
-        if keys[i] != key:
-            i ^= 1
-        if keys[i] == key:
-            r = tier.res[i]
-            gen = self._gen
-            if gen[f] == tier.s1[i] and gen[g] == tier.s2[i] and gen[r] == tier.s3[i]:
-                tier.hits += 1
-                return r
         return run(self, OP_AND, f, g)
 
     def apply_or(self, f: int, g: int) -> int:
         """Disjunction of two functions."""
         self._op_calls += 1
-        if f == TRUE or g == TRUE:
-            return TRUE
-        if f == FALSE:
-            return g
-        if g == FALSE or f == g:
-            return f
-        if f > g:
-            f, g = g, f
-        tier = self._kernel_tiers[OP_OR]
-        key = (f << 32) | g
-        i = ((key ^ (key >> 30) ^ (key >> 59)) * _MULT) & tier.mask
-        keys = tier.keys
-        if keys[i] != key:
-            i ^= 1
-        if keys[i] == key:
-            r = tier.res[i]
-            gen = self._gen
-            if gen[f] == tier.s1[i] and gen[g] == tier.s2[i] and gen[r] == tier.s3[i]:
-                tier.hits += 1
-                return r
         return run(self, OP_OR, f, g)
 
     def apply_xor(self, f: int, g: int) -> int:
         """Exclusive-or of two functions."""
         self._op_calls += 1
-        if f == g:
-            return FALSE
-        if f > g:
-            f, g = g, f
-        if f > 1:  # both internal: probe; else let the kernel normalize
-            tier = self._kernel_tiers[OP_XOR]
-            key = (f << 32) | g
-            i = ((key ^ (key >> 30) ^ (key >> 59)) * _MULT) & tier.mask
-            keys = tier.keys
-            if keys[i] != key:
-                i ^= 1
-            if keys[i] == key:
-                r = tier.res[i]
-                gen = self._gen
-                if (
-                    gen[f] == tier.s1[i]
-                    and gen[g] == tier.s2[i]
-                    and gen[r] == tier.s3[i]
-                ):
-                    tier.hits += 1
-                    return r
         return run(self, OP_XOR, f, g)
 
     def apply_not(self, f: int) -> int:
         """Complement of a function."""
         self._op_calls += 1
-        if f <= 1:
-            return 1 - f
-        tier = self._kernel_tiers[OP_NOT]
-        i = ((f ^ (f >> 30) ^ (f >> 59)) * _MULT) & tier.mask
-        keys = tier.keys
-        if keys[i] != f:
-            i ^= 1
-        if keys[i] == f:
-            r = tier.res[i]
-            gen = self._gen
-            if gen[f] == tier.s1[i] and gen[r] == tier.s2[i]:
-                tier.hits += 1
-                return r
         return run(self, OP_NOT, f)
 
     def apply_and_many(self, fs: Iterable[int]) -> int:
@@ -381,29 +326,6 @@ class BDD:
     def ite(self, f: int, g: int, h: int) -> int:
         """If-then-else: ``f·g ∨ ¬f·h``."""
         self._op_calls += 1
-        if f == TRUE:
-            return g
-        if f == FALSE:
-            return h
-        if g == h:
-            return g
-        tier = self._kernel_tiers[OP_ITE]
-        key = (f << 64) | (g << 32) | h
-        i = ((key ^ (key >> 30) ^ (key >> 59)) * _MULT) & tier.mask
-        keys = tier.keys
-        if keys[i] != key:
-            i ^= 1
-        if keys[i] == key:
-            r = tier.res[i]
-            gen = self._gen
-            if (
-                gen[f] == tier.s1[i]
-                and gen[g] == tier.s2[i]
-                and gen[h] == tier.s3[i]
-                and gen[r] == tier.s4[i]
-            ):
-                tier.hits += 1
-                return r
         return run(self, OP_ITE, f, g, h)
 
     def xnor(self, f: int, g: int) -> int:
@@ -673,9 +595,9 @@ class BDD:
         alive = self.reachable(roots)
         freed = 0
         for table in self._unique:
-            dead = [key for key, u in table.iter_packed() if u not in alive]
+            dead = [key for key, u in table.items() if u not in alive]
             for key in dead:
-                u = table.discard(key)
+                u = table.pop(key)
                 self._vid[u] = -1
                 self._lo[u] = -1
                 self._hi[u] = -1
@@ -698,7 +620,8 @@ class BDD:
     def check_invariants(self, roots: Iterable[int] = ()) -> None:
         """Assert ordered/reduced/hash-consing invariants (for tests)."""
         for vid, table in enumerate(self._unique):
-            for (lo, hi), u in table.items():
+            for key, u in table.items():
+                lo, hi = key >> 32, key & 0xFFFFFFFF
                 assert self._vid[u] == vid, "unique table vid mismatch"
                 assert self._lo[u] == lo and self._hi[u] == hi, "unique table child mismatch"
                 assert lo != hi, "unreduced node in unique table"
@@ -707,7 +630,7 @@ class BDD:
         for u in self.reachable(roots):
             if u > 1:
                 vid = self._vid[u]
-                assert self._unique[vid].get((self._lo[u], self._hi[u])) == u, (
+                assert self._unique[vid].get((self._lo[u] << 32) | self._hi[u]) == u, (
                     "reachable node missing from unique table"
                 )
         order = self._var_at_level

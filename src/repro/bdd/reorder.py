@@ -31,8 +31,7 @@ from itertools import accumulate
 
 from repro.bdd import check
 from repro.bdd import governor as _governor
-from repro.bdd.hashtable import check_capacity
-from repro.bdd.manager import BDD, FALSE
+from repro.bdd.manager import BDD, FALSE, check_capacity
 from repro.bdd.traversal import crossing_counts
 from repro.errors import IntegrityError, OrderingError
 from repro._config import LIMITS
@@ -150,7 +149,7 @@ class SiftSession:
         alive-node counter.
         """
         bdd = self.bdd
-        live = [u for table in bdd._unique for u in table.data.values()]
+        live = [u for table in bdd._unique for u in table.values()]
         fresh = _count_refs(bdd, live, self.roots)
         kept = self._ref
         violations = [
@@ -192,8 +191,8 @@ class SiftSession:
         x = bdd._var_at_level[level]
         y = bdd._var_at_level[level + 1]
         vid_arr, lo_arr, hi_arr = bdd._vid, bdd._lo, bdd._hi
-        x_data = bdd._unique[x].data
-        y_data = bdd._unique[y].data
+        x_data = bdd._unique[x]
+        y_data = bdd._unique[y]
         if self._mf is not None:
             crossing_before = self._widths_before(level, x_data, y_data, y)
 
@@ -207,9 +206,10 @@ class SiftSession:
             del x_data[(lo_arr[u] << 32) | hi_arr[u]]
         # No helper calls: the new x-nodes are found or allocated in
         # place with BDD.mk's policy (free list first, then a fresh id).
-        # The order of allocations and frees decides node ids, and
-        # Alg. 3.3 orders columns and breaks ties by node id, so
-        # tests/bdd/test_reorder.py pins the resulting managers.
+        # The order of allocations and frees decides node ids.  No
+        # result depends on them (Alg. 3.3 ranks columns by structure),
+        # but tests/bdd/test_reorder.py pins the resulting managers'
+        # digests to guard the allocation history.
         ref = self._ref
         gen, free = bdd._gen, bdd._free
         size, alive, peak = self.size, bdd._n_alive, bdd._peak_alive

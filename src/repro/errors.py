@@ -37,7 +37,7 @@ class CapacityError(BDDError):
     """The engine's 32-bit node-id space is exhausted.
 
     Packed cache and unique-table keys hold node ids in 32-bit fields
-    (:mod:`repro.bdd.hashtable`), so a manager can hold at most
+    (:mod:`repro.bdd.manager`), so a manager can hold at most
     ``2**32 - 2`` nodes.  Allocating past that boundary would silently
     corrupt packed keys (two distinct nodes colliding on one key), so
     :meth:`repro.bdd.manager.BDD.mk` raises this instead.  ``limit``

@@ -39,17 +39,22 @@ _STOP = "__stop__"
 _POLL_S = 0.1
 
 
-def _serve(make_handler, args, conn, parent_conn) -> None:
+def _serve(make_handler, args, conn, inherited) -> None:
     """The worker process body: build the handler, then answer forever.
 
-    ``parent_conn`` is the parent's end of this worker's pipe, which the
-    fork copied in.  It is closed first: while the worker holds it,
-    ``conn.recv()`` never sees EOF, and a SIGKILLed parent would leave
-    the worker running forever.  A worker forked later also holds the
-    parent ends of its older siblings; it exits on EOF too, which
-    releases them in turn.
+    ``inherited`` holds parent-side objects the fork copied in, and the
+    child closes them first.  The first is the parent's end of this
+    worker's pipe: while the worker holds it, ``conn.recv()`` never sees
+    EOF, and a SIGKILLed parent would leave the worker running forever.
+    A worker forked later also holds the parent ends of its older
+    siblings; it exits on EOF too, which releases them in turn.  The
+    rest are the parent's listening sockets: a worker holding one keeps
+    a dead parent's socket accepting connections and its port bound.
+    Closing the Python objects, not raw fd numbers, leaves no stale fd
+    number behind to be closed again later.
     """
-    parent_conn.close()
+    for obj in inherited:
+        obj.close()
     handle = make_handler(*args)
     while True:
         try:
@@ -74,7 +79,8 @@ class WorkerProcess:
     one-thread :class:`~concurrent.futures.ThreadPoolExecutor` parks a
     blocking :meth:`call` off the caller's thread (the service's event
     loop, the sweep pool's scheduling loop); one thread per worker keeps
-    one request in flight per process.
+    one request in flight per process.  ``listeners`` are the parent's
+    listening sockets, which the child closes right after the fork.
     """
 
     def __init__(
@@ -83,10 +89,12 @@ class WorkerProcess:
         args: tuple = (),
         *,
         name: str,
+        listeners: tuple = (),
     ) -> None:
         self.make_handler = make_handler
         self.args = tuple(args)
         self.name = name
+        self.listeners = tuple(listeners)
         self.restarts = 0
         self.executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix=name)
         self._spawn()
@@ -96,7 +104,12 @@ class WorkerProcess:
         self._conn, child_conn = ctx.Pipe(duplex=True)
         self.process = ctx.Process(
             target=_serve,
-            args=(self.make_handler, self.args, child_conn, self._conn),
+            args=(
+                self.make_handler,
+                self.args,
+                child_conn,
+                (self._conn, *self.listeners),
+            ),
             name=self.name,
             daemon=True,
         )

@@ -56,6 +56,7 @@ import asyncio
 import functools
 import json
 import os
+import socket
 import time
 from collections import OrderedDict
 from pathlib import Path
@@ -745,7 +746,10 @@ class Service:
         listener is bound — by then an ephemeral ``http_port=0`` has
         been replaced with the assigned port.
         """
+        # The listening sockets are created here, not by asyncio, so the
+        # shard workers forked later can close their copies of them.
         servers = []
+        listeners = []
         if self.socket_path is not None:
             # A stale socket file from a SIGKILL'd predecessor would
             # make bind() fail; the journal, not the socket, is the
@@ -754,19 +758,23 @@ class Service:
                 self.socket_path.unlink()
             except OSError:
                 pass
+            listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            listener.bind(str(self.socket_path))
+            listeners.append(listener)
             servers.append(
-                await asyncio.start_unix_server(
-                    self._handle_conn, path=str(self.socket_path)
-                )
+                await asyncio.start_unix_server(self._handle_conn, sock=listener)
             )
         if self.http_host is not None:
-            server = await asyncio.start_server(
-                self._handle_http, host=self.http_host, port=self.http_port
+            family = socket.AF_INET6 if ":" in self.http_host else socket.AF_INET
+            listener = socket.create_server(
+                (self.http_host, self.http_port), family=family
             )
-            self.http_port = server.sockets[0].getsockname()[1]
-            servers.append(server)
+            self.http_port = listener.getsockname()[1]
+            listeners.append(listener)
+            servers.append(await asyncio.start_server(self._handle_http, sock=listener))
         if not servers:
             raise ServiceError("service has neither a socket path nor an HTTP address")
+        self.worker_pool.listeners = tuple(listeners)
         if ready is not None:
             ready()
         pump = asyncio.ensure_future(self._pump())

@@ -200,6 +200,7 @@ class ShardWorker(WorkerProcess):
         *,
         max_alive: int | None = None,
         snapshot_dir: str | Path | None = None,
+        listeners: tuple = (),
     ) -> None:
         self.family = family
         self.queries = 0
@@ -211,6 +212,7 @@ class ShardWorker(WorkerProcess):
             _shard_handler,
             (family, max_alive, snapshot, os.getpid()),  # fault_parent: this daemon
             name=f"repro-shard-{family}",
+            listeners=listeners,
         )
 
     def call(self, doc: dict, *, timeout: float | None = None) -> dict:
@@ -277,6 +279,9 @@ class WorkerPool:
         #: are what the breaker meters).
         self.breakers: dict[str, CircuitBreaker] = {}
         self._last_used: dict[str, float] = {}
+        #: The daemon's listening sockets, set once they are bound; every
+        #: worker forked afterwards closes its copies (WorkerProcess).
+        self.listeners: tuple = ()
 
     def breaker(self, family: str) -> CircuitBreaker:
         """The family's circuit breaker (created closed on first use)."""
@@ -298,6 +303,7 @@ class WorkerPool:
                 family,
                 max_alive=self.max_alive,
                 snapshot_dir=self.snapshot_dir,
+                listeners=self.listeners,
             )
         self._last_used[family] = time.monotonic()
         return worker

@@ -10,10 +10,14 @@ crashes — plus the differential property that the iterative kernel
 computes the same node ids as the recursive reference engine.
 """
 
+import itertools
+import random
+
 from hypothesis import given, settings, strategies as st
 
-from repro.bdd import BDD, from_truth_table, set_order
+from repro.bdd import BDD, check, from_truth_table, set_order
 from repro.bdd import reference
+from repro.bdd.builder import from_cube
 
 from tests.conftest import brute_force_truth
 
@@ -150,6 +154,58 @@ class TestCollectInvalidation:
         assert bdd.apply_and(f, g) == h
         assert bdd.cache_stats()["tiers"]["and"]["hits"] == hits_before + 1
 
+    def test_purge_drops_only_stale_entries(self):
+        bdd = BDD()
+        vids = bdd.add_vars([f"x{i}" for i in range(2 * N_VARS)])
+        f = from_truth_table(bdd, vids[:N_VARS], [0, 1, 1, 0] * 4)
+        g = from_truth_table(bdd, vids[:N_VARS], [1, 1, 0, 1] * 4)
+        h = bdd.apply_and(f, g)
+        p = from_truth_table(bdd, vids[N_VARS:], [0, 1, 1, 1] * 4)
+        q = from_truth_table(bdd, vids[N_VARS:], [1, 0, 1, 1] * 4)
+        bdd.apply_and(p, q)
+        before = bdd.cache_stats()["tiers"]["and"]
+        bdd.collect([f, g, h])  # p, q and their conjunction die
+        after = bdd.cache_stats()["tiers"]["and"]
+        dropped = after["invalidations"] - before["invalidations"]
+        assert dropped > 0
+        assert after["size"] == before["size"] - dropped
+        assert bdd.apply_and(f, g) == h  # the survivor still hits
+        assert bdd.cache_stats()["tiers"]["and"]["hits"] == after["hits"] + 1
+
+    def test_purge_and_audit_cover_every_kernel_tier(self):
+        # Every kernel tier stores packed keys; its validator must read
+        # them, or collect() would keep stale entries (or drop live
+        # ones) and the coherence audit would crash on the key.
+        bdd = BDD()
+        vids = bdd.add_vars([f"x{i}" for i in range(N_VARS)])
+        f = from_truth_table(bdd, vids, [0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 0, 0, 1, 1, 0])
+        g = from_truth_table(bdd, vids, [1, 1, 0, 1, 0, 0, 1, 0, 1, 0, 1, 1, 0, 1, 0, 0])
+        h = from_truth_table(bdd, vids, [0, 0, 1, 1, 1, 0, 1, 0, 0, 1, 1, 0, 1, 1, 0, 1])
+        gid = bdd.var_group(vids[1:3])
+        results = [
+            bdd.apply_and(f, g),
+            bdd.apply_or(f, g),
+            bdd.apply_xor(f, g),
+            bdd.apply_not(f),
+            bdd.ite(f, g, h),
+            bdd.cofactor(f, vids[2], 1),
+            bdd.compose(f, vids[1], g),
+            bdd.exists(f, gid),
+            bdd.forall(g, gid),
+        ]
+        tiers = {t.name: t for t in bdd.iter_cache_tiers()}
+        for name in ("and", "or", "xor", "not", "ite", "cofactor", "compose", "exists", "forall"):
+            assert tiers[name].data, f"{name} tier stayed empty"
+        roots = [f, g, h, *results]
+        assert check.check_manager(bdd, roots) == []
+        bdd.collect([f, g])  # h and every result may die
+        gen = bdd._gen
+        for tier in tiers.values():
+            for key, value in tier.data.items():
+                assert tier.validator(key, value, gen, bdd._epoch), tier.name
+        assert check.check_manager(bdd, [f, g]) == []
+        assert bdd.apply_and(f, g) == reference.ref_apply_and(bdd, f, g)
+
 
 class TestKernelMatchesReference:
     @settings(max_examples=50, deadline=None)
@@ -176,6 +232,22 @@ class TestKernelMatchesReference:
 
 
 class TestCacheBookkeeping:
+    def test_stale_stamp_reads_as_miss(self):
+        bdd, vids, f = build([0, 1, 1, 0] * 4)
+        g = from_truth_table(bdd, vids, [1, 1, 0, 1] * 4)
+        h = bdd.apply_and(f, g)
+        for node in (g, h):  # an operand's stamp, then the result's
+            before = bdd.cache_stats()["tiers"]["and"]
+            bdd._gen[node] += 1  # as if the id had been recycled
+            assert bdd.apply_and(f, g) == h
+            after = bdd.cache_stats()["tiers"]["and"]
+            assert after["misses"] > before["misses"]
+            # The recomputation re-stamped the entry: it serves again.
+            assert bdd.apply_and(f, g) == h
+            again = bdd.cache_stats()["tiers"]["and"]
+            assert again["misses"] == after["misses"]
+            assert again["hits"] == after["hits"] + 1
+
     def test_eviction_keeps_table_bounded(self):
         bdd = BDD(cache_capacity=16)
         vids = bdd.add_vars([f"x{i}" for i in range(8)])
@@ -207,6 +279,17 @@ class TestCacheBookkeeping:
         }
         for name in ("and", "or", "xor", "not", "ite"):
             assert name in st_["tiers"]
+        for tier in st_["tiers"].values():
+            assert set(tier) == {
+                "size",
+                "capacity",
+                "hits",
+                "misses",
+                "inserts",
+                "evictions",
+                "invalidations",
+                "hit_rate",
+            }
         totals = st_["totals"]
         assert totals["hits"] + totals["misses"] > 0
         assert 0.0 <= totals["hit_rate"] <= 1.0
@@ -223,3 +306,63 @@ class TestCacheBookkeeping:
         tier = bdd.cache_stats()["tiers"]["or"]
         assert tier["size"] == 0
         assert tier["invalidations"] >= size
+
+
+class TestTierRetention:
+    """A tier below its capacity must remember what it was given.
+
+    Each case runs a batch of distinct top-level operations twice.  The
+    second pass must resolve every call at its top-level probe, so the
+    tier's miss count does not rise; nothing is evicted; and the tier
+    holds at least one entry per call.  A computed table whose slot
+    index read only a few bits of each operand once failed all three,
+    far below its capacity.
+    """
+
+    @staticmethod
+    def _twice(bdd, tier_name, calls):
+        first = [call() for call in calls]
+        before = bdd.cache_stats()["tiers"][tier_name]
+        second = [call() for call in calls]
+        after = bdd.cache_stats()["tiers"][tier_name]
+        assert second == first
+        assert after["misses"] == before["misses"]
+        assert after["hits"] - before["hits"] == len(calls)
+        assert after["evictions"] == 0
+        assert after["size"] >= len(calls)
+
+    def test_cofactors_of_many_nodes_over_one_variable(self):
+        rng = random.Random(19)
+        bdd = BDD()
+        vids = bdd.add_vars([f"x{i}" for i in range(9)])
+        nodes = set()
+        while len(nodes) < 252:
+            table = [rng.randint(0, 1) for _ in range(1 << 9)]
+            f = from_truth_table(bdd, vids, table)
+            if f > 1 and bdd.var_of(f) == vids[0]:
+                nodes.add(f)
+        calls = [
+            (lambda f=f, bit=bit: bdd.cofactor(f, vids[0], bit))
+            for f in sorted(nodes)
+            for bit in (0, 1)
+        ]
+        self._twice(bdd, "cofactor", calls)
+
+    def test_or_of_many_small_cube_pairs(self):
+        bdd = BDD()
+        vids = bdd.add_vars([f"x{i}" for i in range(8)])
+
+        def cubes(block):
+            out = []
+            for lits in itertools.product((None, 0, 1), repeat=4):
+                cube = {v: b for v, b in zip(block, lits) if b is not None}
+                if cube:
+                    out.append(from_cube(bdd, cube))
+            return out[:60]
+
+        left, right = cubes(vids[:4]), cubes(vids[4:])
+        calls = [
+            (lambda a=a, b=b: bdd.apply_or(a, b)) for a in left for b in right
+        ]
+        assert len(calls) == 3600
+        self._twice(bdd, "or", calls)

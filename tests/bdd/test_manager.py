@@ -3,7 +3,8 @@
 import pytest
 
 from repro.bdd import BDD, FALSE, TRUE
-from repro.errors import ForeignNodeError, VariableError
+from repro.bdd.manager import MAX_NODE_ID, check_capacity
+from repro.errors import CapacityError, ForeignNodeError, VariableError
 
 
 class TestVariables:
@@ -275,3 +276,48 @@ class TestMaintenance:
         f = bdd.apply_and(bdd.var(x), bdd.var(y))
         bdd.clear_cache()
         assert bdd.apply_and(bdd.var(x), bdd.var(y)) == f
+
+
+class TestCapacityGuard:
+    """Pin the node-id capacity fix: allocation refuses ids the packed
+    32-bit key fields cannot represent, instead of silently aliasing."""
+
+    def test_boundary_id_is_accepted(self):
+        check_capacity(0)
+        check_capacity(MAX_NODE_ID)
+
+    def test_reserved_and_overflow_ids_raise(self):
+        for next_id in (MAX_NODE_ID + 1, 1 << 32, (1 << 33) + 7):
+            with pytest.raises(CapacityError) as exc:
+                check_capacity(next_id)
+            assert exc.value.limit == MAX_NODE_ID
+            assert str(next_id) in str(exc.value)
+
+    def test_max_node_id_leaves_empty_marker_free(self):
+        # The all-ones 32-bit field (2**32 - 1) is never a node id, so
+        # no packed key field can read as all ones.
+        assert MAX_NODE_ID == (1 << 32) - 2
+
+    def test_capacity_error_is_a_repro_error(self):
+        from repro.errors import ReproError
+
+        assert issubclass(CapacityError, ReproError)
+
+    def test_mk_refuses_to_allocate_past_the_boundary(self):
+        """BDD.mk consults the guard on the fresh-allocation branch; a
+        manager whose id space is (apparently) full raises CapacityError
+        instead of packing a 33-bit id."""
+        bdd = BDD()
+        (v,) = bdd.add_vars(["x"])
+        bdd.mk(v, FALSE, TRUE)  # interned: no fresh allocation below
+
+        class HugeList(list):
+            def __len__(self):
+                return MAX_NODE_ID + 1
+
+        bdd._vid = HugeList(bdd._vid)
+        # Cached node: still fine (no allocation).
+        assert bdd.mk(v, FALSE, TRUE) >= 2
+        # Fresh node: would need id 2**32 - 1 — refused.
+        with pytest.raises(CapacityError):
+            bdd.mk(v, TRUE, FALSE)

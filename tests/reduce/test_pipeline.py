@@ -4,9 +4,12 @@ import random
 
 from hypothesis import given, settings
 
-from repro.cf import CharFunction, max_width
+from repro.bdd import reference
+from repro.cascade import synthesize_cascade
+from repro.cf import CharFunction, max_width, width_profile
+from repro.errors import CascadeError
 from repro.isf import table1_spec
-from repro.reduce import full_reduction
+from repro.reduce import algorithm_3_3, full_reduction, reduce_support
 
 from tests.conftest import random_spec, spec_strategy
 
@@ -60,3 +63,39 @@ class TestFullReduction:
             for got, want in zip(sample, values):
                 if want is not None:
                     assert got == want
+
+
+def _pipeline_steps(spec) -> dict:
+    """Every step's result on the paper pipeline, in engine-free terms:
+    CF build → width-sum sift → support reduction → Alg. 3.3 → cascade."""
+    cf = CharFunction.from_spec(spec)
+    bdd = cf.bdd
+    steps = {"build": (cf.num_nodes(), width_profile(bdd, cf.root))}
+    cf.sift(cost="widthsum")
+    steps["sift"] = (bdd.order(), width_profile(bdd, cf.root))
+    cf, removed = reduce_support(cf)
+    steps["support"] = [bdd.name_of(v) for v in removed]
+    cf, stats = algorithm_3_3(cf)
+    steps["alg33"] = (stats.merges, cf.num_nodes(), width_profile(bdd, cf.root))
+    try:
+        # Cells small enough that small specs need more than one.
+        cascade = synthesize_cascade(cf, max_cell_inputs=4, max_cell_outputs=3)
+        steps["cascade"] = cascade.num_cells
+    except CascadeError as exc:
+        steps["cascade"] = f"CascadeError: {exc}"
+    return steps
+
+
+class TestSeedEngineDifferential:
+    """The kernel engine and the recursive seed engine
+    (:func:`repro.bdd.reference.seed_engine`) must agree on the results
+    of every pipeline step, not only on single operations: a cache or
+    kernel change that moves a result shows up here."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec_strategy(max_inputs=6, max_outputs=3))
+    def test_pipeline_matches_seed_engine(self, spec):
+        kernel = _pipeline_steps(spec)
+        with reference.seed_engine():
+            seed = _pipeline_steps(spec)
+        assert kernel == seed

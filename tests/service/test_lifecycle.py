@@ -10,6 +10,7 @@ results equal an uninterrupted run's.
 import json
 import os
 import pathlib
+import re
 import signal
 import subprocess
 import sys
@@ -370,6 +371,78 @@ class TestWorkerProcessDurability:
                 proc.wait()
             for pid in live_pids(pids):
                 os.kill(pid, signal.SIGKILL)
+
+
+class TestWorkerListeners:
+    @pytest.mark.skipif(
+        not pathlib.Path("/proc/net/unix").exists(), reason="needs Linux /proc"
+    )
+    def test_forked_worker_holds_no_listener(self, tmp_path):
+        """A shard worker is forked after the daemon bound its listeners.
+        It must not keep them open: a worker that outlives a SIGKILLed
+        daemon would keep the dead socket accepting connections and the
+        HTTP port bound."""
+        proc, sock = start_daemon(
+            tmp_path, "--http", "127.0.0.1:0", "--workers", "1"
+        )
+        try:
+            port = None
+            while port is None:
+                line = proc.stdout.readline().decode()
+                assert line, "daemon exited before its banner"
+                match = re.search(r"http 127\.0\.0\.1:(\d+)", line)
+                port = int(match.group(1)) if match else None
+            with SocketClient(sock, timeout=120) as client:
+                reply = client.call("width_reduce", {"benchmark": BENCH})
+                assert reply["ok"], reply
+                procs = client.call("stats")["result"]["workers"]["processes"]
+            worker = procs["rns"]["pid"]
+            listeners = {
+                "unix": unix_listener_inode(sock),
+                "http": tcp_listener_inode(port),
+            }
+            # The probe sees both listeners in the daemon itself ...
+            assert set(listeners.values()) <= socket_inodes(proc.pid)
+            # ... and neither in its worker.
+            held = socket_inodes(worker)
+            assert [name for name, inode in listeners.items() if inode in held] == []
+        finally:
+            stop_daemon(proc, sock)
+        assert proc.wait(timeout=30) == 0
+
+
+def socket_inodes(pid: int) -> set[int]:
+    """Inodes of the sockets process ``pid`` holds open."""
+    inodes = set()
+    for fd in pathlib.Path(f"/proc/{pid}/fd").iterdir():
+        try:
+            target = os.readlink(fd)
+        except OSError:
+            continue  # closed between listing and reading
+        if target.startswith("socket:["):
+            inodes.add(int(target[len("socket:[") : -1]))
+    return inodes
+
+
+def unix_listener_inode(path: pathlib.Path) -> int:
+    """Inode of the listening unix socket bound at ``path``."""
+    # Num RefCount Protocol Flags Type St Inode Path; flag 0x10000 is
+    # __SO_ACCEPTCON, set on listening sockets.
+    for line in pathlib.Path("/proc/net/unix").read_text().splitlines()[1:]:
+        fields = line.split()
+        if len(fields) > 7 and fields[7] == str(path) and int(fields[3], 16) & 0x10000:
+            return int(fields[6])
+    raise AssertionError(f"no listening unix socket at {path}")
+
+
+def tcp_listener_inode(port: int) -> int:
+    """Inode of the IPv4 TCP socket listening on ``port``."""
+    # sl local_address rem_address st ... inode; st 0A is LISTEN.
+    for line in pathlib.Path("/proc/net/tcp").read_text().splitlines()[1:]:
+        fields = line.split()
+        if int(fields[1].split(":")[1], 16) == port and fields[3] == "0A":
+            return int(fields[9])
+    raise AssertionError(f"no TCP listener on port {port}")
 
 
 def live_pids(pids: list[int]) -> list[int]:
