@@ -1,4 +1,4 @@
-"""Synthetic kernel microbenchmarks: apply / ite / exists throughput.
+"""Synthetic kernel microbenchmarks: apply / ite / cofactor throughput.
 
 Unlike the Table 4/5 benchmarks — which time whole experiment
 pipelines and therefore mix kernel work with sifting, Algorithm 3.3,
@@ -36,7 +36,7 @@ N_VARS = 13
 TABLE_BITS = 1 << N_VARS
 
 #: Micro rows (record key suffix -> number of op invocations).
-MICRO_RECORDS = ("kernel_micro:apply", "kernel_micro:ite", "kernel_micro:exists")
+MICRO_RECORDS = ("kernel_micro:apply", "kernel_micro:ite", "kernel_micro:cofactor")
 
 
 def _build_pool(seed: int, n_funcs: int = 6) -> tuple[BDD, list[int], list[int]]:
@@ -76,13 +76,14 @@ def _run_ite() -> int:
     return acc
 
 
-def _run_exists() -> int:
+def _run_cofactor() -> int:
     bdd, vids, pool = _build_pool(seed=3)
-    lower = bdd.var_group(vids[N_VARS // 2 :])
-    upper = bdd.var_group(vids[: N_VARS // 2])
     acc = 0
-    for f in pool:
-        acc ^= bdd.exists(f, lower) ^ bdd.forall(f, lower) ^ bdd.exists(f, upper)
+    n = len(pool)
+    for i, f in enumerate(pool):
+        g = pool[(i + 1) % n]
+        for v in vids:
+            acc ^= bdd.cofactor(f, v, 0) ^ bdd.cofactor(f, v, 1) ^ bdd.compose(f, v, g)
     return acc
 
 
@@ -96,9 +97,9 @@ def test_micro_ite(benchmark):
              workload="ite grid")
 
 
-def test_micro_exists(benchmark):
-    run_once(benchmark, _run_exists, record_name="kernel_micro:exists",
-             workload="group quantification")
+def test_micro_cofactor(benchmark):
+    run_once(benchmark, _run_cofactor, record_name="kernel_micro:cofactor",
+             workload="cofactor and compose at every variable")
 
 
 def test_throughput_gate():

@@ -57,7 +57,7 @@ def env_flag(name: str, default: bool = False) -> bool:
     ``false``, ``no``, ``off`` (in any letter case) reads as False and
     everything else as True.  Every boolean environment knob in the
     repo goes through this helper so ``REPRO_SELFCHECK=False`` and
-    ``REPRO_JOURNAL_FSYNC=OFF`` mean what they say instead of silently
+    ``REPRO_FULL_SCALE=OFF`` mean what they say instead of silently
     enabling the feature.
     """
     raw = os.environ.get(name, "")

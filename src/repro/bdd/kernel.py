@@ -1,22 +1,24 @@
 """The iterative apply kernel and its tiered operation caches.
 
-Every Boolean/quantifier operation of :class:`repro.bdd.manager.BDD`
-(``apply_and/or/xor/not``, ``ite``, ``cofactor``, ``compose``,
-``exists``, ``forall``) is evaluated by one explicit-stack evaluator,
-:func:`run`, driven by the operator table :data:`OPS`.  Design goals,
-in the style of mature BDD packages (CUDD/ABC):
+Every Boolean operation of :class:`repro.bdd.manager.BDD`
+(``apply_and/or/xor/not``, ``ite``, ``cofactor``) is evaluated by one
+explicit-stack evaluator, :func:`run`, driven by the operator table
+:data:`OPS`; ``BDD.compose`` is one ITE over two cofactors.  Design
+goals, in the style of mature BDD packages (CUDD/ABC):
 
 * **No recursion.**  The evaluator keeps its own frame stack, so an
   operation over a 10,000-variable chain costs 10,000 loop iterations,
   not 10,000 Python frames — the word-list/scaling workloads push
   variable counts past Python's ~1000-frame recursion ceiling.
-* **One kernel, many operators.**  The operator table carries the
-  terminal rules and operand normalization (commutative operand
-  sorting so ``AND(f, g)`` and ``AND(g, f)`` share one cache line, and
-  ITE standard-triple reduction: ``ite(f,g,g)=g``, ``ite(f,1,h)=f∨h``,
-  ``ite(f,g,0)=f∧g``, ``ite(f,g,f)=f∧g``, ``ite(f,f,h)=f∨h``,
-  ``ite(f,0,1)=¬f`` — delegations land in the AND/OR/NOT tiers where
-  they share entries with direct calls).
+* **One kernel, six operators, two frame kinds.**  The operator table
+  carries the terminal rules and operand normalization (commutative
+  operand sorting so ``AND(f, g)`` and ``AND(g, f)`` share one cache
+  line, and ITE standard-triple reduction: ``ite(f,g,g)=g``,
+  ``ite(f,1,h)=f∨h``, ``ite(f,g,0)=f∧g``, ``ite(f,g,f)=f∧g``,
+  ``ite(f,f,h)=f∨h``, ``ite(f,0,1)=¬f`` — delegations land in the
+  AND/OR/NOT tiers where they share entries with direct calls).  A
+  visit frame resolves or expands into two visits under a combine
+  frame, which builds the node and caches it.
 * **One computed-table class.**  Each operator owns an
   :class:`OpCache`, the bounded dict the named analysis tiers
   (tot/compat/gcf/rgc) use too.  Kernel keys pack the operand ids into
@@ -60,17 +62,12 @@ OP_XOR = 2
 OP_NOT = 3
 OP_ITE = 4
 OP_COFACTOR = 5
-OP_COMPOSE = 6
-OP_EXISTS = 7
-OP_FORALL = 8
-
-N_OPS = 9
 
 
 class OpCache:
     """One computed table: a bounded dict plus counters.
 
-    Every tier is one: the nine kernel opcodes' and the named analysis
+    Every tier is one: the six kernel opcodes' and the named analysis
     tiers (``tot``/``compat``/``gcf``/``rgc``).  Callers probe
     :attr:`data` directly and count their own hits and misses.  Kernel
     values are tuples ``(result, gen(node_1), ..., gen(node_k),
@@ -232,20 +229,6 @@ def _term_cofactor(bdd, f, vid, _value):
     return None
 
 
-def _term_compose(bdd, f, vid, _g):
-    if f <= 1:
-        return f
-    if bdd._level_of[bdd._vid[f]] > bdd._level_of[vid]:
-        return f
-    return None
-
-
-def _term_quant(bdd, f, _gid, _c):
-    if f <= 1:
-        return f
-    return None
-
-
 # Generation validators over the packed kernel keys: ``OpCache.purge``
 # (run by ``BDD.collect``) and the audit in repro.bdd.check re-check
 # entries against these.
@@ -270,14 +253,6 @@ def _v_ite(key, v, gen, _epoch):  # key (f << 64) | (g << 32) | h
 
 def _v_cofactor(key, v, gen, _epoch):  # key (f << 64) | (vid << 32) | bit
     return gen[key >> 64] == v[1] and gen[v[0]] == v[2]
-
-
-def _v_compose(key, v, gen, _epoch):  # key (f << 64) | (vid << 32) | g
-    return gen[key >> 64] == v[1] and gen[key & 0xFFFFFFFF] == v[2] and gen[v[0]] == v[3]
-
-
-def _v_quant(key, v, gen, _epoch):  # key (f << 32) | gid
-    return gen[key >> 32] == v[1] and gen[v[0]] == v[2]
 
 
 def validator_epoch_bool(key_nodes: int):
@@ -324,21 +299,10 @@ def validator_epoch_bool_packed(key_nodes: int):
 class OpSpec:
     """One operator-table row: metadata driving the evaluator."""
 
-    __slots__ = (
-        "code",
-        "name",
-        "symbol",
-        "arity",
-        "commutative",
-        "terminal",
-        "validator",
-    )
+    __slots__ = ("name", "commutative", "terminal", "validator")
 
-    def __init__(self, code, name, symbol, arity, commutative, terminal, validator):
-        self.code = code
+    def __init__(self, name, commutative, terminal, validator):
         self.name = name
-        self.symbol = symbol
-        self.arity = arity
         self.commutative = commutative
         self.terminal = terminal
         self.validator = validator
@@ -346,15 +310,12 @@ class OpSpec:
 
 #: The operator table, indexed by opcode.
 OPS: tuple[OpSpec, ...] = (
-    OpSpec(OP_AND, "and", "&", 2, True, _term_and, _v_binary),
-    OpSpec(OP_OR, "or", "|", 2, True, _term_or, _v_binary),
-    OpSpec(OP_XOR, "xor", "^", 2, True, _term_xor, _v_binary),
-    OpSpec(OP_NOT, "not", "~", 1, False, _term_not, _v_unary),
-    OpSpec(OP_ITE, "ite", "?", 3, False, _term_ite, _v_ite),
-    OpSpec(OP_COFACTOR, "cofactor", "co", 3, False, _term_cofactor, _v_cofactor),
-    OpSpec(OP_COMPOSE, "compose", "cmp", 3, False, _term_compose, _v_compose),
-    OpSpec(OP_EXISTS, "exists", "ex", 2, False, _term_quant, _v_quant),
-    OpSpec(OP_FORALL, "forall", "fa", 2, False, _term_quant, _v_quant),
+    OpSpec("and", True, _term_and, _v_binary),
+    OpSpec("or", True, _term_or, _v_binary),
+    OpSpec("xor", True, _term_xor, _v_binary),
+    OpSpec("not", False, _term_not, _v_unary),
+    OpSpec("ite", False, _term_ite, _v_ite),
+    OpSpec("cofactor", False, _term_cofactor, _v_cofactor),
 )
 
 _TERMINAL = tuple(spec.terminal for spec in OPS)
@@ -369,9 +330,6 @@ def make_kernel_tiers(capacity: int) -> tuple[OpCache, ...]:
 # Frame tags for the explicit evaluation stack.
 _VISIT = 0  # (0, op, a, b, c)                 evaluate, push result
 _COMBINE = 1  # (1, op, key, vid, a, b, c)     pop hi/lo, mk, cache, push
-_STORE = 2  # (2, op, key, n1, n2)             cache the result on top
-_QUANT = 3  # (3, op, key, a, vid, quantified) pop hi/lo; OR/AND or mk
-_SUBST = 4  # (4, key, a, g, var_node)         pop hi/lo; ITE(var, hi, lo)
 
 
 def run(bdd, op: int, a: int, b: int = -1, c: int = -1) -> int:
@@ -380,10 +338,8 @@ def run(bdd, op: int, a: int, b: int = -1, c: int = -1) -> int:
     The work stack holds frames (tagged tuples); ``out`` is the result
     stack.  A visit frame either resolves via the operator table's
     terminal rule, hits its tier, or pushes a combine frame plus the
-    two cofactor visits.  Quantification and composition combine
-    through delegated OR/AND/ITE visits followed by a store frame, so
-    the whole evaluation — including the nested products — stays on
-    this one stack.
+    two cofactor visits; a combine frame pops the two results, makes
+    the node, caches it and pushes it.
 
     When a :mod:`repro.bdd.governor` budget is active, the loop runs a
     checkpoint every :data:`~repro.bdd.governor.CHECK_INTERVAL` steps
@@ -400,7 +356,6 @@ def run(bdd, op: int, a: int, b: int = -1, c: int = -1) -> int:
     level_of = bdd._level_of
     var_at_level = bdd._var_at_level
     gen = bdd._gen
-    groups = bdd._groups
     tiers = bdd._kernel_tiers
     mk = bdd.mk
     terminal_rules = _TERMINAL
@@ -518,7 +473,7 @@ def run(bdd, op: int, a: int, b: int = -1, c: int = -1) -> int:
                     push((_VISIT, op, a1, b1, c1))
                     push((_VISIT, op, a0, b0, c0))
 
-                elif op == OP_COFACTOR:
+                else:  # OP_COFACTOR
                     key = (a << 64) | (b << 32) | c
                     v = cache.data.get(key)
                     if v is not None and gen[a] == v[1] and gen[v[0]] == v[2]:
@@ -535,42 +490,7 @@ def run(bdd, op: int, a: int, b: int = -1, c: int = -1) -> int:
                         push((_VISIT, op, hi_arr[a], b, c))
                         push((_VISIT, op, lo_arr[a], b, c))
 
-                elif op == OP_COMPOSE:
-                    key = (a << 64) | (b << 32) | c
-                    v = cache.data.get(key)
-                    if (
-                        v is not None
-                        and gen[a] == v[1]
-                        and gen[c] == v[2]
-                        and gen[v[0]] == v[3]
-                    ):
-                        cache.hits += 1
-                        out.append(v[0])
-                        continue
-                    cache.misses += 1
-                    if level_of[vid_arr[a]] == level_of[b]:
-                        push((_STORE, op, key, a, c))
-                        push((_VISIT, OP_ITE, c, hi_arr[a], lo_arr[a]))
-                    else:
-                        var_node = mk(vid_arr[a], FALSE, TRUE)
-                        push((_SUBST, key, a, c, var_node))
-                        push((_VISIT, op, hi_arr[a], b, c))
-                        push((_VISIT, op, lo_arr[a], b, c))
-
-                else:  # OP_EXISTS / OP_FORALL
-                    key = (a << 32) | b
-                    v = cache.data.get(key)
-                    if v is not None and gen[a] == v[1] and gen[v[0]] == v[2]:
-                        cache.hits += 1
-                        out.append(v[0])
-                        continue
-                    cache.misses += 1
-                    vid = vid_arr[a]
-                    push((_QUANT, op, key, a, vid, vid in groups[b]))
-                    push((_VISIT, op, hi_arr[a], b, -1))
-                    push((_VISIT, op, lo_arr[a], b, -1))
-
-            elif tag == _COMBINE:
+            else:  # _COMBINE
                 op = frame[1]
                 hi_r = out.pop()
                 lo_r = out.pop()
@@ -590,40 +510,6 @@ def run(bdd, op: int, a: int, b: int = -1, c: int = -1) -> int:
                 else:  # OP_COFACTOR
                     cache.insert(key, (r, gen[frame[4]], gen[r]))
                 out.append(r)
-
-            elif tag == _STORE:
-                op = frame[1]
-                r = out[-1]
-                if frame[4] < 0:  # quantifier result: stamp the operand
-                    tiers[op].insert(frame[2], (r, gen[frame[3]], gen[r]))
-                else:  # compose result: stamp f and g
-                    tiers[op].insert(frame[2], (r, gen[frame[3]], gen[frame[4]], gen[r]))
-
-            elif tag == _QUANT:
-                op = frame[1]
-                hi_r = out.pop()
-                lo_r = out.pop()
-                if frame[5]:  # quantified level: OR/AND the cofactor results
-                    push((_STORE, op, frame[2], frame[3], -1))
-                    push(
-                        (
-                            _VISIT,
-                            OP_OR if op == OP_EXISTS else OP_AND,
-                            lo_r,
-                            hi_r,
-                            -1,
-                        )
-                    )
-                else:
-                    r = mk(frame[4], lo_r, hi_r)
-                    tiers[op].insert(frame[2], (r, gen[frame[3]], gen[r]))
-                    out.append(r)
-
-            else:  # _SUBST: compose's upper-level rebuild through ITE
-                hi_r = out.pop()
-                lo_r = out.pop()
-                push((_STORE, OP_COMPOSE, frame[1], frame[2], frame[3]))
-                push((_VISIT, OP_ITE, frame[4], hi_r, lo_r))
 
         # Charge the sub-interval remainder so short runs still count:
         # step budgets must accumulate across many small applies, not

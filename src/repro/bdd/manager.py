@@ -19,10 +19,11 @@ library is used.  Design notes:
 * There is no reference counting.  :meth:`BDD.collect` takes the set of
   roots the caller still needs and sweeps everything else, recycling
   node ids through a free list.
-* All Boolean/quantifier operations are evaluated by the iterative
+* All Boolean operations and cofactors are evaluated by the iterative
   kernel in :mod:`repro.bdd.kernel` — one explicit-stack evaluator
-  driven by an operator table, so no operation can hit Python's
-  recursion limit.  Each operator owns a bounded computed table
+  driven by a six-row operator table, so no operation can hit
+  Python's recursion limit; :meth:`BDD.compose` is one ITE over two
+  cofactors.  Each operator owns a bounded computed table
   (:class:`~repro.bdd.kernel.OpCache`); entries are generation-stamped
   so reordering and garbage collection invalidate *selectively*
   instead of clearing the tables (see :meth:`cache_stats`).  The
@@ -44,9 +45,6 @@ from repro.bdd.kernel import (
     TRUE,
     OP_AND,
     OP_COFACTOR,
-    OP_COMPOSE,
-    OP_EXISTS,
-    OP_FORALL,
     OP_ITE,
     OP_NOT,
     OP_OR,
@@ -121,9 +119,6 @@ class BDD:
         self._epoch = 0
         # Memo for crossing-section queries (see repro.bdd.traversal).
         self._sections_memo: dict = {}
-        # Registered variable groups for quantification cache keys.
-        self._groups: list[frozenset[int]] = []
-        self._group_ids: dict[frozenset[int], int] = {}
         # Instrumentation counters (surfaced via cache_stats / stats.py).
         self._op_calls = 0
         self._kernel_steps = 0
@@ -328,16 +323,12 @@ class BDD:
         self._op_calls += 1
         return run(self, OP_ITE, f, g, h)
 
-    def xnor(self, f: int, g: int) -> int:
-        """Equivalence ``f ≡ g`` — the paper's y_i ≡ f_i(X) building block."""
-        return self.apply_not(self.apply_xor(f, g))
-
     def implies(self, f: int, g: int) -> bool:
         """Decide whether ``f → g`` is a tautology (``f·¬g = 0``)."""
         return self.apply_and(f, self.apply_not(g)) == FALSE
 
     # ------------------------------------------------------------------
-    # Cofactors, restriction, composition, quantification
+    # Cofactors, restriction, composition
     # ------------------------------------------------------------------
 
     def cofactor(self, f: int, vid: int, value: int) -> int:
@@ -354,39 +345,12 @@ class BDD:
         return f
 
     def compose(self, f: int, vid: int, g: int) -> int:
-        """Substitute function ``g`` for variable ``vid`` in ``f``."""
-        self._op_calls += 1
-        if f <= 1:
-            return f
-        return run(self, OP_COMPOSE, f, vid, g)
+        """Substitute function ``g`` for variable ``vid`` in ``f``.
 
-    def var_group(self, vids: Iterable[int]) -> int:
-        """Register a variable set and return a small cache id for it."""
-        fs = frozenset(vids)
-        gid = self._group_ids.get(fs)
-        if gid is None:
-            gid = len(self._groups)
-            self._groups.append(fs)
-            self._group_ids[fs] = gid
-        return gid
-
-    def group_vars(self, gid: int) -> frozenset[int]:
-        """The variable set registered under ``gid``."""
-        return self._groups[gid]
-
-    def exists(self, f: int, gid: int) -> int:
-        """Existential quantification over a registered variable group."""
-        self._op_calls += 1
-        if f <= 1:
-            return f
-        return run(self, OP_EXISTS, f, gid)
-
-    def forall(self, f: int, gid: int) -> int:
-        """Universal quantification over a registered variable group."""
-        self._op_calls += 1
-        if f <= 1:
-            return f
-        return run(self, OP_FORALL, f, gid)
+        Shannon form ``g·f|v=1 ∨ ¬g·f|v=0``: the two cofactors walk ``f``
+        through the cofactor tier and one ITE merges ``g``.
+        """
+        return self.ite(g, self.cofactor(f, vid, 1), self.cofactor(f, vid, 0))
 
     # ------------------------------------------------------------------
     # Inspection
@@ -486,32 +450,6 @@ class BDD:
             counts[u] = total
         top_pos = index_of_level[level_of[vid_arr[f]]]
         return counts[f] << top_pos
-
-    def iter_onset_cubes(self, f: int) -> Iterator[dict[int, int]]:
-        """Yield cubes (partial assignments vid -> bit) covering the onset."""
-        path: dict[int, int] = {}
-        # Explicit DFS preserving the recursive order: lo branch first.
-        stack: list[tuple] = [(0, f)]
-        while stack:
-            frame = stack.pop()
-            tag = frame[0]
-            if tag == 0:  # visit node
-                u = frame[1]
-                if u == FALSE:
-                    continue
-                if u == TRUE:
-                    yield dict(path)
-                    continue
-                vid = self._vid[u]
-                stack.append((2, vid))
-                stack.append((0, self._hi[u]))
-                stack.append((1, vid, 1))
-                stack.append((0, self._lo[u]))
-                stack.append((1, vid, 0))
-            elif tag == 1:  # bind vid -> bit
-                path[frame[1]] = frame[2]
-            else:  # unbind vid
-                del path[frame[1]]
 
     # ------------------------------------------------------------------
     # Caches and maintenance

@@ -231,44 +231,6 @@ def ref_compose(bdd, f: int, vid: int, g: int) -> int:
     return r
 
 
-def ref_exists(bdd, f: int, gid: int) -> int:
-    if f <= 1:
-        return f
-    key = ("ex", f, gid)
-    cache = _cache(bdd)
-    r = cache.get(key)
-    if r is not None:
-        return r
-    vid = bdd._vid[f]
-    lo = ref_exists(bdd, bdd._lo[f], gid)
-    hi = ref_exists(bdd, bdd._hi[f], gid)
-    if vid in bdd._groups[gid]:
-        r = ref_apply_or(bdd, lo, hi)
-    else:
-        r = bdd.mk(vid, lo, hi)
-    cache[key] = r
-    return r
-
-
-def ref_forall(bdd, f: int, gid: int) -> int:
-    if f <= 1:
-        return f
-    key = ("fa", f, gid)
-    cache = _cache(bdd)
-    r = cache.get(key)
-    if r is not None:
-        return r
-    vid = bdd._vid[f]
-    lo = ref_forall(bdd, bdd._lo[f], gid)
-    hi = ref_forall(bdd, bdd._hi[f], gid)
-    if vid in bdd._groups[gid]:
-        r = ref_apply_and(bdd, lo, hi)
-    else:
-        r = bdd.mk(vid, lo, hi)
-    cache[key] = r
-    return r
-
-
 def seed_ordered_total(bdd, u: int) -> bool:
     """Seed-parity totality check (plain recursive walk + dict memo)."""
     cache = _cache(bdd)
@@ -316,9 +278,6 @@ _PATCHED_OPS = (
     ("apply_not", ref_apply_not),
     ("ite", ref_ite),
     ("cofactor", ref_cofactor),
-    ("compose", ref_compose),
-    ("exists", ref_exists),
-    ("forall", ref_forall),
 )
 
 

@@ -421,6 +421,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     if getattr(args, "fabric", None) and getattr(args, "timeout", None) is not None:
         parser.error("--fabric has no row deadline; drop --timeout")
     command = args.command
+    if command in ("table4", "table5", "sweep"):
+        # An unknown benchmark name is a misconfigured invocation, not
+        # a row fault to quarantine row by row: refuse it before any run.
+        from repro.benchfns.registry import get_benchmark
+        from repro.errors import BenchmarkError
+
+        for name in args.names:
+            try:
+                get_benchmark(name)
+            except BenchmarkError as exc:
+                parser.error(str(exc))
     if command == "table4":
         return _cmd_table4(args)
     if command == "table5":
@@ -616,13 +627,6 @@ def _cmd_sweep(args) -> int:
     if unknown:
         print(f"unknown tables: {', '.join(sorted(unknown))}", file=sys.stderr)
         return 2
-    if args.names:
-        # Fail fast: an unknown benchmark name is a misconfigured
-        # invocation, not a row fault to quarantine row by row.
-        from repro.benchfns.registry import get_benchmark
-
-        for name in args.names:
-            get_benchmark(name)
     tasks = []
     if "4" in tables:
         tasks += [

@@ -161,7 +161,13 @@ def enumerate_band_walks(
         memo[key] = results
         return results
 
-    return walk(entry, 0)
+    try:
+        return walk(entry, 0)
+    finally:
+        # ``walk`` refers to itself through its closure; without the
+        # del the cycle keeps ``bdd`` and ``memo`` alive until the
+        # cyclic GC runs, so peak RSS would follow the GC's timing.
+        del walk
 
 
 @dataclass

@@ -26,18 +26,10 @@ stale hash (same key, different options) is re-run with a warning.
 ``crc`` is a BLAKE2b digest of the record's canonical JSON without the
 ``crc`` field itself.
 
-Durability: by default every append is flushed and ``fsync``'d before
-the row's outcome is reported to the caller, and each record is a
-single ``write`` of one complete line, so the only possible damage
-from a kill is a *torn tail* — a partial final line.  Long fabric
-ledgers on slow disks can relax this: with ``REPRO_JOURNAL_FSYNC=0``
-(read through :func:`repro._config.env_flag`; the default stays the
-safe per-record fsync) appends are still flushed to the OS per record
-but ``fsync`` runs only every :data:`FSYNC_BATCH` records, on
-:meth:`Journal.sync`, and on close.  A kill can then lose a *suffix*
-of recent records — never corrupt earlier ones — and the torn-tail
-truncation below still recovers the journal (pinned by
-``tests/parallel/test_journal.py``).  On open, the journal
+Durability: every append is flushed and ``fsync``'d before the row's
+outcome is reported to the caller, and each record is a single
+``write`` of one complete line, so the only possible damage from a
+kill is a *torn tail* — a partial final line.  On open, the journal
 scans forward record by record; at the first undecodable or
 checksum-failing line it copies the damaged remainder to ``<path>.bad``
 (same idiom as :meth:`~repro.parallel.costs.CostModel.load`), truncates
@@ -66,12 +58,10 @@ import warnings
 from pathlib import Path
 from typing import Any
 
-from repro._config import env_flag
 from repro.errors import JournalError
 from repro.parallel.tasks import RowTask, TaskResult
 
 __all__ = [
-    "FSYNC_BATCH",
     "JOURNAL_FORMAT",
     "JOURNAL_VERSION",
     "Journal",
@@ -87,10 +77,6 @@ __all__ = [
 
 JOURNAL_FORMAT = "repro-sweep-journal"
 JOURNAL_VERSION = 1
-
-#: With batched fsync (``REPRO_JOURNAL_FSYNC=0``), how many appends may
-#: pass between explicit ``fsync`` calls.
-FSYNC_BATCH = 64
 
 #: ``TaskResult.status`` values that make a journaled row resumable.
 RESUMABLE_STATUSES = ("ok", "degraded", "budget_exceeded")
@@ -171,23 +157,9 @@ class Journal:
     underlying descriptor is released deterministically.
     """
 
-    def __init__(
-        self,
-        path: str | Path,
-        *,
-        resume: bool = False,
-        fsync: bool | None = None,
-    ) -> None:
+    def __init__(self, path: str | Path, *, resume: bool = False) -> None:
         self.path = Path(path)
         self.resume = bool(resume)
-        #: True = fsync every record (the safe default); False = flush
-        #: per record, fsync every :data:`FSYNC_BATCH` appends and on
-        #: :meth:`sync`/:meth:`close`.  ``None`` reads the
-        #: ``REPRO_JOURNAL_FSYNC`` env knob.
-        self.fsync_every = (
-            env_flag("REPRO_JOURNAL_FSYNC", True) if fsync is None else bool(fsync)
-        )
-        self._unsynced = 0
         #: key -> latest valid *result* record (decoded lazily).
         self._results: dict[str, dict] = {}
         #: key -> latest valid *attempt* record (for :meth:`pending`).
@@ -314,29 +286,11 @@ class Journal:
         try:
             self._fh.write(line)
             self._fh.flush()
-            if self.fsync_every:
-                os.fsync(self._fh.fileno())
-            else:
-                self._unsynced += 1
-                if self._unsynced >= FSYNC_BATCH:
-                    os.fsync(self._fh.fileno())
-                    self._unsynced = 0
+            os.fsync(self._fh.fileno())
         except OSError as exc:
             raise JournalError(
                 f"cannot append to journal {self.path}: {exc}"
             ) from exc
-
-    def sync(self) -> None:
-        """Force any batched appends to stable storage now."""
-        fh = getattr(self, "_fh", None)
-        if fh is None or fh.closed:
-            return
-        try:
-            fh.flush()
-            os.fsync(fh.fileno())
-        except OSError as exc:
-            raise JournalError(f"cannot sync journal {self.path}: {exc}") from exc
-        self._unsynced = 0
 
     def record_attempt(self, task: RowTask, attempt: int, doc: dict | None = None) -> None:
         """Journal that an attempt of ``task`` is starting.

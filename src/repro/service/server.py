@@ -53,6 +53,7 @@ recovery path here is exercised deterministically in CI.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import functools
 import json
 import os
@@ -728,6 +729,12 @@ class Service:
                 )
                 writer.write(http("404 Not Found", body, "application/json"))
             await writer.drain()
+            # A shard worker forked during this request holds a copy of
+            # the connection, so close() alone sends no FIN; shutting the
+            # write side down does, whoever else holds the socket.  A
+            # client that already reset has nothing left to shut down.
+            with contextlib.suppress(OSError):
+                writer.write_eof()
         except (
             ConnectionResetError,
             BrokenPipeError,

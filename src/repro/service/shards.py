@@ -140,13 +140,6 @@ class Shard:
         #: computed tables — is what "warm" means; evicting
         #: an entry cold-starts that row.
         self.cfs: dict[str, CharFunction] = {}
-        #: Cache keys referenced by queries currently executing, with
-        #: reference counts.  Housekeeping never evicts a pinned CF —
-        #: an in-flight query holds its base CF's manager.
-        self._pins: dict[str, int] = {}
-        #: While a query executes, the keys it touched (so ``execute``
-        #: can unpin exactly what it pinned, reentrantly).
-        self._active: list[str] | None = None
         #: Additive engine counters attributed to this shard (schema
         #: v8), accumulated with :func:`repro.bdd.stats.merge_additive`.
         self.counters: dict[str, int] = {}
@@ -163,9 +156,6 @@ class Shard:
         """Mark a cache hit: re-insert the key at the recent end."""
         self.cfs.pop(key, None)
         self.cfs[key] = cf
-        if self._active is not None:
-            self._pins[key] = self._pins.get(key, 0) + 1
-            self._active.append(key)
 
     def _snapshot_path(self, key: str) -> Path | None:
         if self.snapshot_dir is None:
@@ -246,8 +236,6 @@ class Shard:
         """
         before = stats.snapshot()
         self.queries += 1
-        outer_active = self._active
-        self._active = active = []
         try:
             if op == "width_reduce":
                 result = self._width_reduce(params)
@@ -260,13 +248,6 @@ class Shard:
             else:
                 raise ServiceError(f"shard cannot execute op {op!r}")
         finally:
-            self._active = outer_active
-            for key in active:
-                count = self._pins.get(key, 0) - 1
-                if count > 0:
-                    self._pins[key] = count
-                else:
-                    self._pins.pop(key, None)
             stats.merge_additive(
                 self.counters, stats.counter_delta(before, stats.snapshot())
             )
@@ -363,10 +344,11 @@ class Shard:
            variable structure), free the cones left behind by
            reductions and decompositions;
         2. still over the ceiling: **evict whole CFs, coldest first**
-           (``cfs`` is in LRU order).  CFs pinned by an in-flight query
-           are never evicted — their managers are being traversed right
-           now.  Evicted CFs cold-start their next query (or reload
-           from a snapshot, when configured).
+           (``cfs`` is in LRU order).  Evicted CFs cold-start their next
+           query (or reload from a snapshot, when configured).
+
+        It runs between queries (after :meth:`ShardPool.execute`'s query
+        returns), so no CF it evicts is being traversed.
 
         Returns the number of nodes freed (0 under the threshold —
         collection invalidates the very caches that make the shard
@@ -386,8 +368,6 @@ class Shard:
         for key in list(self.cfs):
             if self.alive_nodes() <= max_alive:
                 break
-            if self._pins.get(key, 0) > 0:
-                continue
             del self.cfs[key]
             self.evicted_cfs += 1
         return freed

@@ -127,13 +127,6 @@ class TestBooleanOps:
         assert bdd.ite(x, FALSE, TRUE) == bdd.apply_not(x)
         assert bdd.ite(x, y, y) == y
 
-    def test_xnor(self):
-        bdd, x, y = self._two_vars()
-        f = bdd.xnor(x, y)
-        for a in (0, 1):
-            for b in (0, 1):
-                assert bdd.evaluate(f, {0: a, 1: b}) == (1 if a == b else 0)
-
     def test_implies(self):
         bdd, x, y = self._two_vars()
         assert bdd.implies(bdd.apply_and(x, y), x)
@@ -171,30 +164,6 @@ class TestCofactorRestrictCompose:
         assert h == expected
 
 
-class TestQuantification:
-    def test_exists(self):
-        bdd = BDD()
-        x, y = bdd.add_vars(["x", "y"])
-        f = bdd.apply_and(bdd.var(x), bdd.var(y))
-        gid = bdd.var_group([x])
-        assert bdd.exists(f, gid) == bdd.var(y)
-
-    def test_forall(self):
-        bdd = BDD()
-        x, y = bdd.add_vars(["x", "y"])
-        f = bdd.apply_or(bdd.var(x), bdd.var(y))
-        gid = bdd.var_group([x])
-        assert bdd.forall(f, gid) == bdd.var(y)
-
-    def test_group_reuse(self):
-        bdd = BDD()
-        x, y = bdd.add_vars(["x", "y"])
-        g1 = bdd.var_group([x, y])
-        g2 = bdd.var_group({y, x})
-        assert g1 == g2
-        assert bdd.group_vars(g1) == frozenset((x, y))
-
-
 class TestInspection:
     def test_support(self):
         bdd = BDD()
@@ -229,24 +198,6 @@ class TestInspection:
         vids = bdd.add_vars(["a", "b", "c"])
         f = bdd.var(vids[1])
         assert bdd.sat_count(f, vids=[vids[1]]) == 1
-
-    def test_iter_onset_cubes(self):
-        bdd = BDD()
-        x, y = bdd.add_vars(["x", "y"])
-        f = bdd.apply_or(bdd.var(x), bdd.var(y))
-        cubes = list(bdd.iter_onset_cubes(f))
-        # Every cube satisfies f; together they cover exactly the onset.
-        covered = set()
-        for cube in cubes:
-            free = [v for v in (x, y) if v not in cube]
-            for fill in range(1 << len(free)):
-                asg = dict(cube)
-                for i, v in enumerate(free):
-                    asg[v] = (fill >> i) & 1
-                assert bdd.evaluate(f, asg) == 1
-                covered.add((asg[x], asg[y]))
-        assert covered == {(0, 1), (1, 0), (1, 1)}
-
 
 class TestMaintenance:
     def test_collect_frees_garbage(self):

@@ -67,40 +67,6 @@ class TestCacheCorrectness:
         ]
 
 
-class TestGroupsAndQuantifiers:
-    def test_empty_group(self):
-        bdd = BDD()
-        v = bdd.add_var("x")
-        gid = bdd.var_group([])
-        f = bdd.var(v)
-        assert bdd.exists(f, gid) == f
-        assert bdd.forall(f, gid) == f
-
-    def test_quantify_all_vars(self):
-        bdd = BDD()
-        vids = bdd.add_vars(["a", "b"])
-        f = bdd.apply_and(bdd.var(vids[0]), bdd.var(vids[1]))
-        gid = bdd.var_group(vids)
-        assert bdd.exists(f, gid) == TRUE
-        assert bdd.forall(f, gid) == FALSE
-
-    def test_nested_quantification(self):
-        bdd = BDD()
-        a, b, c = bdd.add_vars(["a", "b", "c"])
-        f = bdd.apply_or(
-            bdd.apply_and(bdd.var(a), bdd.var(b)),
-            bdd.apply_and(bdd.nvar(a), bdd.var(c)),
-        )
-        g1 = bdd.exists(bdd.forall(f, bdd.var_group([b])), bdd.var_group([a]))
-        # forall b: (a&b | ~a&c) == (a ? 0|... ) — cross-check by enumeration
-        want = FALSE
-        for av in (0, 1):
-            sub = bdd.restrict(f, {a: av})
-            wa = bdd.forall(sub, bdd.var_group([b]))
-            want = bdd.apply_or(want, wa)
-        assert g1 == want
-
-
 class TestMisuse:
     def test_unknown_variable_in_assignment(self):
         bdd = BDD()

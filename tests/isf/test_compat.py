@@ -227,20 +227,19 @@ class TestKernelMatchesReference:
     def test_ops_match_reference(self, ta, tb):
         bdd, vids, f = build(ta, N_VARS)
         g = from_truth_table(bdd, vids, tb)
-        gid = bdd.var_group(vids[:2])
         assert bdd.apply_and(f, g) == reference.ref_apply_and(bdd, f, g)
         assert bdd.apply_xor(f, g) == reference.ref_apply_xor(bdd, f, g)
-        assert bdd.exists(f, gid) == reference.ref_exists(bdd, f, gid)
-        assert bdd.forall(g, gid) == reference.ref_forall(bdd, g, gid)
+        for v in vids:
+            assert bdd.compose(f, v, g) == reference.ref_compose(bdd, f, v, g)
 
     @settings(max_examples=15, deadline=None)
     @given(DEEP_TABLE)
     def test_ops_match_reference_on_9_vars(self, table):
         bdd, vids, f = build(table, N_DEEP)
         g = bdd.apply_not(bdd.cofactor(f, vids[0], 1))
-        gid = bdd.var_group(vids[-3:])
         assert bdd.apply_and(f, g) == reference.ref_apply_and(bdd, f, g)
-        assert bdd.exists(f, gid) == reference.ref_exists(bdd, f, gid)
+        for v in vids:
+            assert bdd.compose(f, v, g) == reference.ref_compose(bdd, f, v, g)
 
 
 class TestWalksMatchSeed:

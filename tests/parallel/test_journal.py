@@ -355,48 +355,3 @@ class TestCompaction:
         assert "2 -> 1 record(s)" in out
         assert path.with_name(path.name + ".old").exists()
         assert main(["journal", "compact", str(tmp_path / "missing.jsonl")]) == 1
-
-
-class TestBatchedFsync:
-    def test_env_knob_defaults_safe(self, tmp_path, monkeypatch):
-        path = tmp_path / "sweep.jsonl"
-        monkeypatch.delenv("REPRO_JOURNAL_FSYNC", raising=False)
-        with Journal(path) as journal:
-            assert journal.fsync_every is True
-        monkeypatch.setenv("REPRO_JOURNAL_FSYNC", "0")
-        with Journal(path) as journal:
-            assert journal.fsync_every is False
-        # An explicit argument wins over the environment.
-        with Journal(path, fsync=True) as journal:
-            assert journal.fsync_every is True
-
-    def test_batched_appends_flushed_and_synced(self, tmp_path):
-        from repro.parallel.journal import FSYNC_BATCH
-
-        path = tmp_path / "sweep.jsonl"
-        with Journal(path, fsync=False) as journal:
-            for attempt in range(FSYNC_BATCH + 3):
-                journal.record_attempt(ROWS[0], attempt)
-            # Crossing the batch boundary resets the unsynced counter
-            # (the header append counts as the first unsynced record).
-            assert journal._unsynced == 4
-            journal.sync()
-            assert journal._unsynced == 0
-            # Records are flushed (visible) even before close.
-            assert len(read_records(path)) == FSYNC_BATCH + 4
-        assert len(read_records(path)) == FSYNC_BATCH + 4
-
-    def test_torn_tail_recovery_with_batching(self, tmp_path):
-        # The crash-recovery contract is identical with batching on: a
-        # torn tail is truncated to the last whole record, not trusted.
-        path = tmp_path / "sweep.jsonl"
-        task = ROWS[0]
-        with Journal(path, fsync=False) as journal:
-            journal.record_result(task, execute_task(task))
-        intact = path.read_bytes()
-        path.write_bytes(intact + b'{"type":"result","key":"tor')
-        with pytest.warns(UserWarning, match="torn tail"):
-            with Journal(path, resume=True, fsync=False) as journal:
-                assert journal.tail_truncated
-                assert list(journal.resumable([task])) == [0]
-        assert path.read_bytes() == intact

@@ -12,6 +12,7 @@ import os
 import pathlib
 import re
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -386,12 +387,7 @@ class TestWorkerListeners:
             tmp_path, "--http", "127.0.0.1:0", "--workers", "1"
         )
         try:
-            port = None
-            while port is None:
-                line = proc.stdout.readline().decode()
-                assert line, "daemon exited before its banner"
-                match = re.search(r"http 127\.0\.0\.1:(\d+)", line)
-                port = int(match.group(1)) if match else None
+            port = http_port(proc)
             with SocketClient(sock, timeout=120) as client:
                 reply = client.call("width_reduce", {"benchmark": BENCH})
                 assert reply["ok"], reply
@@ -409,6 +405,47 @@ class TestWorkerListeners:
         finally:
             stop_daemon(proc, sock)
         assert proc.wait(timeout=30) == 0
+
+    def test_http_reply_reaches_eof_when_its_request_forks_a_worker(self, tmp_path):
+        """The first query of a family forks its shard worker while the
+        HTTP connection is open, so the worker inherits the accepted
+        socket; the reply must still end in EOF, not wait for the
+        worker to exit."""
+        proc, sock = start_daemon(tmp_path, "--http", "127.0.0.1:0")
+        try:
+            port = http_port(proc)
+            line = json.dumps(
+                {"id": "w", "op": "width_reduce", "params": {"benchmark": BENCH}}
+            ).encode() + b"\n"
+            with socket.create_connection(("127.0.0.1", port), timeout=120) as conn:
+                conn.sendall(
+                    b"POST /query HTTP/1.1\r\nHost: localhost\r\n"
+                    + f"Content-Length: {len(line)}\r\n\r\n".encode()
+                    + line
+                )
+                raw = conn.recv(65536)  # waits out the cold build
+                conn.settimeout(10)
+                try:
+                    while chunk := conn.recv(65536):
+                        raw += chunk
+                except socket.timeout:
+                    pytest.fail(f"no EOF within 10 s after {len(raw)} reply bytes")
+            body = raw.partition(b"\r\n\r\n")[2]
+            assert raw.startswith(b"HTTP/1.1 200 OK")
+            assert json.loads(body)["ok"], body
+        finally:
+            stop_daemon(proc, sock)
+        assert proc.wait(timeout=30) == 0
+
+
+def http_port(proc) -> int:
+    """The HTTP port from the daemon's ``serving on`` banner."""
+    while True:
+        line = proc.stdout.readline().decode()
+        assert line, "daemon exited before its banner"
+        match = re.search(r"http 127\.0\.0\.1:(\d+)", line)
+        if match:
+            return int(match.group(1))
 
 
 def socket_inodes(pid: int) -> set[int]:

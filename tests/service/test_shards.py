@@ -79,51 +79,18 @@ class TestEvictionOrder:
     def test_eviction_cold_starts_the_next_query(self):
         shard = hot_cold_shard()
         builds_before = shard.cold_builds
-        shard.housekeep(0)  # evict everything (nothing pinned)
+        shard.housekeep(0)  # evict everything
         assert shard.cfs == {}
         shard.base_cf(COLD)
         assert shard.cold_builds == builds_before + 1
 
-
-class TestPinning:
-    def test_pinned_cf_is_never_evicted(self):
-        shard = hot_cold_shard()
-        shard._pins[key_of(COLD)] = 1  # an in-flight query holds it
-        shard.housekeep(0)
-        assert key_of(COLD) in shard.cfs, "pinned CF survived"
-        assert key_of(HOT) not in shard.cfs, "unpinned CF was evicted"
-
-    def test_execute_pins_only_for_its_duration(self):
+    def test_housekeep_after_execute_evicts_every_cf(self):
+        # Housekeeping runs once a query has returned; nothing it built
+        # is held back.
         shard = Shard("rns")
         shard.execute("width_reduce", {"benchmark": HOT})
-        # After execute returns no pins linger, so housekeeping can
-        # evict freely between queries.
-        assert shard._pins == {}
         shard.housekeep(0)
         assert shard.cfs == {}
-
-    def test_in_flight_query_base_cf_survives_housekeep(self):
-        """The race the pin exists for: housekeeping fired *during* a
-        query (here simulated from inside the op via a hooked build)
-        must not evict the CF that query is traversing."""
-        shard = Shard("rns")
-        shard.base_cf(COLD)
-        seen = {}
-        original = shard._width_reduce
-
-        def hooked(params):
-            result = original(params)  # builds and pins HOT
-            # Mid-query (before execute unpins), memory pressure strikes:
-            shard.housekeep(0)
-            seen["cold_evicted"] = key_of(COLD) not in shard.cfs
-            seen["mine_kept"] = key_of(HOT) in shard.cfs
-            return result
-
-        shard._width_reduce = hooked
-        result = shard.execute("width_reduce", {"benchmark": HOT})
-        assert result["benchmark"] == HOT
-        assert seen["cold_evicted"], "idle CF was evictable"
-        assert seen["mine_kept"], "the executing query's CF was pinned"
 
 
 class TestSnapshots:

@@ -48,11 +48,16 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main([])
 
-    def test_unknown_benchmark_fails_loudly(self):
-        from repro.errors import BenchmarkError
-
-        with pytest.raises(BenchmarkError):
-            main(["table4", "definitely-not-a-benchmark"])
+    @pytest.mark.parametrize("command", ["table4", "table5", "sweep"])
+    def test_unknown_benchmark_fails_loudly(self, command, capsys):
+        # A usage error (exit 2, one line naming the benchmark), not a
+        # traceback, and refused before any row runs.
+        with pytest.raises(SystemExit) as info:
+            main([command, "3-5 RNS", "definitely-not-a-benchmark"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert "unknown benchmark 'definitely-not-a-benchmark'" in captured.err
+        assert captured.out == ""
 
     def test_serve_needs_at_least_one_worker(self, capsys):
         # No listener: the parser must refuse before any other check.
