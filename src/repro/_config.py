@@ -67,21 +67,6 @@ def env_flag(name: str, default: bool = False) -> bool:
     return raw not in _FALSY
 
 
-def env_int(name: str, default: int, *, lo: int | None = None, hi: int | None = None) -> int:
-    """Integer environment read with clamping; malformed values yield
-    ``default`` rather than crashing a long-lived process on a typo."""
-    raw = os.environ.get(name, "").strip()
-    try:
-        value = int(raw) if raw else default
-    except ValueError:
-        value = default
-    if lo is not None:
-        value = max(lo, value)
-    if hi is not None:
-        value = min(hi, value)
-    return value
-
-
 def full_scale() -> bool:
     """Return True when the paper's full-size word lists are requested.
 

@@ -56,7 +56,12 @@ def from_truth_table(bdd: BDD, vids: Sequence[int], table: Sequence[int]) -> int
         hi = build(pos + 1, base + (1 << (n - pos - 1)))
         return bdd.mk(vids[pos], lo, hi)
 
-    return build(0, 0)
+    try:
+        return build(0, 0)
+    finally:
+        # ``build`` refers to itself through its closure; without the
+        # del the cycle keeps ``bdd`` alive until the cyclic GC runs.
+        del build
 
 
 def from_sorted_minterms(bdd: BDD, vids: Sequence[int], minterms: Sequence[int]) -> int:

@@ -96,7 +96,10 @@ def constrain(bdd: BDD, f: int, c: int) -> int:
         tier.insert(key, (r, epoch, gen[f_], gen[c_], gen[r]))
         return r
 
-    return walk(f, c)
+    try:
+        return walk(f, c)
+    finally:
+        del walk  # the closure refers to itself: free it without the cyclic GC
 
 
 def restrict_gc(bdd: BDD, f: int, c: int) -> int:
@@ -151,4 +154,7 @@ def restrict_gc(bdd: BDD, f: int, c: int) -> int:
         tier.insert(key, (r, epoch, gen[f_], gen[c_], gen[r]))
         return r
 
-    return walk(f, c)
+    try:
+        return walk(f, c)
+    finally:
+        del walk  # the closure refers to itself: free it without the cyclic GC

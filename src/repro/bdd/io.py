@@ -36,13 +36,12 @@ import contextlib
 import hashlib
 import json
 import mmap
-import os
 import sys
-import tempfile
 from array import array
 from collections.abc import Mapping
 from pathlib import Path
 
+from repro.bdd import stats
 from repro.bdd.manager import BDD, check_capacity
 from repro.cf.charfun import CharFunction
 from repro.errors import BDDError
@@ -449,21 +448,7 @@ def dump_snapshot(cf: CharFunction, path: str | Path) -> Path:
     """Write an RBCF snapshot atomically (temp file + ``os.replace``)."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    blob = snapshot_bytes(cf)
-    fd, tmp = tempfile.mkstemp(
-        prefix=target.name + ".", suffix=".tmp", dir=target.parent
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(blob)
-        os.replace(tmp, target)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return target
+    return stats.atomic_write(target, snapshot_bytes(cf))
 
 
 def load_snapshot(path: str | Path) -> CharFunction:

@@ -556,23 +556,8 @@ class BDD:
         return sum(len(table) for table in self._unique)
 
     def check_invariants(self, roots: Iterable[int] = ()) -> None:
-        """Assert ordered/reduced/hash-consing invariants (for tests)."""
-        for vid, table in enumerate(self._unique):
-            for key, u in table.items():
-                lo, hi = key >> 32, key & 0xFFFFFFFF
-                assert self._vid[u] == vid, "unique table vid mismatch"
-                assert self._lo[u] == lo and self._hi[u] == hi, "unique table child mismatch"
-                assert lo != hi, "unreduced node in unique table"
-                assert self.level(lo) > self._level_of[vid], "ordering violated (lo)"
-                assert self.level(hi) > self._level_of[vid], "ordering violated (hi)"
-        for u in self.reachable(roots):
-            if u > 1:
-                vid = self._vid[u]
-                assert self._unique[vid].get((self._lo[u] << 32) | self._hi[u]) == u, (
-                    "reachable node missing from unique table"
-                )
-        order = self._var_at_level
-        assert sorted(order) == list(range(self.num_vars)), "order is not a permutation"
-        for lvl, vid in enumerate(order):
-            assert self._level_of[vid] == lvl, "level_of inconsistent with var_at_level"
-        assert self._n_alive == self.num_alive_nodes(), "alive-node counter drifted"
+        """Raise :class:`~repro.errors.IntegrityError` when
+        :func:`repro.bdd.check.check_manager` finds a violation."""
+        from repro.bdd import check
+
+        check.verify_manager(self, roots)

@@ -253,7 +253,10 @@ def seed_ordered_total(bdd, u: int) -> bool:
         cache[key] = r
         return r
 
-    return walk(u)
+    try:
+        return walk(u)
+    finally:
+        del walk  # the closure refers to itself: free it without the cyclic GC
 
 
 def seed_compatible_columns(bdd, a: int, b: int) -> bool:

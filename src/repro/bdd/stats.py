@@ -299,7 +299,7 @@ def write_bench_json(
         "records": RECORDS,
         "meta": {**host_meta(), **(meta or {})},
     }
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 
 
@@ -312,22 +312,23 @@ def host_meta() -> dict:
     }
 
 
-def atomic_write_text(path: str | Path, text: str) -> Path:
-    """Write ``text`` to ``path`` atomically (temp file + ``os.replace``).
+def atomic_write(path: str | Path, data: str | bytes) -> Path:
+    """Write ``data`` to ``path`` atomically (temp file + ``os.replace``).
 
-    The same pattern as :meth:`repro.parallel.costs.CostModel.save`: a
-    process killed mid-write can leave a stray temp file but never a
+    A process killed mid-write can leave a stray temp file but never a
     torn half-document at the target path, so BENCH_*.json readers (and
-    the schema validation in ``benchmarks/conftest.py``) only ever see
-    complete payloads.
+    the schema validation in ``benchmarks/conftest.py``), cost-model
+    loads and RBCF snapshot loads only ever see complete files.  The
+    write is not fsynced: it survives a crash of the process, not of
+    the machine.
     """
     target = Path(path)
     fd, tmp = tempfile.mkstemp(
         prefix=target.name + ".", suffix=".tmp", dir=target.parent
     )
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as handle:
+            handle.write(data)
         os.replace(tmp, target)
     except BaseException:
         try:

@@ -109,41 +109,3 @@ def transfer_by_name(
     for s in missing:
         vid_map[s] = dst.add_var(src.name_of(s), kind=src.kind_of(s))
     return transfer(src, dst, roots, vid_map)
-
-
-def extract_charfunction(cf) -> "object":
-    """Copy a CharFunction into a fresh, minimal manager.
-
-    The query service computes results on long-lived *warm* managers
-    whose variable sets and node arrays accumulate across requests;
-    serializing straight off one would embed every variable the shard
-    has ever seen into the payload (``forest_payload`` emits the whole
-    manager order).  This helper rebuilds just the CF — its input and
-    output variables in their current relative order, plus the cone of
-    its root — in a brand-new manager via :func:`transfer_by_name`, so
-    the served payload is identical to what an isolated one-shot
-    computation would produce.  Returns the new CharFunction.
-    """
-    from repro.cf.charfun import CharFunction
-
-    src = cf.bdd
-    dst = BDD()
-    keep = set(cf.input_vids) | set(cf.output_vids)
-    for level in range(src.num_vars):
-        vid = src.vid_at_level(level)
-        if vid in keep:
-            dst.add_var(src.name_of(vid), kind=src.kind_of(vid))
-    (root,) = transfer_by_name(src, dst, [cf.root], add_missing=False)
-    return CharFunction(
-        dst,
-        root,
-        [dst.vid(src.name_of(v)) for v in cf.input_vids],
-        [dst.vid(src.name_of(v)) for v in cf.output_vids],
-        name=cf.name,
-        output_supports={
-            dst.vid(src.name_of(y)): frozenset(
-                dst.vid(src.name_of(x)) for x in xs
-            )
-            for y, xs in cf.output_supports.items()
-        },
-    )

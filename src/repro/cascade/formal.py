@@ -72,7 +72,10 @@ def symbolic_cell_outputs(
             return lo
         return bdd.ite(selectors[depth], hi, lo)
 
-    data_fns = [build(bit, 0, 0, 0) for bit in range(total_bits)]
+    try:
+        data_fns = [build(bit, 0, 0, 0) for bit in range(total_bits)]
+    finally:
+        del build  # the closure refers to itself: free it without the cyclic GC
     return data_fns[:n_out], data_fns[n_out:]
 
 

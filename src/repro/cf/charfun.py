@@ -400,7 +400,10 @@ class CharFunction:
             ok[u] = r
             return r
 
-        return walk(self.root)
+        try:
+            return walk(self.root)
+        finally:
+            del walk  # the closure refers to itself: free it without the cyclic GC
 
     def _input_bits(self, minterm_or_bits: int | Sequence[int]) -> list[int]:
         n = len(self.input_vids)

@@ -271,7 +271,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         default=None,
         metavar="N",
         help="per-shard alive-node ceiling before query scratch is "
-        "collected (default: $REPRO_MAX_ALIVE or 2,000,000)",
+        "collected (N >= 1; default: 2,000,000)",
     )
     pserve.add_argument(
         "--max-queue-depth",
@@ -455,6 +455,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     if command == "serve":
         if args.workers is not None and args.workers < 1:
             parser.error("--workers must be at least 1")
+        if args.housekeep_nodes is not None and args.housekeep_nodes < 1:
+            parser.error("--housekeep-nodes must be at least 1")
         if args.drain_exit and not (args.journal and args.resume):
             parser.error("--drain-exit requires --journal PATH and --resume")
         if not args.drain_exit and not args.socket and not args.http:
@@ -854,6 +856,7 @@ def _cmd_serve(args) -> int:
     import asyncio
 
     from repro.service.server import DEFAULT_RESULT_CACHE, Service
+    from repro.service.shards import DEFAULT_MAX_ALIVE
 
     http_host, http_port = None, 0
     if args.http:
@@ -870,8 +873,11 @@ def _cmd_serve(args) -> int:
         resume=args.resume,
         cost_path=args.cost_file,
         tenant_max_steps=args.tenant_max_steps,
-        # None defers to default_max_alive() -> $REPRO_MAX_ALIVE.
-        max_alive=args.housekeep_nodes,
+        max_alive=(
+            args.housekeep_nodes
+            if args.housekeep_nodes is not None
+            else DEFAULT_MAX_ALIVE
+        ),
         max_queue_depth=args.max_queue_depth,
         tenant_max_inflight=args.tenant_max_inflight,
         breaker_threshold=args.breaker_threshold,

@@ -150,7 +150,10 @@ def mtbdd_from_function(
         h = build(level + 1, partial | (1 << (n_inputs - 1 - bit_pos)))
         return mk(level, l, h)
 
-    root = build(0, 0)
+    try:
+        root = build(0, 0)
+    finally:
+        del build  # the closure refers to itself: free it without the cyclic GC
     # Nodes were built with order-levels in 'var'; keep those as levels
     # and map to the tested bit position for evaluate().
     levels = var

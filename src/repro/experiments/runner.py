@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import random
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.benchfns.base import Benchmark
@@ -24,6 +25,7 @@ from repro.cf.charfun import CharFunction
 from repro.cf.width import max_width
 from repro.errors import ReproError
 from repro.isf.function import MultiOutputISF
+from repro.reduce import algorithm_3_3, reduce_support
 
 
 @dataclass
@@ -76,6 +78,31 @@ def build_sifted_cf(part: MultiOutputISF, *, sift: bool = True) -> CharFunction:
     if sift:
         _sift_or_degrade(cf, "ISF partition")
     return cf
+
+
+def partition_pipeline(
+    isf: MultiOutputISF, *, reduce: bool, sift: bool = True
+) -> tuple[Callable[[list[int]], CharFunction], set[str]]:
+    """The output-subset pipeline the cascade designs of Tables 5/6 use.
+
+    Returns ``(pipeline, removed)``: ``pipeline(indices)`` builds the
+    sifted BDD_for_CF of those outputs of ``isf`` and, with ``reduce``,
+    removes redundant support variables and runs Algorithm 3.3;
+    ``removed`` collects the names of the variables support reduction
+    removed, over every call.
+    """
+    removed: set[str] = set()
+
+    def pipeline(indices: list[int]) -> CharFunction:
+        part = isf.select(indices, name=f"{isf.name}[{indices[0]}..{indices[-1]}]")
+        cf = build_sifted_cf(part, sift=sift)
+        if reduce:
+            cf, dropped = reduce_support(cf)
+            removed.update(cf.bdd.name_of(v) for v in dropped)
+            cf, _stats = algorithm_3_3(cf)
+        return cf
+
+    return pipeline, removed
 
 
 def build_extension_cf(

@@ -25,11 +25,9 @@ from repro.cascade import (
     realize_forest,
     synthesize_forest,
 )
-from repro.cf.charfun import CharFunction
 from repro.errors import ReproError
-from repro.experiments.runner import build_sifted_cf, stable_seed
+from repro.experiments.runner import partition_pipeline, stable_seed
 from repro.isf.function import MultiOutputISF
-from repro.reduce import algorithm_3_3, reduce_support
 from repro.utils.tables import TextTable
 
 MAX_CELL_INPUTS = 12
@@ -47,32 +45,6 @@ class Table5Row:
     reduced: CascadeCost
 
 
-def _make_pipeline(isf: MultiOutputISF, *, reduce: bool, sift: bool = True):
-    """Pipeline mapping an output-index subset to a synthesizable CF."""
-    removed_total: set[str] = set()
-
-    def pipeline(indices: list[int]) -> CharFunction:
-        hints = isf.placement_supports
-        part = MultiOutputISF(
-            isf.bdd,
-            isf.input_vids,
-            [isf.outputs[i] for i in indices],
-            name=f"{isf.name}[{indices[0]}..{indices[-1]}]",
-            output_names=[isf.output_names[i] for i in indices],
-            placement_supports=(
-                [hints[i] for i in indices] if hints is not None else None
-            ),
-        )
-        cf = build_sifted_cf(part, sift=sift)
-        if reduce:
-            cf, removed = reduce_support(cf)
-            removed_total.update(cf.bdd.name_of(v) for v in removed)
-            cf, _stats = algorithm_3_3(cf)
-        return cf
-
-    return pipeline, removed_total
-
-
 def design(
     benchmark_isf: MultiOutputISF,
     *,
@@ -85,7 +57,7 @@ def design(
 
     Returns ``(cost, realization, forest)``.
     """
-    pipeline, removed = _make_pipeline(benchmark_isf, reduce=reduce, sift=sift)
+    pipeline, removed = partition_pipeline(benchmark_isf, reduce=reduce, sift=sift)
     forest = []
     half = (benchmark_isf.n_outputs + 1) // 2
     for indices in (list(range(half)), list(range(half, benchmark_isf.n_outputs))):

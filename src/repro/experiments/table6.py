@@ -34,11 +34,8 @@ from repro.cascade import (
     realize_forest,
     synthesize_forest,
 )
-from repro.cf.charfun import CharFunction
 from repro.errors import ReproError
-from repro.experiments.runner import build_sifted_cf, stable_seed
-from repro.isf.function import MultiOutputISF
-from repro.reduce import algorithm_3_3, reduce_support
+from repro.experiments.runner import partition_pipeline, stable_seed
 from repro.utils.tables import TextTable
 
 MAX_CELL_INPUTS = 12
@@ -54,31 +51,11 @@ class Table6Design:
     cost: CascadeCost
 
 
-def _pipeline_for(isf: MultiOutputISF, *, reduce: bool, sift: bool, removed_names: set[str]):
-    def pipeline(indices: list[int]) -> CharFunction:
-        part = MultiOutputISF(
-            isf.bdd,
-            isf.input_vids,
-            [isf.outputs[i] for i in indices],
-            name=f"{isf.name}[{len(indices)} outs]",
-            output_names=[isf.output_names[i] for i in indices],
-        )
-        cf = build_sifted_cf(part, sift=sift)
-        if reduce:
-            cf, removed = reduce_support(cf)
-            removed_names.update(cf.bdd.name_of(v) for v in removed)
-            cf, _stats = algorithm_3_3(cf)
-        return cf
-
-    return pipeline
-
-
 def design_dc0(word_list: WordList, *, sift: bool = True):
     """Pure-cascade realization of the completely specified function."""
     isf = build_wordlist_isf(word_list, dc_outside=False)
     m = word_list.index_bits
-    removed: set[str] = set()
-    pipeline = _pipeline_for(isf, reduce=False, sift=sift, removed_names=removed)
+    pipeline, _removed = partition_pipeline(isf, reduce=False, sift=sift)
     forest = synthesize_forest(
         list(range(m)),
         pipeline,
@@ -94,8 +71,7 @@ def design_fig8(word_list: WordList, *, sift: bool = True):
     """Fig. 8: reduced cascade + auxiliary memory + comparator."""
     isf = build_wordlist_isf(word_list, dc_outside=True)
     m = word_list.index_bits
-    removed: set[str] = set()
-    pipeline = _pipeline_for(isf, reduce=True, sift=sift, removed_names=removed)
+    pipeline, _removed = partition_pipeline(isf, reduce=True, sift=sift)
     forest = synthesize_forest(
         list(range(m)),
         pipeline,
@@ -166,6 +142,18 @@ def verify_dc0(
             raise ReproError(f"DC=0 design nonzero on non-word {x}")
 
 
+def table6_row(count: int, *, sift: bool = True, verify: bool = False) -> list[Table6Design]:
+    """Both designs for one word-list size (one row of :func:`run_table6`)."""
+    word_list = WordList(generate_words(count))
+    cost0, realization0 = design_dc0(word_list, sift=sift)
+    if verify:
+        verify_dc0(word_list, realization0)
+    cost8, generator = design_fig8(word_list, sift=sift)
+    if verify:
+        verify_generator(word_list, generator)
+    return [Table6Design("DC=0", count, cost0), Table6Design("Fig.8", count, cost8)]
+
+
 def run_table6(
     sizes: list[int] | None = None,
     *,
@@ -180,39 +168,25 @@ def run_table6(
 ) -> list[Table6Design]:
     """Both designs for every configured word list size.
 
-    With ``jobs > 1`` each word-list size becomes one row task on the
-    worker-process executor (:func:`repro.parallel.run_tasks`);
-    ``timeout``/``retries``/``node_limit`` bound each row and
-    ``journal``/``resume`` make the sweep crash-safe (see
-    :func:`repro.experiments.table4.run_table4`).
+    Each word-list size is one row task (:func:`table6_row`) on
+    :func:`repro.parallel.run_tasks`, at any ``jobs`` value: ``jobs``
+    fans the rows out over that many worker processes, a failing row is
+    quarantined rather than raised, ``timeout``/``retries``/``node_limit``
+    bound each row and ``journal``/``resume`` make the sweep crash-safe
+    (see :func:`repro.experiments.table4.run_table4`).
     """
-    if jobs > 1 or timeout is not None or node_limit is not None or journal is not None:
-        # Row bounds are enforced by the executor, so a bounded run
-        # goes through it even at jobs=1 (in-process, no workers).
-        from repro.parallel import run_tasks, table6_task
+    from repro.parallel import run_tasks, table6_task
 
-        sizes = list(sizes) if sizes is not None else list(word_list_sizes())
-        tasks = [
-            table6_task(count, sift=sift, verify=verify, node_limit=node_limit)
-            for count in sizes
-        ]
-        report = run_tasks(
-            tasks, jobs=jobs, timeout=timeout, retries=retries,
-            journal=journal, resume=resume,
-        )
-        return [row for rows in report.rows for row in rows]
-    rows: list[Table6Design] = []
-    for count in sizes if sizes is not None else list(word_list_sizes()):
-        word_list = WordList(generate_words(count))
-        cost0, realization0 = design_dc0(word_list, sift=sift)
-        if verify:
-            verify_dc0(word_list, realization0)
-        rows.append(Table6Design("DC=0", count, cost0))
-        cost8, generator = design_fig8(word_list, sift=sift)
-        if verify:
-            verify_generator(word_list, generator)
-        rows.append(Table6Design("Fig.8", count, cost8))
-    return rows
+    sizes = list(sizes) if sizes is not None else list(word_list_sizes())
+    tasks = [
+        table6_task(count, sift=sift, verify=verify, node_limit=node_limit)
+        for count in sizes
+    ]
+    report = run_tasks(
+        tasks, jobs=jobs, timeout=timeout, retries=retries,
+        journal=journal, resume=resume,
+    )
+    return [row for rows in report.rows for row in rows]
 
 
 def format_table6(rows: list[Table6Design]) -> str:

@@ -211,25 +211,28 @@ class MultiOutputISF:
             output_names=self.output_names,
         )
 
+    def select(self, indices: Sequence[int], *, name: str) -> "MultiOutputISF":
+        """The outputs at ``indices``, in that order, as their own function.
+
+        Output names and placement hints travel with their outputs.
+        """
+        hints = self.placement_supports
+        return MultiOutputISF(
+            self.bdd,
+            self.input_vids,
+            [self.outputs[i] for i in indices],
+            name=name,
+            output_names=[self.output_names[i] for i in indices],
+            placement_supports=(
+                [hints[i] for i in indices] if hints is not None else None
+            ),
+        )
+
     def bipartition(self) -> tuple["MultiOutputISF", "MultiOutputISF"]:
         """Output bi-partition of Sect. 5.1 (F1 = most significant half)."""
         m = self.n_outputs
         half = (m + 1) // 2
-        hints = self.placement_supports
-        f1 = MultiOutputISF(
-            self.bdd,
-            self.input_vids,
-            self.outputs[:half],
-            name=f"{self.name}/F1",
-            output_names=self.output_names[:half],
-            placement_supports=hints[:half] if hints is not None else None,
+        return (
+            self.select(range(half), name=f"{self.name}/F1"),
+            self.select(range(half, m), name=f"{self.name}/F2"),
         )
-        f2 = MultiOutputISF(
-            self.bdd,
-            self.input_vids,
-            self.outputs[half:],
-            name=f"{self.name}/F2",
-            output_names=self.output_names[half:],
-            placement_supports=hints[half:] if hints is not None else None,
-        )
-        return f1, f2

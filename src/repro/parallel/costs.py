@@ -24,11 +24,11 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import tempfile
 import warnings
 from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 
+from repro.bdd import stats
 from repro.parallel.tasks import RowTask
 
 try:
@@ -178,19 +178,7 @@ class CostModel:
                     k: round(v, 6) for k, v in sorted(self.estimates.items())
                 },
             }
-            fd, tmp = tempfile.mkstemp(
-                prefix=target.name + ".", suffix=".tmp", dir=target.parent
-            )
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(json.dumps(payload, indent=2) + "\n")
-                os.replace(tmp, target)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            stats.atomic_write(target, json.dumps(payload, indent=2) + "\n")
         return target
 
     # ------------------------------------------------------------------

@@ -162,7 +162,7 @@ def seed_tasks(
     }, sort_keys=True)]
     for i in order:
         lines.append(json.dumps(_task_doc(tasks[i]), sort_keys=True))
-    stats.atomic_write_text(Path(path), "\n".join(lines) + "\n")
+    stats.atomic_write(Path(path), "\n".join(lines) + "\n")
 
 
 def load_tasks_file(path: str | Path) -> tuple[dict, list[dict]]:

@@ -62,5 +62,5 @@ def write_parallel_bench(
     payload["meta"] = {**stats.host_meta(), **(meta or {})}
     # Atomic: a sweep killed while writing its report must not leave a
     # torn half-JSON for a later schema-validating reader to trip over.
-    stats.atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    stats.atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path

@@ -223,10 +223,10 @@ def _run_table5(
 def _run_table6(
     name: str, opts: dict
 ) -> tuple[Any, dict[str, dict], dict[str, str]]:
-    from repro.experiments.table6 import run_table6
+    from repro.experiments.table6 import table6_row
 
-    rows = run_table6(
-        [int(name)],
+    rows = table6_row(
+        int(name),
         sift=opts.get("sift", True),
         verify=opts.get("verify", False),
     )

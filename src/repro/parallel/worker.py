@@ -8,7 +8,7 @@ service already imports :mod:`repro.parallel` and never the reverse.
 
 A worker is a forked child answering one message at a time over a
 duplex :func:`multiprocessing.Pipe`.  The child builds its handler once
-(``make_handler(*args)``, so warm state such as a shard pool lives
+(``make_handler(*args)``, so warm state such as a service shard lives
 there) and then maps each request to one reply.  A reply that cannot be
 pickled ends the child, exactly like a crash: the parent sees the
 death, never a half-sent message.

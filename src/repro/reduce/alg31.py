@@ -45,5 +45,10 @@ def algorithm_3_1(cf: CharFunction) -> CharFunction:
         memo[u] = result
         return result
 
-    new_root = reduce_node(cf.root)
+    try:
+        new_root = reduce_node(cf.root)
+    finally:
+        # ``reduce_node`` refers to itself through its closure; without
+        # the del the cycle keeps ``bdd`` alive until the cyclic GC runs.
+        del reduce_node
     return cf.replaced(new_root, suffix="/alg3.1")

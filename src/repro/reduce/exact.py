@@ -85,7 +85,10 @@ def exact_minimum_clique_cover(
             branch(pos + 1, max(used, c + 1))
             colors[i] = -1
 
-    branch(0, 0)
+    try:
+        branch(0, 0)
+    finally:
+        del branch  # the closure refers to itself: free it without the cyclic GC
 
     cover: dict[int, list[Hashable]] = {}
     for i, v in enumerate(items):

@@ -14,9 +14,10 @@ Modules:
 
 * :mod:`repro.service.protocol` — request/response schema, parsing,
   content-addressed query keys.
-* :mod:`repro.service.shards` — the warm shard pool a worker process
-  owns: per-family base-CF caches (LRU + snapshot-backed), per-shard
-  counters (stats schema v8), query execution.
+* :mod:`repro.service.shards` — the warm shard a worker process
+  holds: its family's base-CF cache (LRU + snapshot-backed), per-shard
+  counters (stats schema v8), query execution and the worker's request
+  handler.
 * :mod:`repro.service.admission` — cost-model-ordered admission queues
   (shortest-job-first, per family) and the per-tenant step ledger.
 * :mod:`repro.service.workers` — per-family shard worker processes and
@@ -49,7 +50,7 @@ from repro.service.protocol import (
     query_key,
 )
 from repro.service.server import ResultCache, Service
-from repro.service.shards import Shard, ShardPool, default_max_alive, family_of
+from repro.service.shards import Shard, family_of
 from repro.service.watchdog import MemoryWatchdog
 from repro.service.workers import CircuitBreaker, ShardWorker, WorkerPool
 
@@ -64,11 +65,9 @@ __all__ = [
     "ResultCache",
     "Service",
     "Shard",
-    "ShardPool",
     "ShardWorker",
     "SocketClient",
     "WorkerPool",
-    "default_max_alive",
     "encode",
     "error_code",
     "error_response",

@@ -21,8 +21,8 @@ One :class:`Service` owns
 
 Concurrency model: the event loop does parsing, admission, batching,
 caching, and journaling; every query runs on its family's worker
-*process* (:mod:`repro.service.workers`), each owning a private
-:class:`~repro.service.shards.ShardPool`.  Families execute
+*process* (:mod:`repro.service.workers`), each holding that family's
+:class:`~repro.service.shards.Shard`.  Families execute
 concurrently — a slow cascade build cannot head-of-line-block an RNS
 lookup — and each worker serves one query at a time, because the
 governor's budget stack and the stats registry are process-global.
@@ -86,7 +86,7 @@ from repro.service.protocol import (
     ok_response,
     parse_request,
 )
-from repro.service.shards import FAMILIES
+from repro.service.shards import DEFAULT_MAX_ALIVE, FAMILIES
 from repro.service.watchdog import MemoryWatchdog
 from repro.service.workers import WorkerPool
 
@@ -187,7 +187,7 @@ class Service:
         resume: bool = False,
         cost_path: str | Path | None = None,
         tenant_max_steps: int | None = None,
-        max_alive: int | None = None,
+        max_alive: int = DEFAULT_MAX_ALIVE,
         request_timeout: float | None = None,
         workers: int | None = None,
         snapshot_dir: str | Path | None = None,
@@ -478,7 +478,6 @@ class Service:
             self._work.set()
         breaker.record_success()
         self._charge(req.tenant, reply.get("stats_delta", {}))
-        family = reply.get("family", family)
         result = reply.get("result", {})
         wall = float(reply.get("wall_s", 0.0))
         self.executed += 1
@@ -837,9 +836,11 @@ class Service:
         ``shed_total``, ``deadline_exceeded_total`` and the ``watchdog``
         sampling block.
         """
-        shards: dict = {}
-        for worker in self.worker_pool.workers.values():
-            shards.update(worker.last_shards)
+        shards = {
+            worker.family: worker.last_shard
+            for worker in self.worker_pool.workers.values()
+            if worker.last_shard
+        }
         return {
             "schema": stats.SCHEMA,
             "schema_version": stats.SCHEMA_VERSION,

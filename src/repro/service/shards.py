@@ -1,4 +1,4 @@
-"""Warm manager shards: per-family base-CF caches and query execution.
+"""Warm manager shards: one family's base-CF cache and query execution.
 
 The serving gain of the daemon comes from here.  A cold run of
 ``width_reduce`` on "5-7-11-13 RNS" spends most of its time building
@@ -13,25 +13,28 @@ Shards are keyed by benchmark *family* (:func:`family_of`): RNS
 converters, p-nary converters, decimal arithmetic, word lists, ad-hoc
 PLAs.  Families bound blast-radius — a huge word-list manager being
 housekept never disturbs the warm RNS tables — and give the per-shard
-counter blocks of stats schema v8 their meaning: each executed query's
+counter blocks of stats schema v8 their meaning: each query's
 :func:`repro.bdd.stats.counter_delta` is folded into its shard with
 :func:`repro.bdd.stats.merge_additive`, so warm-vs-cold cache behaviour
 is attributable per family.
 
-Thread-safety: the governor's budget stack and the stats snapshot are
-process-global, so a pool serves one query at a time.  The daemon
-keeps no pool of its own: each shard worker process
-(:mod:`repro.service.workers`) owns one and runs its queries one by
-one on its main thread.  Shard methods assume that discipline and do
-no locking of their own.
+Each shard worker process (:mod:`repro.service.workers`) holds the one
+:class:`Shard` of its family, and :meth:`Shard.handle` is its request
+handler.  The governor's budget stack and the stats snapshot are
+process-global, so the worker answers one query at a time on its main
+thread; shard methods assume that discipline and do no locking of
+their own.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import time
+from collections.abc import Callable
 from pathlib import Path
 
-from repro._config import env_int
+from repro import _faults
 from repro.benchfns.registry import get_benchmark
 from repro.bdd import stats
 from repro.bdd.governor import Budget
@@ -42,17 +45,15 @@ from repro.bdd.io import (
     load_snapshot,
     payload_fingerprint,
 )
-from repro.errors import ReproError
-from repro.bdd.transfer import extract_charfunction
 from repro.cf.charfun import CharFunction
 from repro.cf.width import max_width
 from repro.decomp.functional import decompose_at_height
-from repro.errors import ServiceError
+from repro.errors import ReproError, ServiceError
 from repro.experiments.table5 import design
 from repro.isf.pla import loads_pla
 from repro.reduce import algorithm_3_3, reduce_support
 
-__all__ = ["Shard", "ShardPool", "default_max_alive", "family_of"]
+__all__ = ["Shard", "family_of"]
 
 #: Benchmark families, i.e. shard keys (plus "misc" for the rest).
 FAMILIES = ("rns", "pnary", "decimal", "wordlist", "pla", "misc")
@@ -60,20 +61,9 @@ FAMILIES = ("rns", "pnary", "decimal", "wordlist", "pla", "misc")
 #: Default housekeeping threshold: when a shard's managers hold more
 #: alive nodes than this, query-scratch cones are collected (keeping
 #: the warm base roots).  Collection bumps manager generations, which
-#: invalidates packed-cache entries — warmth is traded for memory only
-#: past this ceiling.
+#: invalidates computed-table entries — warmth is traded for memory
+#: only past this ceiling.  ``repro serve --housekeep-nodes`` sets it.
 DEFAULT_MAX_ALIVE = 2_000_000
-
-
-def default_max_alive() -> int:
-    """The housekeeping ceiling, overridable via ``REPRO_MAX_ALIVE``.
-
-    Read at call time (not import time) so a daemon — and the worker
-    processes it forks — honours the environment it was launched with;
-    deployments sized differently from the 2M-node default tune this
-    without a CLI flag on every invocation.
-    """
-    return env_int("REPRO_MAX_ALIVE", DEFAULT_MAX_ALIVE, lo=1)
 
 
 def family_of(op: str, params: dict) -> str:
@@ -104,14 +94,13 @@ def _cf_summary(cf: CharFunction) -> dict:
 
 
 def _served_payload(cf: CharFunction) -> dict:
-    """CF payload + fingerprint, rebuilt in a minimal manager.
+    """CF payload + fingerprint.
 
-    Serializing straight off a warm manager would embed every variable
-    the shard has ever seen (``forest_payload`` emits the whole order);
-    :func:`extract_charfunction` restores one-shot-identical payloads.
+    A shard's CF owns its manager (:meth:`CharFunction.from_isf` and an
+    RBCF load each make a fresh one, and no query adds variables to
+    it), so the payload equals the one-shot computation's.
     """
-    clean = extract_charfunction(cf)
-    payload = charfunction_payload(clean)
+    payload = charfunction_payload(cf)
     return {
         "payload": payload,
         "fingerprint": payload_fingerprint(canon=canonical_payload(payload)),
@@ -127,14 +116,23 @@ class Shard:
     snapshots (:func:`repro.bdd.io.load_snapshot`) before building a
     cold CF from scratch, and persists freshly built CFs back — that is
     how a rebuilt worker process warms up in milliseconds instead of
-    re-running build+sift.
+    re-running build+sift.  ``max_alive`` is the housekeeping ceiling;
+    ``fault_parent`` is the daemon's pid, for the chaos hook of
+    :meth:`handle`.
     """
 
     def __init__(
-        self, family: str, *, snapshot_dir: str | Path | None = None
+        self,
+        family: str,
+        *,
+        snapshot_dir: str | Path | None = None,
+        max_alive: int = DEFAULT_MAX_ALIVE,
+        fault_parent: int | None = None,
     ) -> None:
         self.family = family
         self.snapshot_dir = Path(snapshot_dir) if snapshot_dir else None
+        self.max_alive = max_alive
+        self.fault_parent = fault_parent
         #: Warm base CFs by cache key (benchmark name or PLA digest),
         #: least-recently-used first.  The CF's manager — with its
         #: computed tables — is what "warm" means; evicting
@@ -187,71 +185,109 @@ class Shard:
             return
         self.snapshot_writes += 1
 
-    def base_cf(self, benchmark: str, *, sift: bool = True) -> CharFunction:
-        """The built (and sifted) BDD_for_CF of a benchmark, warm-cached."""
-        key = f"{benchmark}|sift={bool(sift)}"
+    def _cached_cf(self, key: str, build: Callable[[], CharFunction]) -> CharFunction:
+        """The CF cached under ``key``: warm, else from its snapshot,
+        else ``build()`` (which is then snapshotted)."""
         cf = self.cfs.get(key)
         if cf is not None:
             self.warm_hits += 1
-            self._touch(key, cf)
-            return cf
-        cf = self._load_snapshot(key)
-        if cf is None:
-            bench = get_benchmark(benchmark)
-            cf = CharFunction.from_isf(bench.build())
-            if sift:
-                cf.sift(cost="auto")
-            self.cold_builds += 1
-            self._store_snapshot(key, cf)
+        else:
+            cf = self._load_snapshot(key)
+            if cf is None:
+                cf = build()
+                self.cold_builds += 1
+                self._store_snapshot(key, cf)
         self._touch(key, cf)
         return cf
+
+    def base_cf(self, benchmark: str, *, sift: bool = True) -> CharFunction:
+        """The built (and sifted) BDD_for_CF of a benchmark, warm-cached."""
+
+        def build() -> CharFunction:
+            cf = CharFunction.from_isf(get_benchmark(benchmark).build())
+            if sift:
+                cf.sift(cost="auto")
+            return cf
+
+        return self._cached_cf(f"{benchmark}|sift={bool(sift)}", build)
 
     def pla_cf(self, text: str, *, name: str | None) -> CharFunction:
         """A PLA's BDD_for_CF, warm-cached by content digest."""
-        digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).hexdigest()
-        key = f"pla:{digest}"
-        cf = self.cfs.get(key)
-        if cf is not None:
-            self.warm_hits += 1
-            self._touch(key, cf)
-            return cf
-        cf = self._load_snapshot(key)
-        if cf is None:
-            isf = loads_pla(text, name=name or "pla")
-            cf = CharFunction.from_isf(isf)
+
+        def build() -> CharFunction:
+            cf = CharFunction.from_isf(loads_pla(text, name=name or "pla"))
             cf.sift(cost="auto")
-            self.cold_builds += 1
-            self._store_snapshot(key, cf)
-        self._touch(key, cf)
-        return cf
+            return cf
+
+        digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).hexdigest()
+        return self._cached_cf(f"pla:{digest}", build)
 
     # -- query execution ----------------------------------------------
+
+    def handle(self, msg: dict) -> dict:
+        """Answer one worker request (see :mod:`repro.service.workers`).
+
+        Fires the ``service:<family>`` chaos hook, enters the tenant
+        budget (when ``tenant_remaining`` is set) and the request
+        budget around :meth:`execute`, and housekeeps afterwards.  Engine
+        errors are answers: they come back serialized with ``ok: False``.
+        The query's counter delta is taken once, folded into
+        :attr:`counters` and shipped as the reply's ``stats_delta``; the
+        reply's ``shard`` block is :meth:`stats`.
+        """
+        before = stats.snapshot()
+        t0 = time.perf_counter()
+        poison = None
+        try:
+            poison = _faults.fire(f"service:{self.family}", parent=self.fault_parent)
+            tenant_remaining = msg.get("tenant_remaining")
+            tenant_budget = (
+                Budget(max_steps=tenant_remaining)
+                if tenant_remaining is not None
+                else contextlib.nullcontext()
+            )
+            budget = msg.get("budget") or {}
+            request_budget = Budget(
+                max_nodes=budget.get("max_nodes"),
+                max_steps=budget.get("max_steps"),
+                deadline_s=budget.get("deadline_s"),
+            )
+            with tenant_budget, request_budget:
+                result = self.execute(msg["op"], msg.get("params") or {})
+            reply = {"ok": True, "result": result}
+        except Exception as exc:  # noqa: BLE001 - serialized, not dropped
+            reply = {
+                "ok": False,
+                "error": {"type": type(exc).__name__, "message": str(exc)},
+            }
+        finally:
+            self.housekeep()
+        reply["wall_s"] = time.perf_counter() - t0
+        reply["stats_delta"] = delta = stats.counter_delta(before, stats.snapshot())
+        stats.merge_additive(self.counters, delta)
+        reply["shard"] = self.stats()
+        if poison is not None:
+            # ``pickle`` fault: shipping the reply must fail, like a row
+            # task whose result cannot cross the process boundary.
+            reply["poison"] = poison
+        return reply
 
     def execute(self, op: str, params: dict) -> dict:
         """Run one compute op on this shard's warm state.
 
-        One query at a time per process (see the module docstring); any
-        per-request/tenant budgets are expected to be already entered
-        by the caller.  Engine errors propagate.
+        Budgets, counters and housekeeping are :meth:`handle`'s.  Engine
+        errors propagate.
         """
-        before = stats.snapshot()
         self.queries += 1
-        try:
-            if op == "width_reduce":
-                result = self._width_reduce(params)
-            elif op == "decompose":
-                result = self._decompose(params)
-            elif op == "cascade":
-                result = self._cascade(params)
-            elif op == "pla_reduce":
-                result = self._pla_reduce(params)
-            else:
-                raise ServiceError(f"shard cannot execute op {op!r}")
-        finally:
-            stats.merge_additive(
-                self.counters, stats.counter_delta(before, stats.snapshot())
-            )
-        return result
+        if op == "width_reduce":
+            return self._width_reduce(params)
+        if op == "decompose":
+            return self._decompose(params)
+        if op == "cascade":
+            return self._cascade(params)
+        if op == "pla_reduce":
+            return self._pla_reduce(params)
+        raise ServiceError(f"shard cannot execute op {op!r}")
 
     def _reduce(self, cf: CharFunction) -> tuple[CharFunction, dict]:
         """Support reduction + Algorithm 3.3 with before/after widths."""
@@ -274,8 +310,7 @@ class Shard:
         if params.get("payload", False):
             result.update(_served_payload(reduced))
         else:
-            clean = extract_charfunction(reduced)
-            result["fingerprint"] = payload_fingerprint(charfunction_payload(clean))
+            result["fingerprint"] = payload_fingerprint(charfunction_payload(reduced))
         return result
 
     def _decompose(self, params: dict) -> dict:
@@ -336,7 +371,8 @@ class Shard:
         return sum(b.num_alive_nodes() for b in managers.values())
 
     def housekeep(self, max_alive: int | None = None) -> int:
-        """Shed nodes when the shard exceeds ``max_alive``.
+        """Shed nodes when the shard exceeds ``max_alive`` (default: the
+        shard's own ceiling).
 
         Two escalating passes:
 
@@ -347,15 +383,15 @@ class Shard:
            (``cfs`` is in LRU order).  Evicted CFs cold-start their next
            query (or reload from a snapshot, when configured).
 
-        It runs between queries (after :meth:`ShardPool.execute`'s query
-        returns), so no CF it evicts is being traversed.
+        It runs between queries (after :meth:`handle`'s query returns),
+        so no CF it evicts is being traversed.
 
         Returns the number of nodes freed (0 under the threshold —
         collection invalidates the very caches that make the shard
         warm, so it only runs under memory pressure).
         """
         if max_alive is None:
-            max_alive = default_max_alive()
+            max_alive = self.max_alive
         if self.alive_nodes() <= max_alive:
             return 0
         freed = 0
@@ -386,61 +422,3 @@ class Shard:
             "alive_nodes": self.alive_nodes(),
             "counters": dict(self.counters),
         }
-
-
-class ShardPool:
-    """All warm shards of one worker process, lazy per family."""
-
-    def __init__(
-        self,
-        *,
-        max_alive: int | None = None,
-        snapshot_dir: str | Path | None = None,
-    ) -> None:
-        self.max_alive = default_max_alive() if max_alive is None else max_alive
-        self.snapshot_dir = snapshot_dir
-        self.shards: dict[str, Shard] = {}
-
-    def get(self, family: str) -> Shard:
-        shard = self.shards.get(family)
-        if shard is None:
-            shard = self.shards[family] = Shard(
-                family, snapshot_dir=self.snapshot_dir
-            )
-        return shard
-
-    def execute(
-        self,
-        op: str,
-        params: dict,
-        *,
-        budget: dict | None = None,
-        tenant_budget: Budget | None = None,
-    ) -> tuple[str, dict]:
-        """Route a query to its shard and run it (one query at a time).
-
-        Per-request and per-tenant budgets are entered around the
-        computation; budget violations propagate as the governor's
-        error types.  Returns ``(family, result)``.
-        """
-        family = family_of(op, params)
-        shard = self.get(family)
-        request_budget = Budget(
-            max_nodes=(budget or {}).get("max_nodes"),
-            max_steps=(budget or {}).get("max_steps"),
-            deadline_s=(budget or {}).get("deadline_s"),
-        )
-        try:
-            if tenant_budget is not None:
-                with tenant_budget, request_budget:
-                    result = shard.execute(op, params)
-            else:
-                with request_budget:
-                    result = shard.execute(op, params)
-        finally:
-            shard.housekeep(self.max_alive)
-        return family, result
-
-    def stats(self) -> dict:
-        """The schema-v8 ``shards`` map for stats responses/payloads."""
-        return {family: shard.stats() for family, shard in self.shards.items()}

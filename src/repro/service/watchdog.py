@@ -94,9 +94,8 @@ class MemoryWatchdog:
     def alive_nodes(self) -> int:
         """Live-node total across the shards the workers last reported."""
         return sum(
-            int(block.get("alive_nodes", 0))
+            int(worker.last_shard.get("alive_nodes", 0))
             for worker in self.service.worker_pool.workers.values()
-            for block in worker.last_shards.values()
         )
 
     def over_limit(self) -> bool:

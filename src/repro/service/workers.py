@@ -1,14 +1,16 @@
 """Per-family shard worker processes: where every query runs.
 
-Each benchmark family gets its own worker **process** owning a private
-:class:`~repro.service.shards.ShardPool`: the asyncio front-end keeps
-the socket/HTTP/admission/journal roles and dispatches every query
-over a pipe-based RPC, so families execute concurrently (a slow
-cascade build cannot head-of-line-block a millisecond RNS lookup) and
-a wedged or killed worker takes down only its own family's warm state.
-The process plumbing (fork, pipe, liveness polls, deadline, restart)
-is :class:`repro.parallel.worker.WorkerProcess`, the same class the
-sweep pool runs its rows on.
+Each benchmark family gets its own worker **process** holding that
+family's :class:`~repro.service.shards.Shard`, whose
+:meth:`~repro.service.shards.Shard.handle` answers every request: the
+asyncio front-end keeps the socket/HTTP/admission/journal roles and
+dispatches every query over a pipe-based RPC, so families execute
+concurrently (a slow cascade build cannot head-of-line-block a
+millisecond RNS lookup) and a wedged or killed worker takes down only
+its own family's warm state.  The process plumbing (fork, pipe,
+liveness polls, deadline, restart) is
+:class:`repro.parallel.worker.WorkerProcess`, the same class the sweep
+pool runs its rows on.
 
 Wire format (pickled dicts over the worker's pipe — the same
 "picklable description" discipline as :mod:`repro.parallel.tasks` row
@@ -21,22 +23,23 @@ request::
 
 reply::
 
-    {"ok": true, "family": ..., "result": {...}, "wall_s": ...,
-     "stats_delta": {...}, "shards": {...}}
+    {"ok": true, "result": {...}, "wall_s": ...,
+     "stats_delta": {...}, "shard": {...}}
     {"ok": false, "error": {"type": ..., "message": ...},
-     "wall_s": ..., "stats_delta": {...}, "shards": {...}}
+     "wall_s": ..., "stats_delta": {...}, "shard": {...}}
 
 ``stats_delta`` is the worker-side :func:`repro.bdd.stats.counter_delta`
-of the query; for every reply, ok or error, the parent folds it into
-its own process totals with :func:`repro.bdd.stats.merge_worker_totals`
-(exactly the sweep pool's cross-process aggregation) and charges the
-delta's ``kernel_steps`` to the tenant's step ledger, which stays
-parent-side.  ``tenant_remaining`` carries the tenant's remaining step
-allowance *into* the worker as a plain per-query budget.
+of the query and ``shard`` the shard's stats block; for every reply,
+ok or error, the parent folds the delta into its own process totals
+with :func:`repro.bdd.stats.merge_worker_totals` (exactly the sweep
+pool's cross-process aggregation) and charges the delta's
+``kernel_steps`` to the tenant's step ledger, which stays parent-side.
+``tenant_remaining`` carries the tenant's remaining step allowance
+*into* the worker as a plain per-query budget.
 
 Failure model: a dead or wedged worker raises
 :class:`~repro.errors.WorkerDied`; the dispatcher restarts that one
-worker (fresh process, cold shards) and re-executes the in-flight
+worker (fresh process, cold shard) and re-executes the in-flight
 query as a new journaled attempt.  Engine errors inside a worker are
 *answers*, not faults — they come back serialized and re-raise in the
 parent as :class:`~repro.errors.RemoteQueryError` with the original
@@ -49,75 +52,11 @@ import os
 import time
 from pathlib import Path
 
-from repro import _faults
 from repro.errors import RemoteQueryError
 from repro.parallel.worker import WorkerProcess
+from repro.service.shards import DEFAULT_MAX_ALIVE, Shard
 
 __all__ = ["CircuitBreaker", "ShardWorker", "WorkerPool"]
-
-
-def _shard_handler(
-    family: str,
-    max_alive: int | None,
-    snapshot_dir: str | None,
-    fault_parent: int,
-):
-    """Build one family's query handler, once, inside its worker process.
-
-    The handler runs a private :class:`ShardPool` (warm managers live
-    here, not in the daemon).  Every reply carries the query's
-    engine-counter delta and the pool's shard stats so the parent can
-    keep schema-v8 accounting without sharing memory.
-
-    The chaos hook :func:`repro._faults.fire` runs once per request at
-    the ``service:<family>`` site; ``fault_parent`` is the daemon's pid
-    so the same spec drives both worker-process kills and in-process
-    degradations, exactly like row tasks' ``fault_parent``.
-    """
-    # Imports happen here (not module top) so a fork()ed child touches
-    # the engine modules only after it owns them.
-    from repro.bdd import stats
-    from repro.bdd.governor import Budget
-    from repro.service.shards import ShardPool
-
-    pool = ShardPool(max_alive=max_alive, snapshot_dir=snapshot_dir)
-
-    def handle(msg: dict) -> dict:
-        before = stats.snapshot()
-        t0 = time.perf_counter()
-        reply: dict
-        poison = None
-        try:
-            poison = _faults.fire(f"service:{family}", parent=fault_parent)
-            budget = dict(msg.get("budget") or {})
-            tenant_remaining = msg.get("tenant_remaining")
-            tenant_budget = (
-                Budget(max_steps=tenant_remaining)
-                if tenant_remaining is not None
-                else None
-            )
-            served_family, result = pool.execute(
-                msg["op"],
-                msg.get("params") or {},
-                budget=budget or None,
-                tenant_budget=tenant_budget,
-            )
-            reply = {"ok": True, "family": served_family, "result": result}
-        except Exception as exc:  # noqa: BLE001 - serialized, not dropped
-            reply = {
-                "ok": False,
-                "error": {"type": type(exc).__name__, "message": str(exc)},
-            }
-        reply["wall_s"] = time.perf_counter() - t0
-        reply["stats_delta"] = stats.counter_delta(before, stats.snapshot())
-        reply["shards"] = pool.stats()
-        if poison is not None:
-            # ``pickle`` fault: shipping the reply must fail, like a row
-            # task whose result cannot cross the process boundary.
-            reply["poison"] = poison
-        return reply
-
-    return handle
 
 
 class CircuitBreaker:
@@ -184,21 +123,22 @@ class CircuitBreaker:
 
 
 class ShardWorker(WorkerProcess):
-    """One family's worker process, answering queries with a shard pool.
+    """One family's worker process, answering queries with its shard.
 
-    The process plumbing is :class:`WorkerProcess`'s; this class adds
-    the query count, the last reply's shard stats and the error
-    translation.  Its one-thread ``executor`` lets the asyncio
-    dispatcher park the blocking pipe round trip off the event loop,
-    one query at a time per process, which the worker's budget
-    accounting assumes.
+    The process plumbing is :class:`WorkerProcess`'s; the child builds
+    one :class:`Shard` and its :meth:`Shard.handle` answers every
+    request.  This class adds the query count, the last reply's shard
+    stats and the error translation.  Its one-thread ``executor`` lets
+    the asyncio dispatcher park the blocking pipe round trip off the
+    event loop, one query at a time per process, which the worker's
+    budget accounting assumes.
     """
 
     def __init__(
         self,
         family: str,
         *,
-        max_alive: int | None = None,
+        max_alive: int = DEFAULT_MAX_ALIVE,
         snapshot_dir: str | Path | None = None,
         listeners: tuple = (),
     ) -> None:
@@ -206,11 +146,15 @@ class ShardWorker(WorkerProcess):
         self.queries = 0
         #: Shard stats from the worker's most recent reply — the
         #: parent's only view of warm state living in another process.
-        self.last_shards: dict = {}
-        snapshot = str(snapshot_dir) if snapshot_dir else None
+        self.last_shard: dict = {}
+        fault_parent = os.getpid()  # this daemon
         super().__init__(
-            _shard_handler,
-            (family, max_alive, snapshot, os.getpid()),  # fault_parent: this daemon
+            lambda: Shard(
+                family,
+                snapshot_dir=snapshot_dir,
+                max_alive=max_alive,
+                fault_parent=fault_parent,
+            ).handle,
             name=f"repro-shard-{family}",
             listeners=listeners,
         )
@@ -225,7 +169,7 @@ class ShardWorker(WorkerProcess):
         """
         self.queries += 1
         reply = super().call(doc, timeout=timeout)
-        self.last_shards = reply.get("shards", self.last_shards)
+        self.last_shard = reply.get("shard", self.last_shard)
         if not reply.get("ok", False):
             err = reply.get("error") or {}
             raise RemoteQueryError(
@@ -243,7 +187,7 @@ class ShardWorker(WorkerProcess):
             "alive": self.process.is_alive(),
             "queries": self.queries,
             "restarts": self.restarts,
-            "shards": self.last_shards,
+            "shards": {self.family: self.last_shard} if self.last_shard else {},
         }
 
 
@@ -261,7 +205,7 @@ class WorkerPool:
         self,
         max_workers: int,
         *,
-        max_alive: int | None = None,
+        max_alive: int = DEFAULT_MAX_ALIVE,
         snapshot_dir: str | Path | None = None,
         breaker_threshold: int = 3,
         breaker_reset_s: float = 30.0,

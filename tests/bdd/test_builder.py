@@ -15,13 +15,22 @@ from repro.bdd import (
 )
 from repro.errors import BDDError
 
-from tests.conftest import brute_force_truth
+from tests.conftest import brute_force_truth, managers_left_alive
 
 
 def make_bdd(n):
     bdd = BDD()
     vids = bdd.add_vars([f"x{i}" for i in range(n)])
     return bdd, vids
+
+
+class TestReferenceCycles:
+    def test_from_truth_table_leaves_no_cycle(self):
+        def call():
+            bdd, vids = make_bdd(3)
+            from_truth_table(bdd, vids, [0, 1, 1, 0, 1, 0, 0, 1])
+
+        assert managers_left_alive(call) == 0
 
 
 class TestFromCube:

@@ -1,4 +1,4 @@
-"""Pinning tests for the environment-knob helpers.
+"""Pinning tests for the environment-knob helper ``env_flag``.
 
 The regression guarded here: ``env_flag`` used to compare
 case-sensitively, so ``REPRO_SELFCHECK=False`` (or ``OFF``, or
@@ -7,7 +7,7 @@ case-sensitively, so ``REPRO_SELFCHECK=False`` (or ``OFF``, or
 
 import pytest
 
-from repro._config import env_flag, env_int
+from repro._config import env_flag
 
 
 class TestEnvFlag:
@@ -33,23 +33,3 @@ class TestEnvFlag:
         assert env_flag("REPRO_X", default) is default
         monkeypatch.setenv("REPRO_X", "   ")
         assert env_flag("REPRO_X", default) is default
-
-
-class TestEnvInt:
-    def test_reads_value(self, monkeypatch):
-        monkeypatch.setenv("REPRO_N", " 12 ")
-        assert env_int("REPRO_N", 5) == 12
-
-    def test_malformed_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_N", "twelve")
-        assert env_int("REPRO_N", 5) == 5
-
-    def test_clamping(self, monkeypatch):
-        monkeypatch.setenv("REPRO_N", "99")
-        assert env_int("REPRO_N", 5, lo=1, hi=16) == 16
-        monkeypatch.setenv("REPRO_N", "-3")
-        assert env_int("REPRO_N", 5, lo=1, hi=16) == 1
-
-    def test_unset_default_is_not_clamp_exempt(self, monkeypatch):
-        monkeypatch.delenv("REPRO_N", raising=False)
-        assert env_int("REPRO_N", 99, lo=1, hi=16) == 16

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -75,3 +76,21 @@ def spec_allows(spec: MultiOutputSpec, minterm: int, outputs: tuple[int, ...]) -
     if row is None:
         return True
     return all(want is None or got == want for got, want in zip(outputs, row))
+
+
+def managers_left_alive(call) -> int:
+    """How many BDD managers ``call()`` leaves alive with the cyclic GC off.
+
+    0 means reference counting alone freed every manager the call made:
+    no reference cycle keeps one alive until the cyclic GC runs.
+    """
+    from repro.bdd import stats
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(stats.REGISTRY)
+        call()
+        return len(stats.REGISTRY) - before
+    finally:
+        gc.enable()

@@ -8,7 +8,7 @@ from repro.cf import CharFunction, max_width, refines_spec
 from repro.isf import table1_spec
 from repro.reduce import algorithm_3_1
 
-from tests.conftest import spec_strategy, random_spec
+from tests.conftest import managers_left_alive, random_spec, spec_strategy
 
 
 class TestExample35:
@@ -68,3 +68,9 @@ class TestRandomized:
             cf = CharFunction.from_spec(spec)
             reduced = algorithm_3_1(cf)
             assert reduced.num_nodes() <= cf.num_nodes()
+
+
+def test_algorithm_3_1_leaves_no_cycle():
+    assert managers_left_alive(
+        lambda: algorithm_3_1(CharFunction.from_spec(table1_spec()))
+    ) == 0

@@ -7,8 +7,12 @@ import pytest
 from hypothesis import given, settings
 
 from repro.bdd import reference
-from repro.bdd.io import charfunction_payload, payload_fingerprint
-from repro.bdd.transfer import extract_charfunction
+from repro.bdd.io import (
+    charfunction_payload,
+    load_snapshot_bytes,
+    payload_fingerprint,
+    snapshot_bytes,
+)
 from repro.benchfns.registry import get_benchmark
 from repro.cf import CharFunction, max_width, refines_spec, width_profile
 from repro.experiments.runner import build_sifted_cf
@@ -158,7 +162,7 @@ def test_alg33_managers_are_byte_identical(name):
 def alg33_summary(cf):
     """Max width, node count, merges and fingerprint of Alg. 3.3's result."""
     reduced, stats = algorithm_3_3(cf)
-    fingerprint = payload_fingerprint(charfunction_payload(extract_charfunction(reduced)))
+    fingerprint = payload_fingerprint(charfunction_payload(reduced))
     return max_width(reduced.bdd, reduced.root), reduced.num_nodes(), stats.merges, fingerprint
 
 
@@ -172,12 +176,12 @@ def alg33_summary(cf):
     ],
 )
 def test_alg33_ignores_node_numbering(name, half):
-    """A sifted, support-reduced CF and its copy in a fresh manager (same
-    function and order, other node ids) reduce alike: Alg. 3.3 orders
-    columns and breaks clique-cover ties by rank, not by node id."""
+    """A sifted, support-reduced CF and its RBCF snapshot round trip
+    (same function and order, other node ids) reduce alike: Alg. 3.3
+    orders columns and breaks clique-cover ties by rank, not by node id."""
     part = get_benchmark(name).build().bipartition()[half]
     cf, _ = reduce_support(build_sifted_cf(part))
-    copy = extract_charfunction(cf)
+    copy = load_snapshot_bytes(snapshot_bytes(cf))
     assert copy.bdd.order() == cf.bdd.order()
     assert sorted(copy.bdd.reachable([copy.root])) != sorted(cf.bdd.reachable([cf.root]))
     assert alg33_summary(copy) == alg33_summary(cf)

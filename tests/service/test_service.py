@@ -13,7 +13,6 @@ import asyncio
 import json
 
 from repro.bdd.io import charfunction_payload, payload_fingerprint
-from repro.bdd.transfer import extract_charfunction
 from repro.cf.charfun import CharFunction
 from repro.benchfns.registry import get_benchmark
 from repro.parallel.journal import Journal
@@ -150,8 +149,8 @@ class TestBatching:
 class TestCliParity:
     def test_served_payload_matches_direct_pipeline(self):
         """A daemon-served CF payload fingerprint equals the one-shot
-        in-process pipeline's (build → sift → reduce → Alg 3.3 →
-        extract), i.e. warm serving changes performance, not results."""
+        in-process pipeline's (build → sift → reduce → Alg 3.3), i.e.
+        warm serving changes performance, not results."""
 
         async def scenario(service):
             return await service.handle_request(
@@ -166,7 +165,7 @@ class TestCliParity:
         cf.sift(cost="auto")
         reduced, _removed = reduce_support(cf)
         reduced, _stats = algorithm_3_3(reduced)
-        payload = charfunction_payload(extract_charfunction(reduced))
+        payload = charfunction_payload(reduced)
         assert served["fingerprint"] == payload_fingerprint(payload)
         assert served["payload"] == payload
 

@@ -1,24 +1,22 @@
-"""Shard node-pressure housekeeping, LRU eviction, and snapshots.
+"""Shard node-pressure housekeeping, LRU eviction, snapshots, and the
+worker request handler.
 
 Pins the eviction contract the multi-process service leans on: under
-``max_alive`` pressure a shard drops cold CFs first (LRU order), keeps
-hot ones warm, and never evicts a CF pinned by an in-flight query.
-Also covers the RBCF snapshot integration — a shard with a
-``snapshot_dir`` persists freshly built CFs and warms later cold
-starts from disk instead of re-running build+sift.
+``max_alive`` pressure a shard drops cold CFs first (LRU order) and
+keeps hot ones warm.  Also covers the RBCF snapshot integration — a
+shard with a ``snapshot_dir`` persists freshly built CFs and warms
+later cold starts from disk instead of re-running build+sift — and
+:meth:`Shard.handle`, which answers every request of a shard worker
+process: one counter window per query, budgets as answers, and
+housekeeping after every query.
 """
 
 import asyncio
 
 import pytest
 
-from repro.service.shards import (
-    DEFAULT_MAX_ALIVE,
-    Shard,
-    ShardPool,
-    default_max_alive,
-    family_of,
-)
+from repro.bdd import stats
+from repro.service.shards import Shard, family_of
 
 HOT = "3-5 RNS"
 COLD = "3-7 RNS"
@@ -43,6 +41,17 @@ def hot_cold_shard():
 
 def key_of(benchmark):
     return f"{benchmark}|sift=True"
+
+
+def request(benchmark, **over):
+    """A worker request document for a ``width_reduce`` query."""
+    return {
+        "op": "width_reduce",
+        "params": {"benchmark": benchmark},
+        "budget": None,
+        "tenant_remaining": None,
+        **over,
+    }
 
 
 class TestEvictionOrder:
@@ -185,41 +194,41 @@ class TestSnapshots:
         assert shard.snapshot_writes == 0
         assert list(tmp_path.iterdir()) == []
 
-    def test_pool_threads_snapshot_dir_through(self, tmp_path):
-        pool = ShardPool(snapshot_dir=tmp_path)
-        pool.execute("width_reduce", {"benchmark": HOT})
-        assert pool.get("rns").snapshot_writes == 1
+    def test_handle_reply_shows_the_snapshot_write(self, tmp_path):
+        shard = Shard("rns", snapshot_dir=tmp_path)
+        reply = shard.handle(request(HOT))
+        assert reply["ok"]
+        assert reply["shard"]["snapshot_writes"] == 1
+        assert reply["shard"] == shard.stats()
 
 
-class TestMaxAliveEnv:
-    """``REPRO_MAX_ALIVE`` sizes the housekeeping ceiling (PR 9 S1)."""
+class TestHandle:
+    def test_counters_are_the_sum_of_the_reply_deltas(self):
+        """One counter window per query: what the shard accumulates is
+        exactly what its replies ship to the daemon."""
+        shard = Shard("rns")
+        replies = [shard.handle(request(name)) for name in (HOT, COLD, HOT)]
+        assert all(reply["ok"] for reply in replies)
+        total: dict = {}
+        for reply in replies:
+            stats.merge_additive(total, reply["stats_delta"])
+        assert total["kernel_steps"] > 0
+        assert shard.counters == total
+        assert replies[-1]["shard"]["counters"] == total
+        assert shard.queries == 3
 
-    def test_default_without_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MAX_ALIVE", raising=False)
-        assert default_max_alive() == DEFAULT_MAX_ALIVE
-        assert ShardPool().max_alive == DEFAULT_MAX_ALIVE
-
-    def test_env_overrides_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MAX_ALIVE", "12345")
-        assert default_max_alive() == 12345
-        assert ShardPool().max_alive == 12345
-
-    def test_explicit_ceiling_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MAX_ALIVE", "12345")
-        assert ShardPool(max_alive=7).max_alive == 7
-
-    def test_malformed_or_zero_env_is_safe(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MAX_ALIVE", "not-a-number")
-        assert default_max_alive() == DEFAULT_MAX_ALIVE
-        # lo=1 clamp: 0 would make housekeep evict everything always.
-        monkeypatch.setenv("REPRO_MAX_ALIVE", "0")
-        assert default_max_alive() == 1
-
-    def test_housekeep_reads_env_at_call_time(self, monkeypatch):
-        shard = hot_cold_shard()
-        monkeypatch.setenv("REPRO_MAX_ALIVE", "1")
-        shard.housekeep()  # no explicit ceiling -> env governs
+    def test_step_budget_is_an_answer_and_the_shard_is_housekept(self):
+        shard = Shard("rns", max_alive=1)
+        shard.base_cf(HOT)
+        reply = shard.handle(request("5-7-11 RNS", budget={"max_steps": 1}))
+        assert reply["ok"] is False
+        assert reply["error"]["type"] == "ResourceLimitError"
+        # Housekeeping ran after the failed query: the warm CF is over
+        # the 1-node ceiling and was evicted.
         assert shard.cfs == {}
+        assert shard.evicted_cfs == 1
+        assert reply["shard"]["cached_cfs"] == 0
+        assert reply["stats_delta"]["kernel_steps"] > 0
 
 
 class TestFamilyRouting:

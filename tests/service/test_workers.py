@@ -62,14 +62,16 @@ class TestShardWorker:
     def test_rpc_round_trip(self, worker):
         reply = worker.call(wr_doc())
         assert reply["ok"]
-        assert reply["family"] == "rns"
+        assert "family" not in reply
         assert reply["result"]["benchmark"] == BENCH
         assert reply["result"]["fingerprint"]
         assert reply["wall_s"] > 0
         # Counter delta + shard stats ride along for parent accounting.
         assert reply["stats_delta"]["kernel_steps"] > 0
-        assert reply["shards"]["rns"]["queries"] == 1
-        assert worker.last_shards == reply["shards"]
+        assert reply["shard"]["family"] == "rns"
+        assert reply["shard"]["queries"] == 1
+        assert worker.last_shard == reply["shard"]
+        assert worker.stats()["shards"] == {"rns": reply["shard"]}
 
     def test_engine_error_is_an_answer_not_a_fault(self, worker):
         """A worker that *reports* an error is healthy: the error

@@ -66,6 +66,14 @@ class TestCLI:
         assert info.value.code == 2
         assert "--workers must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("nodes", ["0", "-5"])
+    def test_serve_needs_a_positive_housekeep_ceiling(self, capsys, nodes):
+        # A ceiling below 1 would evict every warm CF after every query.
+        with pytest.raises(SystemExit) as info:
+            main(["serve", "--housekeep-nodes", nodes])
+        assert info.value.code == 2
+        assert "--housekeep-nodes must be at least 1" in capsys.readouterr().err
+
     def test_sweep_rejects_fabric_with_timeout(self, tmp_path, capsys):
         """A fabric sweep has no row deadline, so ``--timeout`` would
         only reach the ``--compare`` baseline: refused before any run."""
