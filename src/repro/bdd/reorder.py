@@ -12,7 +12,9 @@ module implements:
 * :func:`sift` — sifting with optional precedence constraints
   ``(above_vid, below_vid)`` and a pluggable cost function (live node
   count by default; the experiment pipeline passes :func:`width_sum`
-  for small enough BDDs, per ``repro._config.LIMITS``).
+  for small enough BDDs, per ``repro._config.LIMITS``).  Under these
+  two costs a direction ends early once a lower bound shows that no
+  position left in it can beat the best one.
 * :func:`width_sum` — the sum of widths over all sections.  A sift
   under this cost never calls it: its session keeps the crossing count
   of every section up to date inside each swap, at the price of two
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from itertools import accumulate
+from math import isqrt
 
 from repro.bdd import check
 from repro.bdd import governor as _governor
@@ -468,14 +471,22 @@ def sift(
 ) -> float:
     """Rudell sifting under precedence constraints; returns final cost.
 
-    Each variable in turn is moved across its admissible level range
-    (down first, then up), the cost is sampled at every position, and
-    the variable is parked at the best one.  ``cost_fn`` defaults to the
-    live node count; the Table 4 pipeline passes :func:`width_sum` for
-    BDDs under ``LIMITS.sift_widthsum_node_limit`` nodes, matching the
-    paper's cost function.  The session keeps both of these up to
-    date inside its swaps, so sampling them reads a number; any other
-    ``cost_fn`` is called at every position.  Under an active
+    Each variable in turn, busiest level first, is moved toward the
+    closer end of its admissible level range, then toward the other
+    end, the cost is sampled at every position, and the variable is
+    parked at the best one (on equal cost, the one nearest its start).
+    A direction ends at the end of the range, or once the live size
+    exceeds ``max_growth`` times its size when the variable's turn
+    began, or once a lower bound on the cost of every position left in
+    it shows that none can beat the best one.  The bound only skips
+    swaps: every variable lands where it would without it.
+    ``cost_fn`` defaults to the live node count; the Table 4 pipeline
+    passes :func:`width_sum` for BDDs under
+    ``LIMITS.sift_widthsum_node_limit`` nodes, matching the paper's
+    cost function.  The session keeps both of these, and the per-level
+    counts their bounds read, up to date inside its swaps, so sampling
+    them reads a number; any other ``cost_fn`` is called at every
+    position and gets no bound.  Under an active
     :class:`~repro.bdd.governor.Budget` every swap, including those
     that walk a variable back to its best level, is charged one step.
     Under ``REPRO_SELFCHECK=1`` every sift ends by recounting its
@@ -492,6 +503,11 @@ def sift(
                 f"must be above {bdd.name_of(below)}"
             )
     session = SiftSession(bdd, roots, widths=cost_fn is width_sum)
+    lower_bound = (
+        _node_lower_bound if cost_fn is None
+        else _width_lower_bound if cost_fn is width_sum
+        else None
+    )
 
     def cost() -> float:
         if cost_fn is None:
@@ -512,7 +528,7 @@ def sift(
             # consistent — just under a partially improved order.
             if _governor._ACTIVE:
                 _governor.checkpoint(bdd)
-            current = _sift_one(bdd, session, vid, precedence, cost, max_growth)
+            current = _sift_one(bdd, session, vid, precedence, cost, max_growth, lower_bound)
         if current >= round_start:
             break
     if check.selfcheck_enabled():
@@ -522,6 +538,64 @@ def sift(
     return current
 
 
+# Lower bounds for sifting (Drechsler, Günther and Somenzi, "Using
+# lower bounds during dynamic BDD minimization", IEEE TCAD 20(1), 2001).
+# Two facts carry them.  The node count of a level, and the crossing
+# count of a section, depend only on the *set* of variables above it.
+# Adding one variable x to that set at most doubles either count, since
+# every new cofactor is an old one restricted by x; and a non-zero
+# crossing cofactor over B is fixed by its pair of cofactors over
+# B ∪ {x}, so count(B) <= (count(B ∪ {x}) + 1)² - 1.  Each bound holds
+# for every position of the variable at ``level`` strictly beyond it,
+# up to and including ``limit``; the unchanged levels or sections get
+# their exact count, which is never below the bound's term for them.
+
+
+def _node_lower_bound(session: SiftSession, level: int, limit: int) -> int:
+    """A lower bound on the live node count, the variable at ``level`` moved toward ``limit``.
+
+    The moving variable keeps a node iff it has one now.  Moving down,
+    each variable it passes loses it from the set above, so keeps at
+    least half its nodes; moving up, each one it passes keeps a node
+    iff it has one now.  Levels outside the range keep their count.
+    """
+    unique, var_at = session.bdd._unique, session.bdd._var_at_level
+    c = len(unique[var_at[level]])
+    bound = session.size - c + (c > 0)
+    if limit > level:
+        return bound - sum(len(unique[var_at[lv]]) >> 1 for lv in range(level + 1, limit + 1))
+    for lv in range(limit, level):
+        c = len(unique[var_at[lv]])
+        bound -= c - (c > 0)
+    return bound
+
+
+def _width_lower_bound(session: SiftSession, level: int, limit: int) -> int:
+    """A lower bound on the kept width sum, the variable at ``level`` moved toward ``limit``.
+
+    Moving down past level ``k``, section ``k`` trades the variable for
+    the one below it: its new set above is that of section ``k + 1``
+    less the variable, so at least half of ``counts[k + 1]`` (not of
+    ``counts[k]``).  Moving up to ``limit`` or above it, section ``k``
+    (``limit < k <= level``) gets the set above section ``k - 1`` plus
+    the variable: at least 1 if any root is non-zero, at least
+    ``counts[level + 1]`` halved once per variable it lacks of section
+    ``level + 1``'s set, and at least ``isqrt(counts[k - 1] + 1) - 1``.
+    """
+    counts = session.counts
+    bound = session.width_sum
+    if limit > level:
+        return bound - sum(
+            counts[k] - ((counts[k + 1] + 1) >> 1) for k in range(level + 1, limit + 1)
+        )
+    nonzero = counts[0] > 0
+    below = counts[level + 1]
+    for k in range(limit + 1, level + 1):
+        least = max(nonzero, -(-below >> (level + 1 - k)), isqrt(counts[k - 1] + 1) - 1)
+        bound -= counts[k] - least
+    return bound
+
+
 def _sift_one(
     bdd: BDD,
     session: SiftSession,
@@ -529,6 +603,7 @@ def _sift_one(
     precedence: Sequence[tuple[int, int]],
     cost: Callable[[], float],
     max_growth: float,
+    lower_bound: Callable[[SiftSession, int, int], int] | None,
 ) -> float:
     lb, ub = _bounds(bdd, vid, precedence)
     start_level = bdd.level_of_vid(vid)
@@ -543,6 +618,20 @@ def _sift_one(
     for direction in ((1, -1) if go_down_first else (-1, 1)):
         limit = ub if direction == 1 else lb
         while level != limit:
+            # End the direction once no position ahead can beat the
+            # best: the bound on their costs exceeds best_cost, or
+            # equals it while every position ahead is farther from the
+            # start than best_level and so loses the tie-break.  A
+            # position's cost depends on the order alone, so the
+            # variable lands where it would without the exit.
+            if lower_bound is not None:
+                bound = lower_bound(session, level, limit)
+                if bound > best_cost or (
+                    bound == best_cost
+                    and (level - start_level) * direction >= 0
+                    and abs(level - start_level) + 1 >= abs(best_level - start_level)
+                ):
+                    break
             # One adjacent swap ~ one charged step: a ``max_steps``
             # budget bounds sifting work, not just kernel evaluations.
             if _governor._ACTIVE:

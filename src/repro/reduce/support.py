@@ -27,12 +27,14 @@ def reduce_support(cf: CharFunction) -> tuple[CharFunction, list[int]]:
     bdd = cf.bdd
     root = cf.root
     removed: list[int] = []
+    support = bdd.support(root)  # walked again only when χ changes
     for vid in sorted(cf.input_vids, key=bdd.level_of_vid):
-        if vid not in bdd.support(root):
+        if vid not in support:
             continue
         cof0 = bdd.cofactor(root, vid, 0)
         cof1 = bdd.cofactor(root, vid, 1)
         if compatible_columns(bdd, cof0, cof1):
             root = bdd.apply_and(cof0, cof1)
             removed.append(vid)
+            support = bdd.support(root)
     return cf.replaced(root, suffix="/supp"), removed

@@ -82,14 +82,15 @@ def family_of(op: str, params: dict) -> str:
     return "misc"
 
 
-def _cf_summary(cf: CharFunction) -> dict:
+def _cf_summary(cf: CharFunction, width: int) -> dict:
+    """The reply's ``cf`` block; ``width`` is the CF's maximum width."""
     bdd = cf.bdd
     return {
         "name": cf.name,
         "inputs": [bdd.name_of(v) for v in cf.input_vids],
         "outputs": [bdd.name_of(v) for v in cf.output_vids],
         "nodes": bdd.count_nodes(cf.root),
-        "max_width": max_width(bdd, cf.root),
+        "max_width": width,
     }
 
 
@@ -306,7 +307,11 @@ class Shard:
     def _width_reduce(self, params: dict) -> dict:
         cf = self.base_cf(params["benchmark"], sift=params.get("sift", True))
         reduced, info = self._reduce(cf)
-        result = {"benchmark": params["benchmark"], **info, "cf": _cf_summary(reduced)}
+        result = {
+            "benchmark": params["benchmark"],
+            **info,
+            "cf": _cf_summary(reduced, info["max_width_after"]),
+        }
         if params.get("payload", False):
             result.update(_served_payload(reduced))
         else:
@@ -359,7 +364,7 @@ class Shard:
     def _pla_reduce(self, params: dict) -> dict:
         cf = self.pla_cf(params["pla"], name=params.get("name"))
         reduced, info = self._reduce(cf)
-        result = {"name": reduced.name, **info, "cf": _cf_summary(reduced)}
+        result = {"name": reduced.name, **info, "cf": _cf_summary(reduced, info["max_width_after"])}
         if params.get("payload", True):
             result.update(_served_payload(reduced))
         return result

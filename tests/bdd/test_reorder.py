@@ -11,6 +11,7 @@ from repro.bdd import BDD, TRUE, FALSE, from_truth_table, reorder, set_order, si
 from repro.bdd.reorder import SiftSession, width_sum
 from repro.bdd.traversal import crossing_counts
 from repro.benchfns.registry import get_benchmark
+from repro.benchfns.wordlist import WordList, build_wordlist_isf, generate_words
 from repro.cf.charfun import CharFunction
 from repro.cf.width import sum_of_widths
 from repro.errors import IntegrityError, OrderingError
@@ -353,6 +354,145 @@ class TestKeptWidthSift:
         assert sum_of_widths(kept.bdd, kept.root) == sum_of_widths(full.bdd, full.root)
 
 
+def root_node_count(bdd, roots):
+    """The node count as a plain callable: sift evaluates it at every position."""
+    return float(bdd.count_nodes(*roots))
+
+
+def shuffle_admissibly(session, precedence, data, n_moves):
+    """Random moves, each within the moved variable's admissible range."""
+    bdd = session.bdd
+    for _ in range(n_moves):
+        vid = data.draw(st.integers(0, bdd.num_vars - 1), label="vid")
+        lb, ub = reorder._bounds(bdd, vid, precedence)
+        session.move_var(vid, data.draw(st.integers(lb, ub), label="target"))
+
+
+def assert_bounds_hold(session, precedence):
+    """For every variable and direction, the bound is at most the cost at
+    every admissible level beyond the variable's own."""
+    bdd = session.bdd
+    widths = session.counts is not None
+    lower_bound = reorder._width_lower_bound if widths else reorder._node_lower_bound
+    for vid in range(bdd.num_vars):
+        level = bdd.level_of_vid(vid)
+        for limit in reorder._bounds(bdd, vid, precedence):
+            if limit == level:
+                continue
+            bound = lower_bound(session, level, limit)
+            step = 1 if limit > level else -1
+            for target in range(level + step, limit + step, step):
+                session.move_var(vid, target)
+                cost = session.width_sum if widths else session.size
+                assert bound <= cost, (vid, level, target)
+            session.move_var(vid, level)
+
+
+class TestLowerBounds:
+    """The sift's lower bounds hold, and only skip swaps."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        spec=spec_strategy(max_inputs=4, max_outputs=3),
+        widths=st.booleans(),
+        data=st.data(),
+    )
+    def test_bounds_hold_on_random_cfs(self, spec, widths, data):
+        cf = CharFunction.from_spec(spec)
+        precedence = cf.precedence_constraints()
+        session = SiftSession(cf.bdd, [cf.root], widths=widths)
+        shuffle_admissibly(session, precedence, data, 4)
+        assert_bounds_hold(session, precedence)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 5),
+        tables=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+        extra=st.sampled_from([(), (TRUE,), (FALSE,), (TRUE, FALSE)]),
+        widths=st.booleans(),
+        data=st.data(),
+    )
+    def test_bounds_hold_on_random_plain_bdds(self, n, tables, extra, widths, data):
+        bdd = BDD()
+        vids = bdd.add_vars([f"x{i}" for i in range(n)])
+        roots = [
+            from_truth_table(bdd, vids, [(bits >> m) & 1 for m in range(1 << n)])
+            for bits in tables
+        ]
+        session = SiftSession(bdd, [*roots, *extra], widths=widths)
+        shuffle_admissibly(session, (), data, 4)
+        assert_bounds_hold(session, ())
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=spec_strategy(max_inputs=4, max_outputs=3))
+    def test_same_node_order_on_random_cfs(self, spec):
+        bounded = CharFunction.from_spec(spec)
+        full = CharFunction.from_spec(spec)
+        cost_bounded = sift(
+            bounded.bdd, [bounded.root], precedence=bounded.precedence_constraints(),
+        )
+        cost_full = sift(
+            full.bdd, [full.root],
+            precedence=full.precedence_constraints(), cost_fn=root_node_count,
+        )
+        assert bounded.bdd.order() == full.bdd.order()
+        assert cost_bounded == cost_full == bounded.num_nodes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 6),
+        tables=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3),
+    )
+    def test_same_node_order_on_random_plain_bdds(self, n, tables):
+        orders = []
+        for cost_fn in (None, root_node_count):
+            bdd = BDD()
+            vids = bdd.add_vars([f"x{i}" for i in range(n)])
+            roots = [
+                from_truth_table(bdd, vids, [(bits >> m) & 1 for m in range(1 << n)])
+                for bits in tables
+            ]
+            sift(bdd, roots, cost_fn=cost_fn, max_rounds=2)
+            orders.append(bdd.order())
+        assert orders[0] == orders[1]
+
+    def test_tie_beyond_the_start_still_wins(self):
+        # x2 starts its turn at level 2 and costs 9 at level 4 and again
+        # at level 1.  Walking back up from level 4 the bound already
+        # equals 9, but level 1 is nearer the start and wins the tie, so
+        # the direction must not end before it has passed the start.
+        orders = []
+        for cost_fn in (width_sum, full_pass_width_sum):
+            bdd = BDD()
+            vids = bdd.add_vars([f"x{i}" for i in range(5)])
+            f = from_truth_table(bdd, vids, [(0x2000D000 >> m) & 1 for m in range(32)])
+            assert sift(bdd, [f], cost_fn=cost_fn) == 8.0
+            orders.append(bdd.order())
+        assert orders[0] == orders[1] == ["x1", "x2", "x3", "x4", "x0"]
+
+    def test_custom_cost_visits_every_admissible_level(self):
+        # A constant cost ties everywhere, so any bound would end each
+        # direction at once; unbounded, every variable visits its whole
+        # range and returns to its start.
+        bdd, vids, f, _ = random_function(6, n=6)
+        precedence = [(vids[0], vids[4]), (vids[2], vids[3])]
+        ranges = {vid: reorder._bounds(bdd, vid, precedence) for vid in vids}
+        orders = []
+
+        def constant(bdd_, roots):
+            orders.append(bdd_.order())
+            return 0.0
+
+        sift(bdd, [f], precedence=precedence, cost_fn=constant, max_growth=float("inf"))
+        # One sample before the round, then per variable one at its start
+        # and one after each of its ub - lb exploring swaps.
+        assert len(orders) == 1 + sum(1 + ub - lb for lb, ub in ranges.values())
+        for vid, (lb, ub) in ranges.items():
+            name = bdd.name_of(vid)
+            assert {order.index(name) for order in orders} >= set(range(lb, ub + 1))
+        assert bdd.order() == [f"x{i}" for i in range(6)]
+
+
 class TestKeptWidthAudit:
     def test_check_widths_flags_a_corrupt_count(self):
         bdd, vids, f, _ = random_function(12)
@@ -452,6 +592,95 @@ class TestRefAudit:
 
 
 # ---------------------------------------------------------------------------
+# Sifted orders pinned
+# ---------------------------------------------------------------------------
+
+#: Final cost and order (top first) of ``sift`` on each Table 5 output
+#: half under both costs, and on both 250-word CFs (Table 6's DC=0 and
+#: Fig. 8 builds) by node count.  The cost at a position depends on the
+#: order alone, so a change that skips swaps or allocates nodes
+#: differently keeps every literal; these were measured before the
+#: lower-bound exit and hold with it.
+SIFTED_ORDERS = {
+    ("3-digit decimal adder", 0, "widthsum"): (
+        243,
+        "a2_0 a2_1 a2_2 b2_0 b2_1 b2_2 a2_3 b2_3 a1_0 a1_1 a1_2 b1_0 b1_1 b1_2 a1_3 "
+        "b1_3 b0_3 a0_3 a0_0 a0_2 a0_1 b0_0 b0_2 b0_1 y4 y8 y6 y5 y7 y3 y2 y1",
+    ),
+    ("3-digit decimal adder", 0, "nodes"): (
+        197,
+        "a2_0 a2_1 a2_2 b2_0 b2_1 b2_2 a2_3 b2_3 a1_0 a1_1 b1_0 a1_2 b1_1 b1_2 a1_3 "
+        "b1_3 b0_3 a0_3 a0_0 a0_2 a0_1 b0_0 b0_2 b0_1 y4 y8 y6 y5 y7 y3 y2 y1",
+    ),
+    ("3-digit decimal adder", 1, "widthsum"): (
+        270,
+        "a2_2 a2_3 b2_3 a2_0 a2_1 b2_0 b2_2 b2_1 y8 y6 y7 y5 a1_3 b1_3 a1_0 a1_2 a1_1 "
+        "b1_0 b1_1 b1_2 y4 y2 y1 y3 a0_0 a0_1 a0_2 b0_0 b0_1 b0_2 a0_3 b0_3",
+    ),
+    ("3-digit decimal adder", 1, "nodes"): (
+        225,
+        "a2_0 a2_2 a2_3 b2_3 a2_1 b2_0 b2_2 b2_1 y8 y6 y7 y5 a1_3 b1_3 a1_0 a1_2 a1_1 "
+        "b1_0 b1_1 b1_2 y4 y2 y1 y3 a0_0 a0_1 a0_2 a0_3 b0_0 b0_1 b0_2 b0_3",
+    ),
+    ("5-digit 6-nary to binary", 0, "widthsum"): (
+        1113,
+        "d0_1 d1_0 d1_1 d3_0 d3_1 d2_2 d1_2 d2_0 d2_1 d3_2 d4_0 d4_1 d0_2 d0_0 y7 y5 y1 "
+        "y2 y3 y4 y6 d4_2",
+    ),
+    ("5-digit 6-nary to binary", 0, "nodes"): (
+        696,
+        "d2_0 d2_1 d3_0 d3_1 d2_2 d3_2 d4_0 d4_1 d1_2 d0_1 d1_0 d1_1 d0_2 d0_0 y7 y5 y1 "
+        "y2 y3 y4 y6 d4_2",
+    ),
+    ("5-digit 6-nary to binary", 1, "widthsum"): (
+        238,
+        "d0_0 d0_1 d1_0 d1_1 d0_2 d2_0 d2_1 d1_2 d3_0 d3_1 d2_2 d4_0 d4_1 d3_2 y1 y2 y3 "
+        "y4 y5 d4_2 y6",
+    ),
+    ("5-digit 6-nary to binary", 1, "nodes"): (
+        217,
+        "d0_1 d0_0 d1_0 d1_1 d0_2 d2_0 d2_1 d1_2 d3_0 d3_1 d2_2 d4_0 d4_1 d3_2 y1 y2 y3 "
+        "y4 y5 d4_2 y6",
+    ),
+    ("250 words", False, "nodes"): (
+        6169,
+        "L7_3 L7_4 L1_4 L1_3 L7_2 L6_2 L6_3 L7_1 L7_0 L1_0 L1_2 L1_1 L0_4 L2_4 L0_0 "
+        "L0_1 L0_3 L6_4 L2_3 L5_4 L5_2 L6_0 L6_1 L5_1 L4_1 L4_3 L4_4 L5_3 L4_0 L2_0 "
+        "L2_2 L3_3 L3_4 L3_1 L3_2 L4_2 L5_0 L2_1 L3_0 L0_2 y7 y8 y6 y1 y2 y3 y4 y5",
+    ),
+    ("250 words", True, "nodes"): (
+        6168,
+        "L7_3 L7_4 L1_4 L1_3 L7_2 L6_2 L6_3 L7_1 L7_0 L1_0 L1_2 L1_1 L0_4 L2_4 L0_0 "
+        "L0_1 L0_3 L6_4 L2_3 L5_4 L5_2 L6_0 L6_1 L5_1 L4_1 L4_3 L4_4 L5_3 L4_0 L2_0 "
+        "L2_2 L3_3 L3_4 L3_1 L3_2 L4_2 L5_0 L2_1 L3_0 L0_2 y7 y8 y6 y1 y2 y3 y4 y5",
+    ),
+}
+
+
+def sifted_order_cases(name):
+    if name == "250 words":
+        word_list = WordList(generate_words(250, seed=2005))
+        for dc_outside in (False, True):
+            yield (name, dc_outside, "nodes"), build_wordlist_isf(word_list, dc_outside=dc_outside)
+        return
+    for index, part in enumerate(get_benchmark(name).build().bipartition()):
+        for cost in ("widthsum", "nodes"):
+            yield (name, index, cost), part
+
+
+@pytest.mark.parametrize("name", ["3-digit decimal adder", "5-digit 6-nary to binary", "250 words"])
+def test_sifted_orders_are_pinned(name):
+    for key, isf in sifted_order_cases(name):
+        cf = CharFunction.from_isf(isf)
+        final = sift(
+            cf.bdd, [cf.root],
+            precedence=cf.precedence_constraints(),
+            cost_fn=width_sum if key[2] == "widthsum" else None,
+        )
+        assert (final, " ".join(cf.bdd.order())) == SIFTED_ORDERS[key], key
+
+
+# ---------------------------------------------------------------------------
 # Sifted managers pinned byte for byte
 # ---------------------------------------------------------------------------
 
@@ -459,18 +688,20 @@ class TestRefAudit:
 #: _peak_alive) after ``CharFunction.sift`` on each Table 5 output half.
 #: No result depends on node ids (Alg. 3.3 orders columns by rank, see
 #: repro.bdd.traversal.node_ranks); the digests guard the swap kernel's
-#: allocation history, so a change to how swaps allocate and free, or to
-#: how ``CharFunction.from_isf`` builds the CF, shows up here and is
-#: re-measured on purpose.  They do not depend on PYTHONHASHSEED.
+#: allocation history, so a change to how swaps allocate and free, to
+#: which swaps a sift makes (the lower-bound exit skips some), or to how
+#: ``CharFunction.from_isf`` builds the CF, shows up here and is
+#: re-measured on purpose; ``SIFTED_ORDERS`` pins what must not move.
+#: They do not depend on PYTHONHASHSEED.
 SIFT_DIGESTS = {
-    ("3-digit decimal adder", 0, "widthsum"): "33dfb1a80ffd36cb9a54aad1e305aa48",
-    ("3-digit decimal adder", 0, "nodes"): "b2b78e357a407f6b6abff4b6d060583c",
-    ("3-digit decimal adder", 1, "widthsum"): "da311415f05d1be5288499c43a343940",
-    ("3-digit decimal adder", 1, "nodes"): "b17153d64a3f5ac67cfd7c2627f7cc6f",
-    ("5-digit 6-nary to binary", 0, "widthsum"): "d42699da04005de5d7754ee75afbb0fe",
-    ("5-digit 6-nary to binary", 0, "nodes"): "fa03b53040d0b14cf6c388e95b803668",
-    ("5-digit 6-nary to binary", 1, "widthsum"): "e696fd9212b7bc4f1769bf1aaa1c850f",
-    ("5-digit 6-nary to binary", 1, "nodes"): "c3491d9d3766f261ef44f5cd99756365",
+    ("3-digit decimal adder", 0, "widthsum"): "d08a8438ce989567d5cdea93eb1cf10f",
+    ("3-digit decimal adder", 0, "nodes"): "e9df1d3034f5669fdcf8338deb610a83",
+    ("3-digit decimal adder", 1, "widthsum"): "feafa1f4cc7d64218b873664ee3b7fdd",
+    ("3-digit decimal adder", 1, "nodes"): "06711892761b421af7fece49aca63db5",
+    ("5-digit 6-nary to binary", 0, "widthsum"): "9126da8085420caccbb3ff66e53b0418",
+    ("5-digit 6-nary to binary", 0, "nodes"): "ac95b06cb7235e77ced04c4b687a9bba",
+    ("5-digit 6-nary to binary", 1, "widthsum"): "90291bea3ea46da2f6f68ededc595a45",
+    ("5-digit 6-nary to binary", 1, "nodes"): "eb3d08e1d643a59fb5bb70bb38f3b739",
 }
 
 
