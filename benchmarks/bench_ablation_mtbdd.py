@@ -42,7 +42,7 @@ _collected: dict[str, tuple] = {}
 @pytest.mark.parametrize("name", CASES)
 def test_cf_vs_mtbdd(benchmark, name):
     def run():
-        from repro.bdd.traversal import crossing_targets
+        from repro.bdd.traversal import crossing_counts
 
         b = get_benchmark(name)
         isf = b.build()
@@ -51,9 +51,7 @@ def test_cf_vs_mtbdd(benchmark, name):
         roots = [out.f1 for out in ext.outputs]
         src = isf.bdd
         sbdd_nodes = src.count_nodes(*roots)
-        sections = crossing_targets(src, roots)
-        n_levels = src.num_vars
-        sbdd_width = max(len(s) for s in sections[: n_levels + 1])
+        sbdd_width = max(crossing_counts(src, roots))
 
         mtbdd = mtbdd_from_isf(isf, dc_value=0)
         cf = CharFunction.from_isf(ext)

@@ -20,13 +20,11 @@ class Limits:
         max_compat_pairs: Upper bound on the number of pairwise
             compatibility checks performed when building one
             compatibility graph (Algorithm 3.3, one height).  When the
-            bound would be exceeded the graph is built for the
-            ``max_columns_exact`` lowest-degree candidates only and the
-            remaining columns are kept unmerged; this trades optimality
-            for bounded runtime and is reported by the caller.
-        max_columns_exact: Number of columns above which the guard kicks
-            in (``max_columns_exact ** 2`` should stay close to
-            ``max_compat_pairs``).
+            bound would be exceeded the graph connects only the longest
+            prefix of the candidates whose pairs fit under it
+            (``reduce.cliquecover.pair_limit``) and the remaining
+            columns are kept unmerged; this trades optimality for
+            bounded runtime and is reported by the caller.
         sift_widthsum_node_limit: Node-count threshold at or below
             which ``cost="auto"`` sifts by the exact sum of widths (the
             paper's cost function); larger BDDs sift by live node
@@ -39,7 +37,6 @@ class Limits:
     """
 
     max_compat_pairs: int = 6_000_000
-    max_columns_exact: int = 2400
     sift_widthsum_node_limit: int = 6_000
     sift_max_growth: float = 1.6
 

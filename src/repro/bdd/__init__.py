@@ -8,7 +8,8 @@ Public surface:
   sorted minterm lists.
 * :mod:`repro.bdd.vector` — symbolic bit-vector arithmetic.
 * :mod:`repro.bdd.reorder` — in-place adjacent swaps and sifting.
-* :mod:`repro.bdd.traversal` — level profiles and crossing-edge sets.
+* :mod:`repro.bdd.traversal` — Definition 3.5's crossing sections,
+  counts and node ranks from one walk.
 * :mod:`repro.bdd.dot` — Graphviz export in the paper's drawing style.
 * :mod:`repro.bdd.governor` — cooperative node/step/deadline budgets
   (:class:`~repro.bdd.governor.Budget`) enforced inside the apply
@@ -40,16 +41,7 @@ from repro.bdd.builder import (
     word_geq_const,
 )
 from repro.bdd.reorder import SiftSession, set_order, sift, width_sum
-from repro.bdd.traversal import (
-    count_paths_to_one,
-    crossing_counts,
-    crossing_targets,
-    internal_nodes,
-    level_profile,
-    node_ranks,
-    nodes_by_level,
-    sections_of,
-)
+from repro.bdd.traversal import crossing_counts, node_ranks
 from repro.bdd.dot import to_dot
 from repro.bdd.force import force_input_order, force_order
 from repro.bdd.gcf import constrain, restrict_gc
@@ -76,13 +68,10 @@ __all__ = [
     "check_manager",
     "check_payload",
     "constrain",
-    "count_paths_to_one",
     "crossing_counts",
     "force_input_order",
     "force_order",
-    "crossing_targets",
     "node_ranks",
-    "sections_of",
     "charfunction_payload",
     "dump_charfunction",
     "dump_forest",
@@ -91,13 +80,10 @@ __all__ = [
     "from_cubes",
     "from_sorted_minterms",
     "from_truth_table",
-    "internal_nodes",
     "load_charfunction",
     "load_charfunction_payload",
     "load_forest",
     "load_forest_payload",
-    "level_profile",
-    "nodes_by_level",
     "selfcheck_enabled",
     "set_order",
     "sift",

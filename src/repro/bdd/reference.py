@@ -12,9 +12,15 @@ Two jobs:
   ``with`` block — recursive operations, one flat cache cleared
   wholesale on every reorder swap and GC, and none of the new fast
   paths (``SEED_MODE`` switches the totality/compatibility memos and
-  the crossing-count/section fast paths in ``traversal``/``width``
-  back to their seed algorithms).  ``BENCH_PR1.json``'s speedup
-  numbers are measured against this engine.
+  the crossing counts and sections of ``traversal`` back to their
+  seed algorithms).  ``BENCH_PR1.json``'s speedup numbers are measured
+  against this engine.
+
+:func:`crossing_walk`, the seed's Definition 3.5 walk, adds the target
+of every edge to the set of every section the edge crosses.  Besides
+serving the seed engine it is the independent oracle for
+``traversal``'s one highest-edge walk: the tests compare the two, and
+``SiftSession.check_widths`` audits a sift's kept counts against it.
 """
 
 from __future__ import annotations
@@ -267,6 +273,47 @@ def seed_compatible_columns(bdd, a: int, b: int) -> bool:
     if product == FALSE:
         return False
     return seed_ordered_total(bdd, product)
+
+
+def crossing_walk(bdd, roots) -> tuple[list[set[int]], dict[int, int]]:
+    """Seed-parity crossing targets of every section, and pre-order ranks.
+
+    Entry ``l`` of the first result (``0 .. num_vars``) is the set of
+    nodes below the section above level ``l`` that receive an edge from
+    above it: every edge adds its target to each section between its
+    source level (exclusive, -1 for a root) and its target's level
+    (inclusive); edges into constant 0 add nothing.  The ranks are
+    those of ``traversal.node_ranks``.  Θ(edges × span) set insertions.
+    """
+    t = bdd.num_vars
+    sections: list[set[int]] = [set() for _ in range(t + 1)]
+
+    def record(target: int, from_level: int) -> None:
+        if target != FALSE:
+            for section in range(from_level + 1, min(bdd.level(target), t) + 1):
+                sections[section].add(target)
+
+    rank: dict[int, int] = {}
+    root_list = list(roots)
+    for r in root_list:
+        record(r, -1)
+    stack = root_list[::-1]
+    while stack:
+        u = stack.pop()
+        if u in rank:
+            continue
+        rank[u] = len(rank)
+        if u <= 1:
+            continue
+        level = bdd.level(u)
+        lo, hi = bdd._lo[u], bdd._hi[u]
+        record(lo, level)
+        record(hi, level)
+        if hi not in rank:
+            stack.append(hi)
+        if lo not in rank:
+            stack.append(lo)
+    return sections, rank
 
 
 # ----------------------------------------------------------------------

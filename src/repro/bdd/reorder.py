@@ -29,13 +29,12 @@ remain valid and keep denoting the same Boolean functions.  Any node
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from itertools import accumulate
 from math import isqrt
 
-from repro.bdd import check
+from repro.bdd import check, reference
 from repro.bdd import governor as _governor
 from repro.bdd.manager import BDD, FALSE, check_capacity
-from repro.bdd.traversal import crossing_counts
+from repro.bdd.traversal import crossing_counts, highest_edges, section_counts
 from repro.errors import IntegrityError, OrderingError
 from repro._config import LIMITS
 
@@ -85,47 +84,28 @@ class SiftSession:
         bdd.collect(self.roots)
         self.counts: list[int] | None = None
         self.width_sum = 0
+        # _mf[u]: the level of the highest edge into u (-1 for a root)
+        # for every live node but FALSE, as traversal.highest_edges
+        # records it; the swaps keep it exact.
         self._mf: dict[int, int] | None = None
         if widths:
-            self._init_widths()
-
-    def _init_widths(self) -> None:
-        # _mf[u]: the level of the highest edge into u, -1 for a root,
-        # for every live node but FALSE.  u crosses the sections
-        # _mf[u] + 1 .. level(u), with TRUE at level t, so a difference
-        # array over levels yields every count (as crossing_counts).
-        bdd = self.bdd
-        t = bdd.num_vars
-        level_of, vid_arr = bdd._level_of, bdd._vid
-        lo_arr, hi_arr = bdd._lo, bdd._hi
-        mf: dict[int, int] = {}
-        for u in self._ref:
-            level = level_of[vid_arr[u]]
-            for child in (lo_arr[u], hi_arr[u]):
-                if child != FALSE and mf.get(child, t) > level:
-                    mf[child] = level
-        for r in self.roots:
-            if r != FALSE:
-                mf[r] = -1
-        diff = [0] * (t + 2)
-        for u, m in mf.items():
-            diff[m + 1] += 1
-            diff[(level_of[vid_arr[u]] if u > 1 else t) + 1] -= 1
-        self._mf = mf
-        self.counts = list(accumulate(diff[: t + 1]))
-        self.width_sum = 1 + sum(self.counts[:t])
+            self._mf = highest_edges(bdd, self.roots)[0]
+            self.counts = section_counts(bdd, self._mf)
+            self.width_sum = 1 + sum(self.counts[: bdd.num_vars])
 
     def check_widths(self) -> None:
         """Raise :class:`IntegrityError` unless the kept counts are exact.
 
-        Compares :attr:`counts` and :attr:`width_sum` with one fresh
-        :func:`~repro.bdd.traversal.crossing_counts` pass.
+        Compares :attr:`counts` and :attr:`width_sum` with the crossing
+        sets of the seed walk
+        (:func:`~repro.bdd.reference.crossing_walk`), which shares no
+        code with the walk the session started from.
         """
-        fresh = crossing_counts(self.bdd, self.roots)
+        fresh = [len(s) for s in reference.crossing_walk(self.bdd, self.roots)[0]]
         kept = self.counts
         violations = [
             check.InvariantViolation(
-                "counter", f"section {s}", f"kept crossing count {k}, fresh pass {f}"
+                "counter", f"section {s}", f"kept crossing count {k}, seed walk {f}"
             )
             for s, (k, f) in enumerate(zip(kept, fresh))
             if k != f
@@ -134,7 +114,7 @@ class SiftSession:
         if self.width_sum != fresh_sum:
             violations.append(
                 check.InvariantViolation(
-                    "counter", "width sum", f"kept {self.width_sum}, fresh pass {fresh_sum}"
+                    "counter", "width sum", f"kept {self.width_sum}, seed walk {fresh_sum}"
                 )
             )
         if violations:
@@ -491,7 +471,7 @@ def sift(
     that walk a variable back to its best level, is charged one step.
     Under ``REPRO_SELFCHECK=1`` every sift ends by recounting its
     reference counts (:meth:`SiftSession.check_refs`), and a width-sum
-    sift also audits its kept counts against one fresh pass
+    sift also audits its kept counts against the seed walk
     (:meth:`SiftSession.check_widths`).
     """
     if max_growth is None:

@@ -15,7 +15,7 @@ from collections.abc import Callable, Mapping, Sequence
 
 from repro.bdd import reference
 from repro.bdd.manager import TRUE, BDD
-from repro.bdd.traversal import sections_of
+from repro.bdd.traversal import crossing_counts
 from repro.cascade.cell import Cascade, Cell, rail_width
 from repro.cf.charfun import CharFunction
 from repro.decomp.functional import enumerate_band_walks, walk_segment
@@ -39,10 +39,10 @@ def synthesize_cascade(
     t = bdd.num_vars
     if cf.root == 0:
         raise CascadeError("cannot synthesize a cascade for the empty CF")
-    sections = sections_of(bdd, [cf.root])
+    counts = crossing_counts(bdd, [cf.root])
     live = bdd.support(cf.root)
     cuts = _pack_cells(
-        bdd, sections, live, t, max_cell_inputs, max_cell_outputs
+        bdd, counts, live, t, max_cell_inputs, max_cell_outputs
     )
     # Cells are extracted with the *live* entry sets: a width-reduced CF
     # can contain columns that only appear as the non-chosen branch of
@@ -75,7 +75,7 @@ def _band_vars(
 
 def _pack_cells(
     bdd: BDD,
-    sections: Sequence[set[int]],
+    counts: Sequence[int],
     live: set[int],
     t: int,
     max_in: int,
@@ -85,11 +85,11 @@ def _pack_cells(
     cuts: list[tuple[int, int]] = []
     top = 0
     while top < t:
-        rails_in = rail_width(len(sections[top]))
+        rails_in = rail_width(counts[top])
         best_bottom = None
         for bottom in range(top + 1, t + 1):
             inputs, outputs = _band_vars(bdd, live, top, bottom)
-            rails_out = 0 if bottom == t else rail_width(len(sections[bottom]))
+            rails_out = 0 if bottom == t else rail_width(counts[bottom])
             cell_in = rails_in + len(inputs)
             cell_out = rails_out + len(outputs)
             if cell_in > max_in:

@@ -381,29 +381,25 @@ class CharFunction:
         """
         if self.root == FALSE:
             return False
+        # The shape holds iff it holds at every node reachable through
+        # edges not into 0, so one explicit-stack walk decides it.
         bdd = self.bdd
         output_set = set(self.output_vids)
-        ok: dict[int, bool] = {TRUE: True}
-
-        def walk(u: int) -> bool:
-            r = ok.get(u)
-            if r is not None:
-                return r
+        seen: set[int] = set()
+        stack = [self.root]
+        while stack:
+            u = stack.pop()
+            if u <= 1 or u in seen:
+                continue
+            seen.add(u)
             lo, hi = bdd.lo(u), bdd.hi(u)
             if bdd.var_of(u) in output_set:
                 if (lo == FALSE) == (hi == FALSE):
-                    r = False
-                else:
-                    r = walk(hi if lo == FALSE else lo)
-            else:
-                r = lo != FALSE and hi != FALSE and walk(lo) and walk(hi)
-            ok[u] = r
-            return r
-
-        try:
-            return walk(self.root)
-        finally:
-            del walk  # the closure refers to itself: free it without the cyclic GC
+                    return False
+            elif lo == FALSE or hi == FALSE:
+                return False
+            stack += (lo, hi)
+        return True
 
     def _input_bits(self, minterm_or_bits: int | Sequence[int]) -> list[int]:
         n = len(self.input_vids)

@@ -11,13 +11,16 @@ crossing targets — the paper's decomposition-chart columns realized on
 the BDD (Sect. 3.1, footnote: the all-zero column is not counted, which
 corresponds to excluding the constant 0 target).
 
-Width *counts* go through :func:`~repro.bdd.traversal.crossing_counts`
-(one linear pass, no set materialization); column *sets* go through the
-memoized :func:`~repro.bdd.traversal.ranked_sections` so Algorithm 3.3's
+Widths and columns both come from the one walk of
+:mod:`repro.bdd.traversal`, which records the level of each node's
+highest incoming edge: width *counts* from
+:func:`~repro.bdd.traversal.crossing_counts`, column *lists*, already
+in rank order, from the memoized
+:func:`~repro.bdd.traversal.ranked_sections`, so Algorithm 3.3's
 per-height queries share one traversal.  A width-sum sift does not
 call :func:`sum_of_widths` at every position: its
-:class:`~repro.bdd.reorder.SiftSession` keeps the same counts up to
-date inside each swap (see the note at the end of this module).
+:class:`~repro.bdd.reorder.SiftSession` starts from the same walk and
+keeps the counts up to date inside each swap.
 """
 
 from __future__ import annotations
@@ -63,20 +66,15 @@ def columns_at_height(bdd: BDD, root: int, height: int) -> list[int]:
     t = bdd.num_vars
     if not (1 <= height <= t):
         raise ValueError(f"height must be in 1..{t}, got {height}")
-    sections, ranks = ranked_sections(bdd, [root])
-    return sorted(sections[t - height], key=ranks.__getitem__)
+    return list(ranked_sections(bdd, [root])[0][t - height])
 
 
 def all_columns(bdd: BDD, root: int) -> list[list[int]]:
-    """Rank-ordered column sets for every height ``0 .. t`` in one traversal."""
-    t = bdd.num_vars
-    sections, ranks = ranked_sections(bdd, [root])
-    rank = ranks.__getitem__
-    result: list[list[int]] = [[] for _ in range(t + 1)]
-    result[0] = [TRUE] if root != 0 else []
-    for height in range(1, t + 1):
-        result[height] = sorted(sections[t - height], key=rank)
-    return result
+    """Rank-ordered column lists for every height ``0 .. t`` in one traversal."""
+    sections = ranked_sections(bdd, [root])[0]
+    return [[TRUE] if root != 0 else []] + [
+        list(s) for s in reversed(sections[: bdd.num_vars])
+    ]
 
 
 def substitute_columns(
@@ -131,15 +129,3 @@ def substitute_columns(
         memo[u] = mk(var_of(u), lo, hi)
     return memo[root]
 
-
-# NOTE: a width-sum sift (CharFunction.sift unless it protects other
-# roots) reads its cost from the sift session, which keeps
-# crossing_counts() of its roots up to date inside every swap
-# (repro.bdd.reorder).  A swap of levels l/l+1 changes only
-# counts[l+1]; the session keeps, per node, the level of its highest
-# incoming edge, so the update reads only the two swapped levels.  An
-# earlier prototype patched the same single section but recounted it
-# by rescanning every level above it with Python-level set insertion,
-# and measured 14x slower than this module's full pass.
-# sum_of_widths() stays the reference and the cost of sifts that
-# protect other roots, which the kept counts would include.

@@ -311,9 +311,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         type=int,
         default=None,
         metavar="MB",
-        help="memory watchdog RSS ceiling; past it the daemon degrades "
-        "in stages — housekeep, evict coldest worker, shed admissions "
-        "(default: watchdog samples but never triggers)",
+        help="memory watchdog ceiling on the summed RSS of the daemon and "
+        "its shard workers (shared pages count once per process); past it "
+        "the daemon degrades in stages — housekeep, evict coldest worker, "
+        "shed admissions (default: watchdog samples but never triggers)",
     )
     pserve.add_argument(
         "--watchdog-interval",

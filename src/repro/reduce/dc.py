@@ -51,25 +51,53 @@ class DontCareOracle:
         return self.node_has_dc(child)
 
     def node_has_dc(self, u: int) -> bool:
-        """Don't care anywhere in the sub-CF rooted at ``u``."""
+        """Don't care anywhere in the sub-CF rooted at ``u``.
+
+        A node has one when both its output choices are allowed, or
+        when its lo edge, else its hi edge, has one (:meth:`edge_has_dc`).
+        The walk keeps its path on an explicit stack, so deep CFs cannot
+        hit the recursion limit, and it stops at the first such edge, so
+        it caches the nodes a recursive walk would.
+        """
         if u <= 1:
             return False
-        cached = self._node_cache.get(u)
-        if cached is not None:
-            return cached
+        cache = self._node_cache
+        if u in cache:
+            return cache[u]
         bdd = self.bdd
-        level = bdd.level(u)
-        vid = bdd.var_of(u)
-        lo, hi = bdd.lo(u), bdd.hi(u)
-        if bdd.is_output_vid(vid) and lo != FALSE and hi != FALSE:
-            # Both output choices allowed: a don't care encoded in place
-            # (possible in non-well-formed CFs; Fig. 1(c) before
-            # reduction).
-            result = True
-        else:
-            result = self.edge_has_dc(level, lo) or self.edge_has_dc(level, hi)
-        self._node_cache[u] = result
-        return result
+        t = bdd.num_vars
+        level_of, vid_arr = bdd._level_of, bdd._vid
+        lo_arr, hi_arr = bdd._lo, bdd._hi
+        is_output = bdd.is_output_vid
+        stack = [u]
+        while stack:
+            v = stack[-1]
+            level = level_of[vid_arr[v]]
+            lo, hi = lo_arr[v], hi_arr[v]
+            if is_output(vid_arr[v]) and lo != FALSE and hi != FALSE:
+                # Both output choices allowed: a don't care encoded in
+                # place (possible in non-well-formed CFs; Fig. 1(c)
+                # before reduction).
+                result = True
+            else:
+                result = False
+                for child in (lo, hi):
+                    if child == FALSE:
+                        continue
+                    if self._skips_output(level, level_of[vid_arr[child]] if child > 1 else t):
+                        result = True
+                        break
+                    if child > 1:
+                        result = cache.get(child)
+                        if result is None:
+                            stack.append(child)  # revisit v once it is known
+                            break
+                        if result:
+                            break
+            if result is not None:
+                cache[v] = result
+                stack.pop()
+        return cache[u]
 
     def column_has_dc(self, column: int, height: int) -> bool:
         """Don't care in a column crossing the section at ``height``.

@@ -2,13 +2,15 @@
 
 The shards' ``max_alive`` housekeeping threshold (PR 7) only meters
 *engine nodes, per shard, after a query*.  A long-lived daemon also
-accumulates result-cache entries, worker-process heaps, and allocator
-slack that no per-shard counter sees — and a single fixed threshold
-cannot tell "one hot shard" from "the whole process is about to be
-OOM-killed".  The watchdog samples the real signal (the daemon's RSS
-plus the live-node total the workers last reported for their shards)
-on a timer and walks a staged degradation ladder, one stage per
-consecutive over-limit sample:
+accumulates result-cache entries, interpreter heaps and allocator slack
+that no per-shard counter sees — and a single fixed threshold cannot
+tell "one hot shard" from "the whole service is about to be
+OOM-killed".  The watchdog samples the real signal on a timer: the
+resident sets of the daemon and of every live shard worker process
+(where every BDD lives), summed, plus the live-node total the workers
+last reported for their shards.  Forked workers share unmodified pages
+with the daemon, so the sum over-counts them.  Each consecutive
+over-limit sample climbs one stage of a degradation ladder:
 
 1. **housekeep** — drop the cross-request result cache (cheap,
    reversible: answers are recomputed on demand; the workers already
@@ -38,19 +40,23 @@ __all__ = ["MemoryWatchdog", "rss_bytes"]
 STAGES = ("ok", "housekeep", "evict", "shed")
 
 
-def rss_bytes() -> int:
-    """This process's resident set size in bytes (0 when unreadable).
+def rss_bytes(pid: int | None = None) -> int:
+    """Resident set size in bytes of process ``pid``, this one by default.
 
-    Reads ``/proc/self/status`` ``VmRSS`` (current, not peak); falls
-    back to ``resource.getrusage`` peak RSS on systems without procfs.
+    Reads ``/proc/<pid>/status`` ``VmRSS`` (current, not peak).  A
+    process that has exited, or is unreadable, reads 0; for this
+    process, systems without procfs fall back to ``resource.getrusage``
+    peak RSS.
     """
     try:
-        with open("/proc/self/status", "r", encoding="ascii") as handle:
+        with open(f"/proc/{pid or 'self'}/status", "r", encoding="ascii") as handle:
             for line in handle:
                 if line.startswith("VmRSS:"):
                     return int(line.split()[1]) * 1024
     except (OSError, ValueError, IndexError):
         pass
+    if pid is not None:
+        return 0
     try:
         import resource
 
@@ -62,9 +68,10 @@ def rss_bytes() -> int:
 class MemoryWatchdog:
     """Periodic RSS / alive-node sampler driving staged degradation.
 
-    ``rss_limit_bytes`` bounds the daemon's resident set;
-    ``alive_limit`` bounds the live-node total summed across the
-    workers' last-reported shard stats.  Either limit being exceeded
+    ``rss_limit_bytes`` bounds the resident sets of the daemon and its
+    live shard workers, summed; ``alive_limit``
+    bounds the live-node total summed across the workers'
+    last-reported shard stats.  Either limit being exceeded
     makes a sample "over"; both ``None`` leaves the watchdog as a pure
     sampler whose readings still appear in the stats document.
     """
@@ -109,7 +116,8 @@ class MemoryWatchdog:
         Returns the stage name acted on (``"ok"`` when healthy).
         """
         self.samples += 1
-        self.last_rss = rss_bytes()
+        workers = list(self.service.worker_pool.workers.values())
+        self.last_rss = rss_bytes() + sum(rss_bytes(w.process.pid) for w in workers)
         self.last_alive = self.alive_nodes()
         if not self.over_limit():
             if self.stage >= 3:

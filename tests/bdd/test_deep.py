@@ -99,3 +99,23 @@ def test_deep_charfunction_build():
         for y in cf.output_vids
     )
     assert cf.root == expected
+
+
+def test_deep_cf_reductions():
+    """Algorithm 3.1, Algorithm 3.3 (through its don't-care oracle) and
+    ``is_strictly_determined`` walk a CF of 2200 inputs without
+    recursing: one output is the AND of all inputs, the other the last
+    input, and both are don't care where ``x0 = 0``."""
+    from repro.cf import CharFunction
+    from repro.isf import ISF, MultiOutputISF
+    from repro.reduce import algorithm_3_1, algorithm_3_3
+
+    bdd, vids = _chain_manager()
+    x0 = bdd.var(vids[0])
+    ones = [bdd.apply_and_many(bdd.var(v) for v in vids), bdd.var(vids[-1])]
+    outs = [ISF(bdd, bdd.apply_and(x0, bdd.apply_not(f)), f) for f in ones]
+    cf = CharFunction.from_isf(MultiOutputISF(bdd, vids, outs))
+    assert cf.is_strictly_determined()
+    for reduced in (algorithm_3_1(cf), algorithm_3_3(cf)[0]):
+        assert reduced.refines(cf)
+        assert reduced.num_nodes() == N_DEEP + 5

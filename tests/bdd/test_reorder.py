@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bdd import BDD, TRUE, FALSE, from_truth_table, reorder, set_order, sift
+from repro.bdd import BDD, TRUE, FALSE, from_truth_table, reorder, set_order, sift, traversal
 from repro.bdd.reorder import SiftSession, width_sum
 from repro.bdd.traversal import crossing_counts
 from repro.benchfns.registry import get_benchmark
@@ -504,6 +504,25 @@ class TestKeptWidthAudit:
             session.check_widths()
         assert [v.kind for v in info.value.violations] == ["counter"]
         assert "section 2" in str(info.value)
+
+    def test_audit_does_not_share_the_starting_walk(self, monkeypatch):
+        """A fault in the walk the session starts from, which
+        ``crossing_counts`` shares, is caught: the audit recounts with
+        the seed walk."""
+        original = traversal.highest_edges
+
+        def skewed(bdd, roots):
+            mf, ranks = original(bdd, roots)
+            mf[TRUE] = -1  # as if TRUE were a root
+            return mf, ranks
+
+        monkeypatch.setattr(traversal, "highest_edges", skewed)
+        monkeypatch.setattr(reorder, "highest_edges", skewed)
+        bdd, vids, f, _ = random_function(12)
+        assert crossing_counts(bdd, [f])[0] == 2
+        session = SiftSession(bdd, [f], widths=True)
+        with pytest.raises(IntegrityError):
+            session.check_widths()
 
     @staticmethod
     def corrupt_first_swap(monkeypatch):

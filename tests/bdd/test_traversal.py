@@ -1,16 +1,13 @@
-"""Unit tests for structural traversals (profiles, crossing edges)."""
+"""Unit tests for Definition 3.5's crossing sections, counts and ranks."""
 
-from repro.bdd import (
-    BDD,
-    FALSE,
-    TRUE,
-    count_paths_to_one,
-    crossing_targets,
-    from_truth_table,
-    internal_nodes,
-    level_profile,
-    nodes_by_level,
-)
+from hypothesis import given, settings
+
+from repro.bdd import BDD, FALSE, TRUE, SiftSession, crossing_counts, node_ranks, reference
+from repro.bdd.traversal import ranked_sections
+from repro.cf import CharFunction
+from repro.reduce import algorithm_3_3
+
+from tests.conftest import spec_strategy
 
 
 def chain_function():
@@ -23,32 +20,14 @@ def chain_function():
     return bdd, vids, f
 
 
-class TestProfiles:
-    def test_internal_nodes(self):
-        bdd, vids, f = chain_function()
-        assert len(internal_nodes(bdd, [f])) == 3
-
-    def test_nodes_by_level(self):
-        bdd, vids, f = chain_function()
-        by_level = nodes_by_level(bdd, [f])
-        assert sorted(by_level) == [0, 1, 2]
-        assert all(len(v) == 1 for v in by_level.values())
-
-    def test_level_profile(self):
-        bdd, vids, f = chain_function()
-        assert level_profile(bdd, [f]) == [1, 1, 1]
-
-    def test_profile_with_skipped_level(self):
-        bdd = BDD()
-        vids = bdd.add_vars(["a", "b", "c"])
-        f = bdd.apply_and(bdd.var(vids[0]), bdd.var(vids[2]))  # b unused
-        assert level_profile(bdd, [f]) == [1, 0, 1]
+def section_sets(bdd, roots):
+    return [set(section) for section in ranked_sections(bdd, roots)[0]]
 
 
 class TestCrossingTargets:
     def test_chain(self):
         bdd, vids, f = chain_function()
-        sections = crossing_targets(bdd, [f])
+        sections = section_sets(bdd, [f])
         # Section 0 (above everything): just the root.
         assert sections[0] == {f}
         # Section 3 (above terminals): only TRUE (FALSE is excluded).
@@ -59,20 +38,15 @@ class TestCrossingTargets:
         vids = bdd.add_vars(["a", "b", "c"])
         # f = a OR (b AND c): the a-node's 1-edge jumps to TRUE.
         f = bdd.apply_or(bdd.var(vids[0]), bdd.apply_and(bdd.var(vids[1]), bdd.var(vids[2])))
-        sections = crossing_targets(bdd, [f])
+        sections = section_sets(bdd, [f])
         # TRUE receives a long edge from the top node, so it appears in
         # sections 1, 2 and 3.
         for s in (1, 2, 3):
             assert TRUE in sections[s]
 
-    def test_count_true_false(self):
-        bdd, vids, f = chain_function()
-        sections = crossing_targets(bdd, [f], count_true=False)
-        assert sections[3] == set()
-
     def test_false_never_counted(self):
         bdd, vids, f = chain_function()
-        for section in crossing_targets(bdd, [f]):
+        for section in section_sets(bdd, [f]):
             assert FALSE not in section
 
     def test_multiple_roots(self):
@@ -80,25 +54,50 @@ class TestCrossingTargets:
         vids = bdd.add_vars(["a", "b"])
         f = bdd.var(vids[0])
         g = bdd.var(vids[1])
-        sections = crossing_targets(bdd, [f, g])
+        sections = section_sets(bdd, [f, g])
         assert f in sections[0]
         # g's root sits at level 1; the external edge crosses both
         # sections above it.
         assert g in sections[0] and g in sections[1]
 
-
-class TestCountPaths:
-    def test_chain_has_one_path(self):
+    def test_terminal_roots(self):
         bdd, vids, f = chain_function()
-        assert count_paths_to_one(bdd, f) == 1
+        assert section_sets(bdd, [TRUE]) == [{TRUE}] * 4
+        assert section_sets(bdd, [FALSE]) == [set()] * 4
+        assert node_ranks(bdd, [FALSE, TRUE]) == {FALSE: 0, TRUE: 1}
+        assert crossing_counts(bdd, [FALSE, f, TRUE]) == [2, 2, 2, 1]
 
-    def test_xor_paths(self):
-        bdd = BDD()
-        vids = bdd.add_vars(["a", "b"])
-        f = bdd.apply_xor(bdd.var(vids[0]), bdd.var(vids[1]))
-        assert count_paths_to_one(bdd, f) == 2
 
-    def test_terminals(self):
-        bdd = BDD()
-        assert count_paths_to_one(bdd, FALSE) == 0
-        assert count_paths_to_one(bdd, TRUE) == 1
+def assert_walk_matches_seed_walk(bdd, roots):
+    """The one walk gives the seed walk's sections, in rank order."""
+    seed_sets, seed_ranks = reference.crossing_walk(bdd, roots)
+    lists, ranks = ranked_sections(bdd, roots)
+    assert ranks == seed_ranks
+    assert list(ranks.values()) == list(range(len(ranks)))
+    assert len(lists) == len(seed_sets) == bdd.num_vars + 1
+    for members, seed in zip(lists, seed_sets):
+        assert set(members) == seed
+        assert len(members) == len(seed), "duplicate column"
+        assert [ranks[u] for u in members] == sorted(ranks[u] for u in members)
+    counts = [len(s) for s in seed_sets]
+    assert crossing_counts(bdd, roots) == counts
+    return counts
+
+
+class TestOneWalkMatchesSeedWalk:
+    """Sections, counts, ranks and a sift session's starting counts all
+    come from the one highest-edge walk; the seed's per-edge set walk
+    (:func:`repro.bdd.reference.crossing_walk`) is the oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec_strategy(max_inputs=6, max_outputs=3))
+    def test_sifted_and_reduced_cfs(self, spec):
+        cf = CharFunction.from_spec(spec)
+        cf.sift(cost="widthsum")
+        bdd = cf.bdd
+        assert_walk_matches_seed_walk(bdd, [cf.root])
+        reduced, _ = algorithm_3_3(cf)
+        assert_walk_matches_seed_walk(bdd, [reduced.root])
+        roots = [TRUE, reduced.root, FALSE, cf.root, reduced.root]
+        counts = assert_walk_matches_seed_walk(bdd, roots)
+        assert SiftSession(bdd, roots, widths=True).counts == counts

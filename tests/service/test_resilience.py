@@ -9,6 +9,8 @@ under *real* process faults live in ``test_chaos.py``.
 """
 
 import asyncio
+import subprocess
+import sys
 
 import pytest
 
@@ -369,6 +371,32 @@ class TestMemoryWatchdog:
         assert dog["samples"] == 3
         assert dog["stage_name"] == "ok"
         assert dog["last_rss_bytes"] > 0
+
+    def test_rss_counts_the_shard_workers(self):
+        """The RSS limit meters the daemon and its workers, summed: the
+        engine lives in the workers."""
+
+        async def scenario(service):
+            await service.handle_request(wr_request("warm"))
+            (worker,) = service.worker_pool.workers.values()
+            dog = service.watchdog
+            worker_rss = rss_bytes(worker.process.pid)
+            healthy = dog.sample()
+            reading = dog.last_rss
+            # Above the daemon alone, below the daemon plus the worker.
+            dog.rss_limit_bytes = rss_bytes() + worker_rss // 2
+            return worker_rss, healthy, reading, dog.sample()
+
+        worker_rss, healthy, reading, stage = run_service(scenario)
+        assert worker_rss > 0
+        assert healthy == "ok"
+        assert reading >= worker_rss
+        assert stage == "housekeep"
+
+    def test_exited_process_reads_zero(self):
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        assert child.wait(timeout=60) == 0
+        assert rss_bytes(child.pid) == 0
 
     def test_watchdog_block_in_stats_schema(self):
         async def scenario(service):
