@@ -12,11 +12,11 @@ Budgets are *cooperative*: entering one (it is a context manager)
 pushes it on a process-wide stack, and the hot loops — the apply
 kernel's evaluator (:func:`repro.bdd.kernel.run`) and the sifting loop
 (:func:`repro.bdd.reorder.sift`) — call :func:`checkpoint` at cheap
-intervals (every :data:`CHECK_INTERVAL` kernel steps, every adjacent
-swap while sifting).  A violated limit raises
-:class:`~repro.errors.ResourceLimitError` or
-:class:`~repro.errors.DeadlineError` **between** kernel iterations or
-swaps, so the manager is always left consistent and usable: partial
+intervals (every :data:`CHECK_INTERVAL` kernel steps; while sifting,
+every adjacent swap and every level a look-ahead walk crosses).  A
+violated limit raises :class:`~repro.errors.ResourceLimitError` or
+:class:`~repro.errors.DeadlineError` **between** kernel iterations,
+swaps or walked levels, so the manager is always left consistent and usable: partial
 results are ordinary valid nodes, caches hold only correct entries,
 and subsequent operations on the same manager succeed (pinned by
 ``tests/bdd/test_governor.py``).  Because checks are periodic, a
@@ -153,8 +153,8 @@ def checkpoint(bdd=None, steps: int = 0) -> None:
     """Charge ``steps`` to every active budget and check all limits.
 
     Called by the apply kernel every :data:`CHECK_INTERVAL` evaluator
-    steps (and once per operation entry), and by the sifting loop after
-    every adjacent swap.  Raises the outermost violated budget's error
+    steps (and once per operation entry), and by the sifting loop at
+    every adjacent swap and every level a look-ahead walk crosses.  Raises the outermost violated budget's error
     first, so an enclosing deadline beats a nested node limit.
     """
     for budget in _ACTIVE:

@@ -13,8 +13,10 @@ module implements:
   ``(above_vid, below_vid)`` and a pluggable cost function (live node
   count by default; the experiment pipeline passes :func:`width_sum`
   for small enough BDDs, per ``repro._config.LIMITS``).  Under these
-  two costs a direction ends early once a lower bound shows that no
-  position left in it can beat the best one.
+  two costs a sift does not explore: one look-ahead walk per direction
+  (:func:`_walk_down`, :func:`_walk_up`) predicts the exact cost of
+  every position in it without a swap, and the variable swaps only
+  toward its best level.
 * :func:`width_sum` — the sum of widths over all sections.  A sift
   under this cost never calls it: its session keeps the crossing count
   of every section up to date inside each swap, at the price of two
@@ -29,7 +31,6 @@ remain valid and keep denoting the same Boolean functions.  Any node
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from math import isqrt
 
 from repro.bdd import check, reference
 from repro.bdd import governor as _governor
@@ -453,26 +454,26 @@ def sift(
 
     Each variable in turn, busiest level first, is moved toward the
     closer end of its admissible level range, then toward the other
-    end, the cost is sampled at every position, and the variable is
-    parked at the best one (on equal cost, the one nearest its start).
-    A direction ends at the end of the range, or once the live size
-    exceeds ``max_growth`` times its size when the variable's turn
-    began, or once a lower bound on the cost of every position left in
-    it shows that none can beat the best one.  The bound only skips
-    swaps: every variable lands where it would without it.
-    ``cost_fn`` defaults to the live node count; the Table 4 pipeline
-    passes :func:`width_sum` for BDDs under
-    ``LIMITS.sift_widthsum_node_limit`` nodes, matching the paper's
-    cost function.  The session keeps both of these, and the per-level
-    counts their bounds read, up to date inside its swaps, so sampling
-    them reads a number; any other ``cost_fn`` is called at every
-    position and gets no bound.  Under an active
-    :class:`~repro.bdd.governor.Budget` every swap, including those
-    that walk a variable back to its best level, is charged one step.
-    Under ``REPRO_SELFCHECK=1`` every sift ends by recounting its
-    reference counts (:meth:`SiftSession.check_refs`), and a width-sum
-    sift also audits its kept counts against the seed walk
-    (:meth:`SiftSession.check_widths`).
+    end, and parked at the cheapest position (on equal cost, the one
+    nearest its start).  A direction ends at the end of the range, or
+    at the first position where the live size exceeds ``max_growth``
+    times its size when the variable's turn began.  ``cost_fn``
+    defaults to the live node count; the Table 4 pipeline passes
+    :func:`width_sum` for BDDs under ``LIMITS.sift_widthsum_node_limit``
+    nodes, matching the paper's cost function.  Under these two costs
+    the sift does not explore: before a direction's first swap, one
+    walk over the levels the variable would pass (:func:`_walk_down`,
+    :func:`_walk_up`) predicts the exact node count and width sum of
+    every position in it, and the variable swaps straight to its best
+    level.  Any other ``cost_fn`` is called after every swap of a
+    direction, and the variable then walks back to its best level.
+    Under an active :class:`~repro.bdd.governor.Budget` every swap, and
+    every level a walk crosses, is charged one step.  Under
+    ``REPRO_SELFCHECK=1`` every position a predicting sift reaches
+    compares the session's cost with the prediction, and every sift
+    ends by recounting its reference counts
+    (:meth:`SiftSession.check_refs`); a width-sum sift also audits its
+    kept counts against the seed walk (:meth:`SiftSession.check_widths`).
     """
     if max_growth is None:
         max_growth = LIMITS.sift_max_growth
@@ -483,11 +484,8 @@ def sift(
                 f"must be above {bdd.name_of(below)}"
             )
     session = SiftSession(bdd, roots, widths=cost_fn is width_sum)
-    lower_bound = (
-        _node_lower_bound if cost_fn is None
-        else _width_lower_bound if cost_fn is width_sum
-        else None
-    )
+    predict = cost_fn is None or cost_fn is width_sum
+    audit = check.selfcheck_enabled()
 
     def cost() -> float:
         if cost_fn is None:
@@ -504,134 +502,374 @@ def sift(
         order = sorted(range(bdd.num_vars), key=lambda v: -len(bdd._unique[v]))
         for vid in order:
             # Cooperative budget check between variables: a raise here
-            # (or inside _sift_one, between swaps) leaves the manager
-            # consistent — just under a partially improved order.
+            # (or inside _sift_one, between swaps and walked levels)
+            # leaves the manager consistent — just under a partially
+            # improved order.
             if _governor._ACTIVE:
                 _governor.checkpoint(bdd)
-            current = _sift_one(bdd, session, vid, precedence, cost, max_growth, lower_bound)
+            current = _sift_one(session, vid, precedence, cost, max_growth, predict, audit)
         if current >= round_start:
             break
-    if check.selfcheck_enabled():
+    if audit:
         session.check_refs()
         if session.counts is not None:
             session.check_widths()
     return current
 
 
-# Lower bounds for sifting (Drechsler, Günther and Somenzi, "Using
-# lower bounds during dynamic BDD minimization", IEEE TCAD 20(1), 2001).
-# Two facts carry them.  The node count of a level, and the crossing
-# count of a section, depend only on the *set* of variables above it.
-# Adding one variable x to that set at most doubles either count, since
-# every new cofactor is an old one restricted by x; and a non-zero
-# crossing cofactor over B is fixed by its pair of cofactors over
-# B ∪ {x}, so count(B) <= (count(B ∪ {x}) + 1)² - 1.  Each bound holds
-# for every position of the variable at ``level`` strictly beyond it,
-# up to and including ``limit``; the unchanged levels or sections get
-# their exact count, which is never below the bound's term for them.
-
-
-def _node_lower_bound(session: SiftSession, level: int, limit: int) -> int:
-    """A lower bound on the live node count, the variable at ``level`` moved toward ``limit``.
-
-    The moving variable keeps a node iff it has one now.  Moving down,
-    each variable it passes loses it from the set above, so keeps at
-    least half its nodes; moving up, each one it passes keeps a node
-    iff it has one now.  Levels outside the range keep their count.
-    """
-    unique, var_at = session.bdd._unique, session.bdd._var_at_level
-    c = len(unique[var_at[level]])
-    bound = session.size - c + (c > 0)
-    if limit > level:
-        return bound - sum(len(unique[var_at[lv]]) >> 1 for lv in range(level + 1, limit + 1))
-    for lv in range(limit, level):
-        c = len(unique[var_at[lv]])
-        bound -= c - (c > 0)
-    return bound
-
-
-def _width_lower_bound(session: SiftSession, level: int, limit: int) -> int:
-    """A lower bound on the kept width sum, the variable at ``level`` moved toward ``limit``.
-
-    Moving down past level ``k``, section ``k`` trades the variable for
-    the one below it: its new set above is that of section ``k + 1``
-    less the variable, so at least half of ``counts[k + 1]`` (not of
-    ``counts[k]``).  Moving up to ``limit`` or above it, section ``k``
-    (``limit < k <= level``) gets the set above section ``k - 1`` plus
-    the variable: at least 1 if any root is non-zero, at least
-    ``counts[level + 1]`` halved once per variable it lacks of section
-    ``level + 1``'s set, and at least ``isqrt(counts[k - 1] + 1) - 1``.
-    """
-    counts = session.counts
-    bound = session.width_sum
-    if limit > level:
-        return bound - sum(
-            counts[k] - ((counts[k + 1] + 1) >> 1) for k in range(level + 1, limit + 1)
-        )
-    nonzero = counts[0] > 0
-    below = counts[level + 1]
-    for k in range(limit + 1, level + 1):
-        least = max(nonzero, -(-below >> (level + 1 - k)), isqrt(counts[k - 1] + 1) - 1)
-        bound -= counts[k] - least
-    return bound
-
-
 def _sift_one(
-    bdd: BDD,
     session: SiftSession,
     vid: int,
     precedence: Sequence[tuple[int, int]],
     cost: Callable[[], float],
     max_growth: float,
-    lower_bound: Callable[[SiftSession, int, int], int] | None,
+    predict: bool,
+    audit: bool,
 ) -> float:
+    bdd = session.bdd
     lb, ub = _bounds(bdd, vid, precedence)
     start_level = bdd.level_of_vid(vid)
     best_cost = cost()
     best_level = start_level
-    start_size = session.size
+    max_size = max_growth * session.size
 
-    # Explore the closer boundary first (classic sifting heuristic),
-    # returning to the best-so-far position between directions.
+    # Explore the closer boundary first (classic sifting heuristic).
+    # A position's cost depends on the order alone, so a predicted
+    # direction picks the level an explored one would.
     go_down_first = (ub - start_level) <= (start_level - lb)
     level = start_level
     for direction in ((1, -1) if go_down_first else (-1, 1)):
         limit = ub if direction == 1 else lb
-        while level != limit:
-            # End the direction once no position ahead can beat the
-            # best: the bound on their costs exceeds best_cost, or
-            # equals it while every position ahead is farther from the
-            # start than best_level and so loses the tie-break.  A
-            # position's cost depends on the order alone, so the
-            # variable lands where it would without the exit.
-            if lower_bound is not None:
-                bound = lower_bound(session, level, limit)
-                if bound > best_cost or (
-                    bound == best_cost
-                    and (level - start_level) * direction >= 0
-                    and abs(level - start_level) + 1 >= abs(best_level - start_level)
-                ):
-                    break
-            # One adjacent swap ~ one charged step: a ``max_steps``
-            # budget bounds sifting work, not just kernel evaluations.
-            if _governor._ACTIVE:
-                _governor.checkpoint(bdd, 1)
-            session.swap(level if direction == 1 else level - 1)
-            level += direction
-            c = cost()
+        if level == limit:
+            continue
+        if predict:
+            walk = _walk_down if direction == 1 else _walk_up
+            sizes, widths = walk(session, level, limit, max_size)
+            costs = sizes if widths is None else widths
+            here = level
+        else:
+            costs = _explore(session, level, limit, cost, max_size)
+            here = level + direction * len(costs)
+        position = level
+        for c in costs:
+            position += direction
             if c < best_cost or (
                 c == best_cost
-                and abs(level - start_level) < abs(best_level - start_level)
+                and abs(position - start_level) < abs(best_level - start_level)
             ):
                 best_cost = c
-                best_level = level
-            if session.size > max_growth * start_size:
-                break
-        # Walk back to the best level, charging these swaps too.
-        back = 1 if level < best_level else -1
-        while level != best_level:
+                best_level = position
+        # Swap to the best level: ahead after a prediction, back after
+        # an exploration.  One adjacent swap ~ one charged step.
+        step = 1 if here < best_level else -1
+        while here != best_level:
             if _governor._ACTIVE:
                 _governor.checkpoint(bdd, 1)
-            session.swap(level if back == 1 else level - 1)
-            level += back
-    return best_cost
+            session.swap(here if step == 1 else here - 1)
+            here += step
+            if audit and predict:
+                i = (here - level) * direction - 1
+                _check_prediction(
+                    session, vid, sizes[i], None if widths is None else widths[i]
+                )
+        level = best_level
+    return float(best_cost)
+
+
+def _explore(
+    session: SiftSession, level: int, limit: int, cost: Callable[[], float], max_size: float
+) -> list[float]:
+    """Swap the variable at ``level`` toward ``limit``, sampling ``cost`` after each swap."""
+    direction = 1 if limit > level else -1
+    costs = []
+    while level != limit:
+        if _governor._ACTIVE:
+            _governor.checkpoint(session.bdd, 1)
+        session.swap(level if direction == 1 else level - 1)
+        level += direction
+        costs.append(cost())
+        if session.size > max_size:
+            break
+    return costs
+
+
+def _check_prediction(session: SiftSession, vid: int, size: int, width: int | None) -> None:
+    """Raise :class:`IntegrityError` unless the session's costs equal a walk's prediction."""
+    bdd = session.bdd
+    where = f"{bdd.name_of(vid)} at level {bdd.level_of_vid(vid)}"
+    violations = []
+    if session.size != size:
+        violations.append(
+            check.InvariantViolation(
+                "counter", where, f"predicted node count {size}, swapped {session.size}"
+            )
+        )
+    if width is not None and session.width_sum != width:
+        violations.append(
+            check.InvariantViolation(
+                "counter", where, f"predicted width sum {width}, swapped {session.width_sum}"
+            )
+        )
+    if violations:
+        raise IntegrityError(
+            f"sift prediction failed self-check: {violations[0]}",
+            violations=tuple(violations),
+        )
+
+
+# Look-ahead walks.  Both rest on one fact: the nodes of a level, and
+# the targets crossing a section, are the distinct cofactors of the
+# roots over the *set* of variables above it (nodes: those that depend
+# on the level's variable; sections: those that are not FALSE).  So
+# the cost of every position of a variable x follows from cofactors of
+# the current BDD, without a swap.
+#
+# Moving x down from level l, the variables y_{l+1} .. y_j it passes
+# move up one level each.  A cofactor h over the variables above l
+# plus y_{l+1} .. y_i is fixed by its pair (h|x=0, h|x=1), and those
+# pairs are the current BDD's nodes cofactored by y_{l+1} .. y_i: the
+# pairs over the variables above l, split at each level passed.  So
+# y_i keeps one node per pair split at level i, x at level j has one
+# node per pair (a, b) with a != b, and the new section i counts the
+# pairs left after the split at i, (FALSE, FALSE) excluded.
+#
+# Moving x up from level l to level k, the variables z_k .. z_{l-1}
+# move down one level each, and the sets above them gain x.  x gets
+# one node per target crossing section k that depends on x, z_i one
+# node per distinct x-cofactor of a node at level i that depends on
+# z_i, and the new section i + 1 counts the distinct non-FALSE
+# x-cofactors of the targets crossing section i.  The cofactors are
+# built bottom-up and hash-consed: a result whose children are live
+# nodes is that live node if the unique table holds it, and any other
+# new function gets a fresh negative id, so equal ids are equal
+# functions.
+#
+# A target crosses a section when a root or an edge from above it
+# points to it.  A width session reads that from ``_mf``; a node
+# session counts the edges from the levels the walk has passed and
+# compares them with the kept reference counts.
+
+
+def _walk_down(
+    session: SiftSession, level: int, limit: int, max_size: float
+) -> tuple[list[int], list[int] | None]:
+    """The costs of moving the variable at ``level`` to ``level + 1 .. limit``.
+
+    Returns the live node count at each position and, in a width
+    session, the kept width sum (None otherwise).  The walk stops at
+    the first position whose node count exceeds ``max_size``.
+    """
+    bdd = session.bdd
+    var_at, level_of, unique = bdd._var_at_level, bdd._level_of, bdd._unique
+    vid_arr, lo_arr, hi_arr = bdd._vid, bdd._lo, bdd._hi
+    mf, ref, counts = session._mf, session._ref, session.counts
+    bottom = bdd.num_vars  # the terminals' level
+    # Pairs (a << 32 | b), bucketed by the level of their upper member;
+    # the levels below ``limit`` share one set, whose pairs never split.
+    settled: set[int] = set()
+    buckets = [set() for _ in range(limit + 1)] + [settled] * (bottom - limit)
+    x_nodes = unique[var_at[level]].values()
+    for u in x_nodes:
+        a, b = lo_arr[u], hi_arr[u]
+        la = level_of[vid_arr[a]] if a > 1 else bottom
+        lb = level_of[vid_arr[b]] if b > 1 else bottom
+        buckets[min(la, lb)].add(a << 32 | b)
+    # xcount: the nodes x has, one per pair with a != b.  n: the pairs
+    # in the buckets.  above (width session): the other targets that
+    # cross the section above x and have not entered a bucket yet; each
+    # stands for its own pair (w, w).
+    xcount = n = len(x_nodes)
+    above = counts[level] - n if mf is not None else 0
+    size = session.size - n
+    width = session.width_sum
+    cnt: dict[int, int] = {}  # node session: edges from the levels passed
+    if mf is None:
+        for u in x_nodes:
+            for c in (lo_arr[u], hi_arr[u]):
+                if c > 1:
+                    cnt[c] = cnt.get(c, 0) + 1
+    sizes: list[int] = []
+    widths: list[int] | None = None if mf is None else []
+    for j in range(level + 1, limit + 1):
+        if _governor._ACTIVE:
+            _governor.checkpoint(bdd, 1)
+        y = var_at[j]
+        y_nodes = unique[y].values()
+        bucket = buckets[j]
+        # A node at j that crosses section ``level`` enters as (w, w).
+        if mf is not None:
+            for w in y_nodes:
+                if mf[w] < level:
+                    bucket.add(w << 32 | w)
+                    above -= 1
+                    n += 1
+        else:
+            for w in y_nodes:
+                if ref[w] > cnt.get(w, 0):
+                    bucket.add(w << 32 | w)
+                for c in (lo_arr[w], hi_arr[w]):
+                    if c > 1:
+                        cnt[c] = cnt.get(c, 0) + 1
+        size += len(bucket) - len(y_nodes)
+        n -= len(bucket)
+        for key in bucket:
+            a = key >> 32
+            b = key & 0xFFFFFFFF
+            if a != b:
+                xcount -= 1
+            if a > 1 and vid_arr[a] == y:
+                a0, a1 = lo_arr[a], hi_arr[a]
+            else:
+                a0 = a1 = a
+            if b > 1 and vid_arr[b] == y:
+                b0, b1 = lo_arr[b], hi_arr[b]
+            else:
+                b0 = b1 = b
+            for a, b in ((a0, b0), (a1, b1)):
+                la = level_of[vid_arr[a]] if a > 1 else bottom
+                if a == b:
+                    # (w, w) of a target still counted in ``above``
+                    # enters at its own level, as above.
+                    if a == FALSE or (mf is not None and mf[a] < level):
+                        continue
+                else:
+                    lb = level_of[vid_arr[b]] if b > 1 else bottom
+                    if lb < la:
+                        la = lb
+                target = buckets[la]
+                key = a << 32 | b
+                if key not in target:
+                    target.add(key)
+                    n += 1
+                    if a != b:
+                        xcount += 1
+        bucket.clear()
+        sizes.append(size + xcount)
+        if widths is not None:
+            width += above + n - counts[j]
+            widths.append(width)
+        if size + xcount > max_size:
+            break
+    return sizes, widths
+
+
+def _walk_up(
+    session: SiftSession, level: int, limit: int, max_size: float
+) -> tuple[list[int], list[int] | None]:
+    """The costs of moving the variable at ``level`` to ``level - 1 .. limit``.
+
+    Returns the live node count at each position and, in a width
+    session, the kept width sum (None otherwise).  The walk stops at
+    the first position whose node count exceeds ``max_size``.
+    """
+    bdd = session.bdd
+    var_at, unique = bdd._var_at_level, bdd._unique
+    lo_arr, hi_arr = bdd._lo, bdd._hi
+    mf, ref, counts = session._mf, session._ref, session.counts
+    x_nodes = unique[var_at[level]].values()
+    # cof0[u], cof1[u]: the x-cofactors of every node u from the level
+    # walked last down to x; any other node is its own cofactor.
+    cof0 = {u: lo_arr[u] for u in x_nodes}
+    cof1 = {u: hi_arr[u] for u in x_nodes}
+    fresh = -1
+    # The x-dependent nodes still crossing the section above the walk.
+    xcount = len(x_nodes)
+    size = session.size - xcount
+    sizes: list[int] = []
+    widths: list[int] | None = None
+    cnt: dict[int, int] = {}  # node session: edges from the levels walked
+    if mf is not None:
+        # The new section below x counts the distinct non-FALSE
+        # x-cofactors of the targets crossing the section above x:
+        # ``below`` targets under level ``level`` that cross it (their
+        # own cofactors), and the keys of ``mult``, the cofactors of the
+        # crossing targets from the walk's level down to x, that are
+        # not among them.
+        widths = []
+        width = session.width_sum
+        below = counts[level + 1]
+        mult: dict[int, int] = {}
+        gone: set[int] = set()
+        for u in x_nodes:
+            for c in (lo_arr[u], hi_arr[u]):
+                if c != FALSE:
+                    mult[c] = mult.get(c, 0) + 1
+                    if mf[c] == level and c not in gone:
+                        gone.add(c)
+                        below -= 1
+    for k in range(level - 1, limit - 1, -1):
+        if _governor._ACTIVE:
+            _governor.checkpoint(bdd, 1)
+        y_unique = unique[var_at[k]]
+        made: dict[tuple[int, int], int] = {}
+        results: set[int] = set()
+        leaving: list[int] = []
+        for g in y_unique.values():
+            g0, g1 = lo_arr[g], hi_arr[g]
+            # Both cofactors of g by x, hash-consed as described above.
+            e0, e1 = cof0.get(g0, g0), cof0.get(g1, g1)
+            if e0 == e1:
+                r0 = e0
+            else:
+                r0 = y_unique.get(e0 << 32 | e1) if e0 >= 0 and e1 >= 0 else None
+                if r0 is None:
+                    r0 = made.get((e0, e1))
+                    if r0 is None:
+                        r0 = made[e0, e1] = fresh
+                        fresh -= 1
+                results.add(r0)
+            e0, e1 = cof1.get(g0, g0), cof1.get(g1, g1)
+            if e0 == e1:
+                r1 = e0
+            else:
+                r1 = y_unique.get(e0 << 32 | e1) if e0 >= 0 and e1 >= 0 else None
+                if r1 is None:
+                    r1 = made.get((e0, e1))
+                    if r1 is None:
+                        r1 = made[e0, e1] = fresh
+                        fresh -= 1
+                results.add(r1)
+            if r0 != r1:
+                xcount += 1
+            # The children whose highest edge comes from level k stop
+            # crossing the section above the walk.
+            for c in (g0, g1):
+                if mf is None:
+                    if c in cof0:
+                        m = cnt.get(c, 0) + 1
+                        cnt[c] = m
+                        if m == ref[c] and cof0[c] != cof1[c]:
+                            xcount -= 1
+                elif c != FALSE and mf[c] == k and c not in gone:
+                    gone.add(c)
+                    if c in cof0:
+                        leaving.append(c)
+                    else:
+                        below -= 1
+            cof0[g] = r0
+            cof1[g] = r1
+        size += len(results) - len(y_unique)
+        if widths is not None:
+            for c in leaving:
+                if cof0[c] != cof1[c]:
+                    xcount -= 1
+                for r in (cof0[c], cof1[c]):
+                    if r != FALSE:
+                        m = mult[r] - 1
+                        if m:
+                            mult[r] = m
+                        else:
+                            del mult[r]
+            for g in y_unique.values():
+                for r in (cof0[g], cof1[g]):
+                    if r != FALSE:
+                        mult[r] = mult.get(r, 0) + 1
+            # Skip the keys already counted in ``below``: live nodes
+            # under level ``level`` (or TRUE) with mf < k.
+            extra = sum(1 for r in mult if r < 0 or r in cof0 or mf[r] >= k)
+            width += below + extra - counts[k + 1]
+            widths.append(width)
+        sizes.append(size + xcount)
+        if size + xcount > max_size:
+            break
+    return sizes, widths

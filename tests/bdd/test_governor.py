@@ -12,7 +12,7 @@ import re
 import pytest
 
 from repro.bdd import BDD, Budget, sift
-from repro.bdd import governor
+from repro.bdd import governor, reorder
 from repro.benchfns.registry import get_benchmark
 from repro.cf.charfun import CharFunction
 from repro.errors import BudgetError, DeadlineError, ResourceLimitError
@@ -146,16 +146,24 @@ class TestCheckpointSemantics:
         assert a.steps == 64
         assert b.steps == 64
 
-    def test_sift_charges_one_step_per_swap(self):
-        # Including the swaps that walk each variable back to its best level.
+    def test_sift_charges_swaps_and_walked_levels(self, monkeypatch):
+        # One step per swap and one per level a look-ahead walk crosses.
+        walked = []
+        for name in ("_walk_down", "_walk_up"):
+            def counting(session, level, limit, max_size, walk=getattr(reorder, name)):
+                sizes, widths = walk(session, level, limit, max_size)
+                walked.append(len(sizes))
+                return sizes, widths
+
+            monkeypatch.setattr(reorder, name, counting)
         part = get_benchmark("3-digit decimal adder").build().bipartition()[0]
         cf = CharFunction.from_isf(part)
         epoch = cf.bdd._epoch
         with Budget(max_steps=10**9) as budget:
             cf.sift(cost="widthsum")
         swaps = cf.bdd._epoch - epoch
-        assert swaps > 0
-        assert budget.steps == swaps
+        assert (swaps, sum(walked)) == (46, 588)
+        assert budget.steps == swaps + sum(walked)
 
     def test_note_degraded_records_on_active_budgets(self):
         budget = Budget()

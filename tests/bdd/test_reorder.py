@@ -368,28 +368,36 @@ def shuffle_admissibly(session, precedence, data, n_moves):
         session.move_var(vid, data.draw(st.integers(lb, ub), label="target"))
 
 
-def assert_bounds_hold(session, precedence):
-    """For every variable and direction, the bound is at most the cost at
-    every admissible level beyond the variable's own."""
+def assert_walks_exact(session, precedence):
+    """For every variable and direction, each cost a walk predicts equals
+    the session's cost after ``move_var`` to that position, and a walk
+    with a size cap stops at the first position above it."""
     bdd = session.bdd
-    widths = session.counts is not None
-    lower_bound = reorder._width_lower_bound if widths else reorder._node_lower_bound
     for vid in range(bdd.num_vars):
         level = bdd.level_of_vid(vid)
         for limit in reorder._bounds(bdd, vid, precedence):
             if limit == level:
                 continue
-            bound = lower_bound(session, level, limit)
+            walk = reorder._walk_down if limit > level else reorder._walk_up
+            sizes, widths = walk(session, level, limit, float("inf"))
+            assert (widths is None) == (session.counts is None)
+            cap = session.size
+            capped = walk(session, level, limit, cap)
+            cut = next((i + 1 for i, size in enumerate(sizes) if size > cap), len(sizes))
+            assert capped == (sizes[:cut], None if widths is None else widths[:cut])
             step = 1 if limit > level else -1
-            for target in range(level + step, limit + step, step):
+            targets = range(level + step, limit + step, step)
+            assert len(sizes) == len(targets)
+            for i, target in enumerate(targets):
                 session.move_var(vid, target)
-                cost = session.width_sum if widths else session.size
-                assert bound <= cost, (vid, level, target)
+                assert sizes[i] == session.size, (vid, level, target)
+                if widths is not None:
+                    assert widths[i] == session.width_sum, (vid, level, target)
             session.move_var(vid, level)
 
 
-class TestLowerBounds:
-    """The sift's lower bounds hold, and only skip swaps."""
+class TestLookAhead:
+    """The walks predict the exact cost of every position."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -397,12 +405,12 @@ class TestLowerBounds:
         widths=st.booleans(),
         data=st.data(),
     )
-    def test_bounds_hold_on_random_cfs(self, spec, widths, data):
+    def test_walks_are_exact_on_random_cfs(self, spec, widths, data):
         cf = CharFunction.from_spec(spec)
         precedence = cf.precedence_constraints()
         session = SiftSession(cf.bdd, [cf.root], widths=widths)
         shuffle_admissibly(session, precedence, data, 4)
-        assert_bounds_hold(session, precedence)
+        assert_walks_exact(session, precedence)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -412,7 +420,7 @@ class TestLowerBounds:
         widths=st.booleans(),
         data=st.data(),
     )
-    def test_bounds_hold_on_random_plain_bdds(self, n, tables, extra, widths, data):
+    def test_walks_are_exact_on_random_plain_bdds(self, n, tables, extra, widths, data):
         bdd = BDD()
         vids = bdd.add_vars([f"x{i}" for i in range(n)])
         roots = [
@@ -421,7 +429,57 @@ class TestLowerBounds:
         ]
         session = SiftSession(bdd, [*roots, *extra], widths=widths)
         shuffle_admissibly(session, (), data, 4)
-        assert_bounds_hold(session, ())
+        assert_walks_exact(session, ())
+
+    def test_walks_touch_nothing(self):
+        bdd, vids, f, _ = random_function(14, n=6)
+        session = SiftSession(bdd, [f], widths=True)
+        before = (bdd.order(), bdd._vid[:], bdd._lo[:], bdd._hi[:], bdd._epoch)
+        kept = (dict(session._ref), dict(session._mf), session.counts[:], session.size)
+        for vid in vids:
+            level = bdd.level_of_vid(vid)
+            reorder._walk_down(session, level, bdd.num_vars - 1, float("inf"))
+            reorder._walk_up(session, level, 0, float("inf"))
+        assert (bdd.order(), bdd._vid, bdd._lo, bdd._hi, bdd._epoch) == before
+        assert (session._ref, session._mf, session.counts, session.size) == kept
+
+    @staticmethod
+    def predict_zero(monkeypatch):
+        """Every walk predicts cost 0 everywhere, so each variable swaps."""
+
+        def zero(walk):
+            def predict(session, level, limit, max_size):
+                sizes, widths = walk(session, level, limit, max_size)
+                return [0] * len(sizes), None if widths is None else [0] * len(widths)
+
+            return predict
+
+        for name in ("_walk_down", "_walk_up"):
+            monkeypatch.setattr(reorder, name, zero(getattr(reorder, name)))
+
+    @pytest.mark.parametrize("cost_fn", [None, width_sum])
+    def test_armed_sift_raises_on_a_wrong_prediction(self, monkeypatch, cost_fn):
+        monkeypatch.setenv("REPRO_SELFCHECK", "1")
+        self.predict_zero(monkeypatch)
+        bdd, vids, f, _ = random_function(13)
+        with pytest.raises(IntegrityError, match="prediction") as info:
+            sift(bdd, [f], cost_fn=cost_fn)
+        assert {v.kind for v in info.value.violations} == {"counter"}
+
+    @pytest.mark.parametrize("cost_fn", [None, width_sum])
+    def test_unarmed_sift_does_not_audit(self, monkeypatch, cost_fn):
+        monkeypatch.setenv("REPRO_SELFCHECK", "0")
+        self.predict_zero(monkeypatch)
+        bdd, vids, f, table = random_function(13)
+        assert sift(bdd, [f], cost_fn=cost_fn) == 0.0  # the predictions went unchecked
+        assert brute_force_truth(bdd, f, vids) == table
+
+
+class TestLowerBounds:
+    """A sift that predicts each direction's costs lands where a sift
+    that samples a plain callable at every position does.  (The name
+    dates from the lower-bound exit these tests were written for; the
+    look-ahead walks replaced it.)"""
 
     @settings(max_examples=40, deadline=None)
     @given(spec=spec_strategy(max_inputs=4, max_outputs=3))
@@ -458,9 +516,8 @@ class TestLowerBounds:
 
     def test_tie_beyond_the_start_still_wins(self):
         # x2 starts its turn at level 2 and costs 9 at level 4 and again
-        # at level 1.  Walking back up from level 4 the bound already
-        # equals 9, but level 1 is nearer the start and wins the tie, so
-        # the direction must not end before it has passed the start.
+        # at level 1.  Level 1 is nearer the start and wins the tie, so
+        # the direction up from level 4 must look past the start.
         orders = []
         for cost_fn in (width_sum, full_pass_width_sum):
             bdd = BDD()
@@ -619,7 +676,7 @@ class TestRefAudit:
 #: Fig. 8 builds) by node count.  The cost at a position depends on the
 #: order alone, so a change that skips swaps or allocates nodes
 #: differently keeps every literal; these were measured before the
-#: lower-bound exit and hold with it.
+#: lower-bound exit and hold with it and with the look-ahead walks.
 SIFTED_ORDERS = {
     ("3-digit decimal adder", 0, "widthsum"): (
         243,
@@ -708,19 +765,20 @@ def test_sifted_orders_are_pinned(name):
 #: No result depends on node ids (Alg. 3.3 orders columns by rank, see
 #: repro.bdd.traversal.node_ranks); the digests guard the swap kernel's
 #: allocation history, so a change to how swaps allocate and free, to
-#: which swaps a sift makes (the lower-bound exit skips some), or to how
+#: which swaps a sift makes (since the look-ahead walks, only the moves
+#: toward each variable's best level), or to how
 #: ``CharFunction.from_isf`` builds the CF, shows up here and is
 #: re-measured on purpose; ``SIFTED_ORDERS`` pins what must not move.
 #: They do not depend on PYTHONHASHSEED.
 SIFT_DIGESTS = {
-    ("3-digit decimal adder", 0, "widthsum"): "d08a8438ce989567d5cdea93eb1cf10f",
-    ("3-digit decimal adder", 0, "nodes"): "e9df1d3034f5669fdcf8338deb610a83",
-    ("3-digit decimal adder", 1, "widthsum"): "feafa1f4cc7d64218b873664ee3b7fdd",
-    ("3-digit decimal adder", 1, "nodes"): "06711892761b421af7fece49aca63db5",
-    ("5-digit 6-nary to binary", 0, "widthsum"): "9126da8085420caccbb3ff66e53b0418",
-    ("5-digit 6-nary to binary", 0, "nodes"): "ac95b06cb7235e77ced04c4b687a9bba",
-    ("5-digit 6-nary to binary", 1, "widthsum"): "90291bea3ea46da2f6f68ededc595a45",
-    ("5-digit 6-nary to binary", 1, "nodes"): "eb3d08e1d643a59fb5bb70bb38f3b739",
+    ("3-digit decimal adder", 0, "widthsum"): "d2c82c464152796a7750e1cd309a6016",
+    ("3-digit decimal adder", 0, "nodes"): "c72ca7cee38ed970c76a1b2474cb2215",
+    ("3-digit decimal adder", 1, "widthsum"): "80e796bdc1e298751ff5a1a5174e3e73",
+    ("3-digit decimal adder", 1, "nodes"): "f63fa480eb158794777013bb0b1bd03b",
+    ("5-digit 6-nary to binary", 0, "widthsum"): "b309f4df71853bfc7dcbefc4858d0d37",
+    ("5-digit 6-nary to binary", 0, "nodes"): "65abe64910f820e146c08f77924862d1",
+    ("5-digit 6-nary to binary", 1, "widthsum"): "9cd0e7e810af710bd9d066414267e553",
+    ("5-digit 6-nary to binary", 1, "nodes"): "58348b2480a818c5922f373240970d7c",
 }
 
 
