@@ -40,7 +40,7 @@ from repro.bdd.builder import (
     from_truth_table,
     word_geq_const,
 )
-from repro.bdd.reorder import SiftSession, set_order, sift, width_sum
+from repro.bdd.reorder import SiftSession, set_order, sift
 from repro.bdd.traversal import crossing_counts, node_ranks
 from repro.bdd.dot import to_dot
 from repro.bdd.force import force_input_order, force_order
@@ -94,6 +94,5 @@ __all__ = [
     "verify_charfunction",
     "verify_manager",
     "verify_payload",
-    "width_sum",
     "word_geq_const",
 ]

@@ -9,18 +9,17 @@ module implements:
 * :class:`SiftSession` — a reference-counted reordering session that
   performs adjacent-level swaps in place, physically reclaiming nodes
   that die during a swap so that the live size is tracked exactly.
+  With ``widths=True`` it also keeps the crossing count of every
+  section, and so the sum of widths, up to date inside each swap, at
+  the price of two passes over the two swapped levels.
 * :func:`sift` — sifting with optional precedence constraints
-  ``(above_vid, below_vid)`` and a pluggable cost function (live node
-  count by default; the experiment pipeline passes :func:`width_sum`
-  for small enough BDDs, per ``repro._config.LIMITS``).  Under these
-  two costs a sift does not explore: one look-ahead walk per direction
+  ``(above_vid, below_vid)`` by the live node count or, with
+  ``widths=True``, by the sum of widths (the experiment pipeline's
+  choice for small enough BDDs, per ``repro._config.LIMITS``).  A sift
+  does not explore: one look-ahead walk per direction
   (:func:`_walk_down`, :func:`_walk_up`) predicts the exact cost of
   every position in it without a swap, and the variable swaps only
   toward its best level.
-* :func:`width_sum` — the sum of widths over all sections.  A sift
-  under this cost never calls it: its session keeps the crossing count
-  of every section up to date inside each swap, at the price of two
-  passes over the two swapped levels.
 * :func:`set_order` — reach an arbitrary target order by bubbling.
 
 All reordering mutates nodes in place, so node ids held by the caller
@@ -30,16 +29,14 @@ remain valid and keep denoting the same Boolean functions.  Any node
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 from repro.bdd import check, reference
 from repro.bdd import governor as _governor
 from repro.bdd.manager import BDD, FALSE, check_capacity
-from repro.bdd.traversal import crossing_counts, highest_edges, section_counts
+from repro.bdd.traversal import highest_edges, section_counts
 from repro.errors import IntegrityError, OrderingError
 from repro._config import LIMITS
-
-CostFn = Callable[[BDD, Sequence[int]], float]
 
 
 def _count_refs(bdd: BDD, nodes: Sequence[int], roots: Sequence[int]) -> dict[int, int]:
@@ -79,7 +76,6 @@ class SiftSession:
         self._ref = _count_refs(
             bdd, [u for u in bdd.reachable(self.roots) if u > 1], self.roots
         )
-        self.size = len(self._ref)
         # Reclaim any garbage not reachable from the roots so that the
         # unique tables agree with the reference counts.
         bdd.collect(self.roots)
@@ -93,6 +89,11 @@ class SiftSession:
             self._mf = highest_edges(bdd, self.roots)[0]
             self.counts = section_counts(bdd, self._mf)
             self.width_sum = 1 + sum(self.counts[: bdd.num_vars])
+
+    @property
+    def size(self) -> int:
+        """The live node count: ``_ref`` has one entry per live non-terminal."""
+        return len(self._ref)
 
     def check_widths(self) -> None:
         """Raise :class:`IntegrityError` unless the kept counts are exact.
@@ -196,7 +197,7 @@ class SiftSession:
         # digests to guard the allocation history.
         ref = self._ref
         gen, free = bdd._gen, bdd._free
-        size, alive, peak = self.size, bdd._n_alive, bdd._peak_alive
+        alive, peak = bdd._n_alive, bdd._peak_alive
         for u in movers:
             f0, f1 = lo_arr[u], hi_arr[u]
             if f0 > 1 and vid_arr[f0] == y:
@@ -230,7 +231,6 @@ class SiftSession:
                         gen.append(0)
                     x_data[key] = new_lo
                     ref[new_lo] = 1
-                    size += 1
                     alive += 1
                     if alive > peak:
                         peak = alive
@@ -263,7 +263,6 @@ class SiftSession:
                         gen.append(0)
                     x_data[key] = new_hi
                     ref[new_hi] = 1
-                    size += 1
                     alive += 1
                     if alive > peak:
                         peak = alive
@@ -298,7 +297,6 @@ class SiftSession:
                     vid_arr[f0] = lo_arr[f0] = hi_arr[f0] = -1
                     gen[f0] += 1
                     free.append(f0)
-                    size -= 1
                     alive -= 1
                     if g0 > 1:
                         ref[g0] -= 1
@@ -315,13 +313,11 @@ class SiftSession:
                     vid_arr[f1] = lo_arr[f1] = hi_arr[f1] = -1
                     gen[f1] += 1
                     free.append(f1)
-                    size -= 1
                     alive -= 1
                     if g0 > 1:
                         ref[g0] -= 1
                     if g1 > 1:
                         ref[g1] -= 1
-        self.size = size
         bdd._n_alive = alive
         bdd._peak_alive = peak
 
@@ -405,18 +401,6 @@ class SiftSession:
             self.swap(bdd._level_of[vid] - 1)
 
 
-def width_sum(bdd: BDD, roots: Sequence[int]) -> float:
-    """Sum of widths of ``roots`` over every height (Sect. 5.1's cost).
-
-    The widths of heights ``1 .. t`` are the crossing counts of
-    :func:`~repro.bdd.traversal.crossing_counts`; height 0 has width 1
-    by definition.  As the ``cost_fn`` of :func:`sift` this function is
-    not called: the sift reads the same value from its session, which
-    keeps it up to date inside every swap.
-    """
-    return float(1 + sum(crossing_counts(bdd, roots)[: bdd.num_vars]))
-
-
 def set_order(bdd: BDD, roots: Sequence[int], order: Sequence[str | int]) -> None:
     """Reorder in place to exactly ``order`` (names or vids, top first)."""
     vids = [bdd.vid(v) if isinstance(v, str) else v for v in order]
@@ -446,112 +430,83 @@ def sift(
     roots: Sequence[int],
     *,
     precedence: Sequence[tuple[int, int]] = (),
-    cost_fn: CostFn | None = None,
-    max_rounds: int = 1,
-    max_growth: float | None = None,
+    widths: bool = False,
 ) -> float:
     """Rudell sifting under precedence constraints; returns final cost.
+
+    The cost is the live node count or, with ``widths=True``, the sum
+    of widths of ``roots`` over every height (Sect. 5.1's cost: the
+    crossing counts of heights ``1 .. t``, plus 1 for height 0), which
+    the session keeps up to date inside each swap.  The Table 4
+    pipeline sifts by the width sum for BDDs under
+    ``LIMITS.sift_widthsum_node_limit`` nodes.
 
     Each variable in turn, busiest level first, is moved toward the
     closer end of its admissible level range, then toward the other
     end, and parked at the cheapest position (on equal cost, the one
     nearest its start).  A direction ends at the end of the range, or
-    at the first position where the live size exceeds ``max_growth``
-    times its size when the variable's turn began.  ``cost_fn``
-    defaults to the live node count; the Table 4 pipeline passes
-    :func:`width_sum` for BDDs under ``LIMITS.sift_widthsum_node_limit``
-    nodes, matching the paper's cost function.  Under these two costs
-    the sift does not explore: before a direction's first swap, one
-    walk over the levels the variable would pass (:func:`_walk_down`,
-    :func:`_walk_up`) predicts the exact node count and width sum of
-    every position in it, and the variable swaps straight to its best
-    level.  Any other ``cost_fn`` is called after every swap of a
-    direction, and the variable then walks back to its best level.
-    Under an active :class:`~repro.bdd.governor.Budget` every swap, and
-    every level a walk crosses, is charged one step.  Under
-    ``REPRO_SELFCHECK=1`` every position a predicting sift reaches
-    compares the session's cost with the prediction, and every sift
-    ends by recounting its reference counts
+    at the first position where the live size exceeds
+    ``LIMITS.sift_max_growth`` times its size when the variable's turn
+    began.  The sift does not explore: before a direction's first swap,
+    one walk over the levels the variable would pass
+    (:func:`_walk_down`, :func:`_walk_up`) predicts the exact node count
+    and width sum of every position in it, and the variable swaps
+    straight to its best level.  Under an active
+    :class:`~repro.bdd.governor.Budget` every swap, and every level a
+    walk crosses, is charged one step.  Under ``REPRO_SELFCHECK=1``
+    every position a sift reaches compares the session's cost with the
+    prediction, and every sift ends by recounting its reference counts
     (:meth:`SiftSession.check_refs`); a width-sum sift also audits its
     kept counts against the seed walk (:meth:`SiftSession.check_widths`).
     """
-    if max_growth is None:
-        max_growth = LIMITS.sift_max_growth
     for above, below in precedence:
         if bdd.level_of_vid(above) >= bdd.level_of_vid(below):
             raise OrderingError(
                 f"initial order violates precedence: {bdd.name_of(above)} "
                 f"must be above {bdd.name_of(below)}"
             )
-    session = SiftSession(bdd, roots, widths=cost_fn is width_sum)
-    predict = cost_fn is None or cost_fn is width_sum
+    session = SiftSession(bdd, roots, widths=widths)
     audit = check.selfcheck_enabled()
-
-    def cost() -> float:
-        if cost_fn is None:
-            return float(session.size)
-        if cost_fn is width_sum:
-            return float(session.width_sum)
-        return float(cost_fn(bdd, roots))
-
-    current = cost()
-    for _ in range(max_rounds):
-        round_start = current
-        # Sift variables in decreasing order of their level population:
-        # busiest levels first, as in Rudell's heuristic.
-        order = sorted(range(bdd.num_vars), key=lambda v: -len(bdd._unique[v]))
-        for vid in order:
-            # Cooperative budget check between variables: a raise here
-            # (or inside _sift_one, between swaps and walked levels)
-            # leaves the manager consistent — just under a partially
-            # improved order.
-            if _governor._ACTIVE:
-                _governor.checkpoint(bdd)
-            current = _sift_one(session, vid, precedence, cost, max_growth, predict, audit)
-        if current >= round_start:
-            break
+    cost = session.width_sum if widths else session.size
+    # Sift variables in decreasing order of their level population:
+    # busiest levels first, as in Rudell's heuristic.
+    for vid in sorted(range(bdd.num_vars), key=lambda v: -len(bdd._unique[v])):
+        # Cooperative budget check between variables: a raise here
+        # (or inside _sift_one, between swaps and walked levels)
+        # leaves the manager consistent — just under a partially
+        # improved order.
+        if _governor._ACTIVE:
+            _governor.checkpoint(bdd)
+        cost = _sift_one(session, vid, precedence, audit)
     if audit:
         session.check_refs()
-        if session.counts is not None:
+        if widths:
             session.check_widths()
-    return current
+    return float(cost)
 
 
 def _sift_one(
-    session: SiftSession,
-    vid: int,
-    precedence: Sequence[tuple[int, int]],
-    cost: Callable[[], float],
-    max_growth: float,
-    predict: bool,
-    audit: bool,
-) -> float:
+    session: SiftSession, vid: int, precedence: Sequence[tuple[int, int]], audit: bool
+) -> int:
+    """Park ``vid`` at its cheapest admissible level; returns the cost there."""
     bdd = session.bdd
     lb, ub = _bounds(bdd, vid, precedence)
     start_level = bdd.level_of_vid(vid)
-    best_cost = cost()
+    best_cost = session.size if session.counts is None else session.width_sum
     best_level = start_level
-    max_size = max_growth * session.size
+    max_size = LIMITS.sift_max_growth * session.size
 
-    # Explore the closer boundary first (classic sifting heuristic).
-    # A position's cost depends on the order alone, so a predicted
-    # direction picks the level an explored one would.
+    # Walk toward the closer boundary first (classic sifting heuristic).
     go_down_first = (ub - start_level) <= (start_level - lb)
     level = start_level
     for direction in ((1, -1) if go_down_first else (-1, 1)):
         limit = ub if direction == 1 else lb
         if level == limit:
             continue
-        if predict:
-            walk = _walk_down if direction == 1 else _walk_up
-            sizes, widths = walk(session, level, limit, max_size)
-            costs = sizes if widths is None else widths
-            here = level
-        else:
-            costs = _explore(session, level, limit, cost, max_size)
-            here = level + direction * len(costs)
+        walk = _walk_down if direction == 1 else _walk_up
+        sizes, widths = walk(session, level, limit, max_size)
         position = level
-        for c in costs:
+        for c in sizes if widths is None else widths:
             position += direction
             if c < best_cost or (
                 c == best_cost
@@ -559,38 +514,18 @@ def _sift_one(
             ):
                 best_cost = c
                 best_level = position
-        # Swap to the best level: ahead after a prediction, back after
-        # an exploration.  One adjacent swap ~ one charged step.
-        step = 1 if here < best_level else -1
-        while here != best_level:
+        # Swap ahead to the best level.  One adjacent swap ~ one
+        # charged step.
+        for i in range(abs(best_level - level)):
             if _governor._ACTIVE:
                 _governor.checkpoint(bdd, 1)
-            session.swap(here if step == 1 else here - 1)
-            here += step
-            if audit and predict:
-                i = (here - level) * direction - 1
+            session.swap(level + i if direction == 1 else level - i - 1)
+            if audit:
                 _check_prediction(
                     session, vid, sizes[i], None if widths is None else widths[i]
                 )
         level = best_level
-    return float(best_cost)
-
-
-def _explore(
-    session: SiftSession, level: int, limit: int, cost: Callable[[], float], max_size: float
-) -> list[float]:
-    """Swap the variable at ``level`` toward ``limit``, sampling ``cost`` after each swap."""
-    direction = 1 if limit > level else -1
-    costs = []
-    while level != limit:
-        if _governor._ACTIVE:
-            _governor.checkpoint(session.bdd, 1)
-        session.swap(level if direction == 1 else level - 1)
-        level += direction
-        costs.append(cost())
-        if session.size > max_size:
-            break
-    return costs
+    return best_cost
 
 
 def _check_prediction(session: SiftSession, vid: int, size: int, width: int | None) -> None:

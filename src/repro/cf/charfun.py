@@ -228,14 +228,7 @@ class CharFunction:
                     pairs.append((x, y))
         return pairs
 
-    def sift(
-        self,
-        *,
-        cost: str = "auto",
-        max_rounds: int = 1,
-        freeze_outputs: bool = False,
-        protect: Sequence[int] = (),
-    ) -> None:
+    def sift(self, *, cost: str = "auto", freeze_outputs: bool = False) -> None:
         """Sift the variable order (Sect. 5.1) under Def. 2.4 constraints.
 
         ``cost`` selects the objective: ``"widthsum"`` (the paper's sum
@@ -251,27 +244,16 @@ class CharFunction:
         variables below its output's current level, and preserving the
         quantifier interleaving keeps the linear totality check exact.
 
-        Reordering physically reclaims nodes unreachable from the sift
-        roots; pass any *other* BDD roots you still hold on this
-        manager via ``protect``.
+        Reordering physically reclaims every node not reachable from
+        this CF's root: any other root held on this manager dies.
         """
-        from repro.cf.width import sum_of_widths  # local import: avoids a cycle
-
         if cost == "auto":
             cost = (
                 "widthsum"
                 if self.num_nodes() <= LIMITS.sift_widthsum_node_limit
                 else "nodes"
             )
-        cost_fn = None
-        if cost == "widthsum" and any(r != self.root for r in protect):
-            # The session's kept widths would count the other roots
-            # too; the cost measures this CF's root alone.
-            def cost_fn(bdd: BDD, roots: Sequence[int]) -> float:
-                return float(sum_of_widths(bdd, roots[0]))
-        elif cost == "widthsum":
-            cost_fn = reorder.width_sum
-        elif cost != "nodes":
+        if cost not in ("widthsum", "nodes"):
             raise ValueError(f"unknown cost {cost!r}")
         precedence = self.precedence_constraints()
         if freeze_outputs:
@@ -283,11 +265,7 @@ class CharFunction:
                     else:
                         precedence.append((y, x))
         reorder.sift(
-            self.bdd,
-            [self.root, *protect],
-            precedence=precedence,
-            cost_fn=cost_fn,
-            max_rounds=max_rounds,
+            self.bdd, [self.root], precedence=precedence, widths=cost == "widthsum"
         )
 
     # ------------------------------------------------------------------

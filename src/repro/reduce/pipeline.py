@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.bdd import BDD, set_order, transfer
 from repro.cf.charfun import CharFunction
 from repro.cf.width import max_width, sum_of_widths
 from repro.reduce.alg33 import algorithm_3_3
@@ -31,20 +32,24 @@ class RoundReport:
 
 @dataclass
 class ReductionReport:
-    """Full trace of :func:`full_reduction`."""
+    """Full trace of :func:`full_reduction`: every round it ran."""
 
     initial_max_width: int
     rounds: list[RoundReport] = field(default_factory=list)
 
     @property
     def final_max_width(self) -> int:
-        if not self.rounds:
-            return self.initial_max_width
-        return self.rounds[-1].max_width
+        """The returned CF's maximum width, the narrowest seen: a round
+        that ends wider than the best CF before it is not returned."""
+        return min([self.initial_max_width, *(r.max_width for r in self.rounds)])
 
     @property
     def total_removed_vars(self) -> int:
-        return sum(r.removed_vars for r in self.rounds)
+        """Variables removed from the returned CF."""
+        removed = [r.removed_vars for r in self.rounds]
+        if self.rounds and self.rounds[-1].max_width > self.final_max_width:
+            removed.pop()  # the round that widened: its CF was not returned
+        return sum(removed)
 
 
 def full_reduction(
@@ -53,31 +58,29 @@ def full_reduction(
     max_rounds: int = 3,
     sift: bool = True,
     sift_cost: str = "auto",
-    protect: tuple[int, ...] = (),
 ) -> tuple[CharFunction, ReductionReport]:
     """Iterate (sift, reduce_support, algorithm_3_3) until no improvement.
 
-    Returns the reduced CF (same manager) and a per-round report.  Each
-    round's output refines the previous one, so the composition refines
-    the original CF.  ``cf.root`` is preserved across the internal
-    reordering; pass any further roots you hold on this manager via
-    ``protect``.
+    The rounds run on a copy of ``cf`` in a manager of its own, with the
+    same variable ids, names, kinds and order: ``cf`` and its manager
+    are left untouched, and the result's vids are ``cf``'s, so a cascade
+    synthesized from the result proves against ``cf``.  Returns the
+    reduced CF (in that manager) and a per-round report.  Each round's
+    output refines the previous one, so the result refines ``cf``.  The
+    loop ends at a round that neither narrows the maximum width nor
+    removes a variable, or at one that ends wider than the best CF so
+    far; that best CF is then returned, under the order it had.
     """
-    report = ReductionReport(initial_max_width=max_width(cf.bdd, cf.root))
+    current = _own_copy(cf)
+    report = ReductionReport(initial_max_width=max_width(current.bdd, current.root))
     best = report.initial_max_width
-    current = cf
     for round_index in range(max_rounds):
+        previous, order = current, current.bdd.order()
         if sift:
             # After the first reduction pass the CF is refined, so
             # re-sifting must preserve the input/output interleaving to
             # keep the totality recursion exact (see CharFunction.sift).
-            # The caller's original root is protected from the sweep
-            # that reordering performs.
-            current.sift(
-                cost=sift_cost,
-                freeze_outputs=round_index > 0,
-                protect=[cf.root, *protect],
-            )
+            current.sift(cost=sift_cost, freeze_outputs=round_index > 0)
         current, removed = reduce_support(current)
         current, stats = algorithm_3_3(current)
         width_now = max_width(current.bdd, current.root)
@@ -90,7 +93,32 @@ def full_reduction(
                 merges=stats.merges,
             )
         )
-        if width_now >= best and not removed:
+        if width_now > best:
+            # The sift minimizes the width sum, not the maximum width,
+            # and Alg. 3.3 need not merge the widening back.  Nothing
+            # has been collected since the sift, so the previous root
+            # is alive.
+            set_order(previous.bdd, [previous.root], order)
+            return previous, report
+        if width_now == best and not removed:
             break
-        best = min(best, width_now)
+        best = width_now
     return current, report
+
+
+def _own_copy(cf: CharFunction) -> CharFunction:
+    """``cf`` in a fresh manager with the same variable ids, names, kinds and order."""
+    src = cf.bdd
+    bdd = BDD()
+    for vid in range(src.num_vars):
+        bdd.add_var(src.name_of(vid), kind=src.kind_of(vid))
+    set_order(bdd, [], src.order())
+    (root,) = transfer(src, bdd, [cf.root], {vid: vid for vid in range(src.num_vars)})
+    return CharFunction(
+        bdd,
+        root,
+        cf.input_vids,
+        cf.output_vids,
+        name=cf.name,
+        output_supports=cf.output_supports,
+    )

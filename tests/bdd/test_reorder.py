@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bdd import BDD, TRUE, FALSE, from_truth_table, reorder, set_order, sift, traversal
-from repro.bdd.reorder import SiftSession, width_sum
+from repro.bdd.reorder import SiftSession
 from repro.bdd.traversal import crossing_counts
 from repro.benchfns.registry import get_benchmark
 from repro.benchfns.wordlist import WordList, build_wordlist_isf, generate_words
 from repro.cf.charfun import CharFunction
 from repro.cf.width import sum_of_widths
 from repro.errors import IntegrityError, OrderingError
+from repro._config import LIMITS
 
 from tests.conftest import brute_force_truth, spec_strategy
 
@@ -25,6 +26,10 @@ def pairs_function(bdd, vids):
     for i in range(3):
         f = bdd.apply_or(f, bdd.apply_and(bdd.var(vids[i]), bdd.var(vids[i + 3])))
     return f
+
+
+#: Test ids of the two sift costs, node count and width sum.
+COST_IDS = ["None", "width_sum"]
 
 
 def random_function(seed, n=5):
@@ -130,23 +135,6 @@ class TestSift:
         with pytest.raises(OrderingError):
             sift(bdd, [f], precedence=[(vids[0], vids[4])])
 
-    def test_custom_cost_function(self):
-        bdd, vids, f, table = random_function(8)
-        calls = []
-
-        def cost(bdd_, roots):
-            calls.append(1)
-            return float(bdd_.count_nodes(roots[0]))
-
-        sift(bdd, [f], cost_fn=cost)
-        assert calls  # the cost function was consulted
-        assert brute_force_truth(bdd, f, vids) == table
-
-    def test_multiple_rounds(self):
-        bdd, vids, f, table = random_function(9)
-        sift(bdd, [f], max_rounds=3)
-        assert brute_force_truth(bdd, f, vids) == table
-
 
 # ---------------------------------------------------------------------------
 # Kept widths: a widths=True session against the full-pass reference
@@ -157,7 +145,7 @@ def assert_kept_widths(session):
     """The session's kept counts and sum equal a fresh full pass."""
     bdd = session.bdd
     assert session.counts == crossing_counts(bdd, session.roots)
-    assert session.width_sum == width_sum(bdd, session.roots)
+    assert session.width_sum == full_pass_width_sum(bdd, session.roots)
     if len(session.roots) == 1:
         assert session.width_sum == sum_of_widths(bdd, session.roots[0])
 
@@ -186,13 +174,49 @@ def assert_session_exact(session):
 
 
 def full_pass_width_sum(bdd, roots):
-    """The width sum as a plain callable: sift evaluates it at every position."""
-    return width_sum(bdd, roots)
+    """The sum of widths of ``roots`` over every height, from a full pass."""
+    return 1 + sum(crossing_counts(bdd, roots)[: bdd.num_vars])
 
 
-def root_sum_of_widths(bdd, roots):
-    """The full-pass cost CharFunction.sift used before widths were kept."""
-    return float(sum_of_widths(bdd, roots[0]))
+def exploring_sift(bdd, roots, *, precedence=(), widths=False):
+    """The oracle of ``sift``: sifting by exploration, costs from full passes.
+
+    Each variable, busiest level first, swaps through every position of
+    its admissible range, closer end first, and the cost after each swap
+    is read from a full pass (the node count, or with ``widths`` the
+    width sum).  It then swaps back to the cheapest position, on equal
+    cost the one nearest its start.  A direction ends at the end of the
+    range, or at the first position whose live size exceeds
+    ``LIMITS.sift_max_growth`` times the size when the variable's turn
+    began.  Returns the final cost.
+    """
+
+    def cost():
+        return full_pass_width_sum(bdd, roots) if widths else bdd.count_nodes(*roots)
+
+    session = SiftSession(bdd, roots)
+    current = cost()
+    for vid in sorted(range(bdd.num_vars), key=lambda v: -len(bdd._unique[v])):
+        lb, ub = reorder._bounds(bdd, vid, precedence)
+        start = level = bdd.level_of_vid(vid)
+        best_cost, best_level = current, start
+        max_size = LIMITS.sift_max_growth * session.size
+        for direction in ((1, -1) if ub - start <= start - lb else (-1, 1)):
+            limit = ub if direction == 1 else lb
+            while level != limit:
+                session.swap(level if direction == 1 else level - 1)
+                level += direction
+                c = cost()
+                if c < best_cost or (
+                    c == best_cost and abs(level - start) < abs(best_level - start)
+                ):
+                    best_cost, best_level = c, level
+                if session.size > max_size:
+                    break
+            session.move_var(vid, best_level)
+            level = best_level
+        current = best_cost
+    return float(current)
 
 
 def apply_moves(session, data, n_moves):
@@ -289,21 +313,22 @@ class TestKeptWidths:
 
 
 class TestKeptWidthSift:
-    """A sift on the kept width sum decides exactly as the full pass."""
+    """A sift on the kept width sum lands where the exploring oracle does."""
 
     def test_kept_sum_calls_no_full_pass(self, monkeypatch):
+        # The walk the session starts from is the sift's one full pass.
         monkeypatch.setenv("REPRO_SELFCHECK", "0")
         calls = []
-        original = reorder.crossing_counts
+        original = reorder.highest_edges
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(reorder, "crossing_counts", counting)
+        monkeypatch.setattr(reorder, "highest_edges", counting)
         bdd, vids, f, table = random_function(11, n=6)
-        sift(bdd, [f], cost_fn=width_sum)
-        assert calls == []
+        sift(bdd, [f], widths=True)
+        assert calls == [1]
         assert brute_force_truth(bdd, f, vids) == table
 
     @settings(max_examples=40, deadline=None)
@@ -312,12 +337,10 @@ class TestKeptWidthSift:
         kept = CharFunction.from_spec(spec)
         full = CharFunction.from_spec(spec)
         cost_kept = sift(
-            kept.bdd, [kept.root],
-            precedence=kept.precedence_constraints(), cost_fn=width_sum,
+            kept.bdd, [kept.root], precedence=kept.precedence_constraints(), widths=True,
         )
-        cost_full = sift(
-            full.bdd, [full.root],
-            precedence=full.precedence_constraints(), cost_fn=root_sum_of_widths,
+        cost_full = exploring_sift(
+            full.bdd, [full.root], precedence=full.precedence_constraints(), widths=True,
         )
         assert kept.bdd.order() == full.bdd.order()
         assert cost_kept == cost_full == sum_of_widths(kept.bdd, kept.root)
@@ -328,17 +351,16 @@ class TestKeptWidthSift:
         tables=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3),
     )
     def test_same_order_on_random_plain_bdds(self, n, tables):
-        orders = []
-        for cost_fn in (width_sum, full_pass_width_sum):
+        results = []
+        for run in (sift, exploring_sift):
             bdd = BDD()
             vids = bdd.add_vars([f"x{i}" for i in range(n)])
             roots = [
                 from_truth_table(bdd, vids, [(bits >> m) & 1 for m in range(1 << n)])
                 for bits in tables
             ]
-            sift(bdd, roots, cost_fn=cost_fn, max_rounds=2)
-            orders.append(bdd.order())
-        assert orders[0] == orders[1]
+            results.append((run(bdd, roots, widths=True), bdd.order()))
+        assert results[0] == results[1]
 
     @pytest.mark.parametrize("index", [0, 1])
     def test_same_order_on_3_5_7_rns(self, index):
@@ -346,17 +368,24 @@ class TestKeptWidthSift:
         kept = CharFunction.from_isf(part)
         full = CharFunction.from_isf(part)
         kept.sift(cost="widthsum")
-        sift(
-            full.bdd, [full.root],
-            precedence=full.precedence_constraints(), cost_fn=root_sum_of_widths,
+        exploring_sift(
+            full.bdd, [full.root], precedence=full.precedence_constraints(), widths=True,
         )
         assert kept.bdd.order() == full.bdd.order()
         assert sum_of_widths(kept.bdd, kept.root) == sum_of_widths(full.bdd, full.root)
 
-
-def root_node_count(bdd, roots):
-    """The node count as a plain callable: sift evaluates it at every position."""
-    return float(bdd.count_nodes(*roots))
+    def test_tie_beyond_the_start_still_wins(self):
+        # x2 starts its turn at level 2 and costs 9 at level 4 and again
+        # at level 1.  Level 1 is nearer the start and wins the tie, so
+        # the direction up from level 4 must look past the start.
+        orders = []
+        for run in (sift, exploring_sift):
+            bdd = BDD()
+            vids = bdd.add_vars([f"x{i}" for i in range(5)])
+            f = from_truth_table(bdd, vids, [(0x2000D000 >> m) & 1 for m in range(32)])
+            assert run(bdd, [f], widths=True) == 8.0
+            orders.append(bdd.order())
+        assert orders[0] == orders[1] == ["x1", "x2", "x3", "x4", "x0"]
 
 
 def shuffle_admissibly(session, precedence, data, n_moves):
@@ -457,97 +486,61 @@ class TestLookAhead:
         for name in ("_walk_down", "_walk_up"):
             monkeypatch.setattr(reorder, name, zero(getattr(reorder, name)))
 
-    @pytest.mark.parametrize("cost_fn", [None, width_sum])
-    def test_armed_sift_raises_on_a_wrong_prediction(self, monkeypatch, cost_fn):
+    @pytest.mark.parametrize("widths", [False, True], ids=COST_IDS)
+    def test_armed_sift_raises_on_a_wrong_prediction(self, monkeypatch, widths):
         monkeypatch.setenv("REPRO_SELFCHECK", "1")
         self.predict_zero(monkeypatch)
         bdd, vids, f, _ = random_function(13)
         with pytest.raises(IntegrityError, match="prediction") as info:
-            sift(bdd, [f], cost_fn=cost_fn)
+            sift(bdd, [f], widths=widths)
         assert {v.kind for v in info.value.violations} == {"counter"}
 
-    @pytest.mark.parametrize("cost_fn", [None, width_sum])
-    def test_unarmed_sift_does_not_audit(self, monkeypatch, cost_fn):
+    @pytest.mark.parametrize("widths", [False, True], ids=COST_IDS)
+    def test_unarmed_sift_does_not_audit(self, monkeypatch, widths):
         monkeypatch.setenv("REPRO_SELFCHECK", "0")
         self.predict_zero(monkeypatch)
         bdd, vids, f, table = random_function(13)
-        assert sift(bdd, [f], cost_fn=cost_fn) == 0.0  # the predictions went unchecked
+        assert sift(bdd, [f], widths=widths) == 0.0  # the predictions went unchecked
         assert brute_force_truth(bdd, f, vids) == table
 
 
-class TestLowerBounds:
-    """A sift that predicts each direction's costs lands where a sift
-    that samples a plain callable at every position does.  (The name
-    dates from the lower-bound exit these tests were written for; the
-    look-ahead walks replaced it.)"""
+class TestNodeCountSift:
+    """A sift on the kept node count lands where the exploring oracle does."""
 
     @settings(max_examples=40, deadline=None)
     @given(spec=spec_strategy(max_inputs=4, max_outputs=3))
     def test_same_node_order_on_random_cfs(self, spec):
-        bounded = CharFunction.from_spec(spec)
+        walked = CharFunction.from_spec(spec)
         full = CharFunction.from_spec(spec)
-        cost_bounded = sift(
-            bounded.bdd, [bounded.root], precedence=bounded.precedence_constraints(),
+        cost_walked = sift(
+            walked.bdd, [walked.root], precedence=walked.precedence_constraints(),
         )
-        cost_full = sift(
-            full.bdd, [full.root],
-            precedence=full.precedence_constraints(), cost_fn=root_node_count,
+        cost_full = exploring_sift(
+            full.bdd, [full.root], precedence=full.precedence_constraints(),
         )
-        assert bounded.bdd.order() == full.bdd.order()
-        assert cost_bounded == cost_full == bounded.num_nodes()
+        assert walked.bdd.order() == full.bdd.order()
+        assert cost_walked == cost_full == walked.num_nodes()
 
     @settings(max_examples=40, deadline=None)
     @given(
         n=st.integers(2, 6),
         tables=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3),
+        growth=st.sampled_from([1.0, 1.2, LIMITS.sift_max_growth, float("inf")]),
     )
-    def test_same_node_order_on_random_plain_bdds(self, n, tables):
-        orders = []
-        for cost_fn in (None, root_node_count):
-            bdd = BDD()
-            vids = bdd.add_vars([f"x{i}" for i in range(n)])
-            roots = [
-                from_truth_table(bdd, vids, [(bits >> m) & 1 for m in range(1 << n)])
-                for bits in tables
-            ]
-            sift(bdd, roots, cost_fn=cost_fn, max_rounds=2)
-            orders.append(bdd.order())
-        assert orders[0] == orders[1]
-
-    def test_tie_beyond_the_start_still_wins(self):
-        # x2 starts its turn at level 2 and costs 9 at level 4 and again
-        # at level 1.  Level 1 is nearer the start and wins the tie, so
-        # the direction up from level 4 must look past the start.
-        orders = []
-        for cost_fn in (width_sum, full_pass_width_sum):
-            bdd = BDD()
-            vids = bdd.add_vars([f"x{i}" for i in range(5)])
-            f = from_truth_table(bdd, vids, [(0x2000D000 >> m) & 1 for m in range(32)])
-            assert sift(bdd, [f], cost_fn=cost_fn) == 8.0
-            orders.append(bdd.order())
-        assert orders[0] == orders[1] == ["x1", "x2", "x3", "x4", "x0"]
-
-    def test_custom_cost_visits_every_admissible_level(self):
-        # A constant cost ties everywhere, so any bound would end each
-        # direction at once; unbounded, every variable visits its whole
-        # range and returns to its start.
-        bdd, vids, f, _ = random_function(6, n=6)
-        precedence = [(vids[0], vids[4]), (vids[2], vids[3])]
-        ranges = {vid: reorder._bounds(bdd, vid, precedence) for vid in vids}
-        orders = []
-
-        def constant(bdd_, roots):
-            orders.append(bdd_.order())
-            return 0.0
-
-        sift(bdd, [f], precedence=precedence, cost_fn=constant, max_growth=float("inf"))
-        # One sample before the round, then per variable one at its start
-        # and one after each of its ub - lb exploring swaps.
-        assert len(orders) == 1 + sum(1 + ub - lb for lb, ub in ranges.values())
-        for vid, (lb, ub) in ranges.items():
-            name = bdd.name_of(vid)
-            assert {order.index(name) for order in orders} >= set(range(lb, ub + 1))
-        assert bdd.order() == [f"x{i}" for i in range(6)]
+    def test_same_node_order_on_random_plain_bdds(self, n, tables, growth):
+        # A small growth limit ends many directions early, in both sifts.
+        results = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(LIMITS, "sift_max_growth", growth)
+            for run in (sift, exploring_sift):
+                bdd = BDD()
+                vids = bdd.add_vars([f"x{i}" for i in range(n)])
+                roots = [
+                    from_truth_table(bdd, vids, [(bits >> m) & 1 for m in range(1 << n)])
+                    for bits in tables
+                ]
+                results.append((run(bdd, roots), bdd.order()))
+        assert results[0] == results[1]
 
 
 class TestKeptWidthAudit:
@@ -600,14 +593,14 @@ class TestKeptWidthAudit:
         done = self.corrupt_first_swap(monkeypatch)
         bdd, vids, f, _ = random_function(13)
         with pytest.raises(IntegrityError):
-            sift(bdd, [f], cost_fn=width_sum)
+            sift(bdd, [f], widths=True)
         assert done
 
     def test_unarmed_sift_does_not_audit(self, monkeypatch):
         monkeypatch.setenv("REPRO_SELFCHECK", "0")
         done = self.corrupt_first_swap(monkeypatch)
         bdd, vids, f, table = random_function(13)
-        sift(bdd, [f], cost_fn=width_sum)
+        sift(bdd, [f], widths=True)
         assert done
         assert brute_force_truth(bdd, f, vids) == table
 
@@ -629,7 +622,7 @@ class TestRefAudit:
         bdd, vids, f, _ = random_function(12)
         session = SiftSession(bdd, [f])
         session.swap(0)
-        session.size += 1
+        bdd._n_alive += 1
         with pytest.raises(IntegrityError, match="live size"):
             session.check_refs()
 
@@ -647,13 +640,13 @@ class TestRefAudit:
         monkeypatch.setattr(SiftSession, "swap", swap)
         return done
 
-    @pytest.mark.parametrize("cost_fn", [None, width_sum])
-    def test_armed_sift_raises_on_a_corrupt_count(self, monkeypatch, cost_fn):
+    @pytest.mark.parametrize("widths", [False, True], ids=COST_IDS)
+    def test_armed_sift_raises_on_a_corrupt_count(self, monkeypatch, widths):
         monkeypatch.setenv("REPRO_SELFCHECK", "1")
         done = self.corrupt_first_swap(monkeypatch)
         bdd, vids, f, _ = random_function(13)
         with pytest.raises(IntegrityError, match="reference counts"):
-            sift(bdd, [f], cost_fn=cost_fn)
+            sift(bdd, [f], widths=widths)
         assert done
 
     def test_unarmed_sift_does_not_audit(self, monkeypatch):
@@ -662,7 +655,7 @@ class TestRefAudit:
         monkeypatch.setattr(SiftSession, "check_refs", lambda self: calls.append(1))
         bdd, vids, f, table = random_function(13)
         sift(bdd, [f])
-        sift(bdd, [f], cost_fn=width_sum)
+        sift(bdd, [f], widths=True)
         assert calls == []
         assert brute_force_truth(bdd, f, vids) == table
 
@@ -751,7 +744,7 @@ def test_sifted_orders_are_pinned(name):
         final = sift(
             cf.bdd, [cf.root],
             precedence=cf.precedence_constraints(),
-            cost_fn=width_sum if key[2] == "widthsum" else None,
+            widths=key[2] == "widthsum",
         )
         assert (final, " ".join(cf.bdd.order())) == SIFTED_ORDERS[key], key
 

@@ -1,4 +1,4 @@
-"""Additional CharFunction behaviours: naming, protection, hints, errors."""
+"""Additional CharFunction behaviours: naming, frozen outputs, hints, errors."""
 
 import pytest
 
@@ -47,45 +47,6 @@ class TestInputOrderValidation:
 
 
 class TestSiftProtection:
-    def test_protect_keeps_other_roots_alive(self):
-        cf = CharFunction.from_spec(table1_spec())
-        bdd = cf.bdd
-        # A side function the CF pipeline knows nothing about.
-        side = bdd.apply_and(bdd.var(cf.input_vids[0]), bdd.var(cf.input_vids[3]))
-        truth = [
-            bdd.evaluate(side, dict(zip(cf.input_vids, [a, b, c, d])))
-            for a in (0, 1) for b in (0, 1) for c in (0, 1) for d in (0, 1)
-        ]
-        cf.sift(cost="widthsum", protect=[side])
-        after = [
-            bdd.evaluate(side, dict(zip(cf.input_vids, [a, b, c, d])))
-            for a in (0, 1) for b in (0, 1) for c in (0, 1) for d in (0, 1)
-        ]
-        assert truth == after
-        bdd.check_invariants([cf.root, side])
-
-    def test_widthsum_cost_of_own_root_with_other_roots(self, monkeypatch):
-        # The kept width sum would count every protected root, so a
-        # sift that protects another root measures its own root with
-        # sum_of_widths; protecting only itself keeps the kept sum.
-        import repro.cf.width as width
-
-        calls = []
-        original = width.sum_of_widths
-
-        def counting(bdd, root):
-            calls.append(root)
-            return original(bdd, root)
-
-        monkeypatch.setattr(width, "sum_of_widths", counting)
-        cf = CharFunction.from_spec(table1_spec())
-        bdd = cf.bdd
-        cf.sift(cost="widthsum", protect=[cf.root])
-        assert calls == []
-        side = bdd.apply_and(bdd.var(cf.input_vids[0]), bdd.var(cf.input_vids[3]))
-        cf.sift(cost="widthsum", protect=[side])
-        assert calls and set(calls) == {cf.root}
-
     def test_freeze_outputs_keeps_interleaving(self):
         cf = CharFunction.from_spec(table1_spec())
         bdd = cf.bdd

@@ -4,12 +4,23 @@ import random
 
 from hypothesis import given, settings
 
+import repro.bdd.traversal as traversal
+import repro.cf.width as width
 from repro.bdd import reference
+from repro.bdd.io import charfunction_payload, payload_fingerprint
+from repro.benchfns.registry import get_benchmark
 from repro.cascade import synthesize_cascade
 from repro.cf import CharFunction, max_width, width_profile
 from repro.errors import CascadeError
+from repro.experiments.runner import build_sifted_cf
 from repro.isf import table1_spec
-from repro.reduce import algorithm_3_3, full_reduction, reduce_support
+from repro.reduce import (
+    ReductionReport,
+    RoundReport,
+    algorithm_3_3,
+    full_reduction,
+    reduce_support,
+)
 
 from tests.conftest import random_spec, spec_strategy
 
@@ -63,6 +74,76 @@ class TestFullReduction:
             for got, want in zip(sample, values):
                 if want is not None:
                     assert got == want
+
+
+def _sifted_half(name: str, index: int) -> CharFunction:
+    return build_sifted_cf(get_benchmark(name).build().bipartition()[index])
+
+
+class TestOwnManager:
+    """``full_reduction`` runs every round on its own copy of the CF."""
+
+    def test_callers_cf_is_untouched(self):
+        cf = _sifted_half("3-digit decimal adder", 1)
+        bdd = cf.bdd
+        before = (
+            bdd.order(), cf.root, cf.num_nodes(),
+            payload_fingerprint(charfunction_payload(cf)),
+        )
+        _, report = full_reduction(cf)
+        assert len(report.rounds) >= 2  # a re-sift ran
+        assert (
+            bdd.order(), cf.root, cf.num_nodes(),
+            payload_fingerprint(charfunction_payload(cf)),
+        ) == before
+        bdd.check_invariants([cf.root])
+
+    def test_no_full_width_pass_inside_a_sift(self, monkeypatch):
+        sifting, calls = [], []
+        original_sift = CharFunction.sift
+
+        def flagged_sift(self, **kwargs):
+            sifting.append(1)
+            try:
+                original_sift(self, **kwargs)
+            finally:
+                sifting.pop()
+
+        def counting(original):
+            def crossing_counts(*args, **kwargs):
+                calls.append(bool(sifting))
+                return original(*args, **kwargs)
+
+            return crossing_counts
+
+        monkeypatch.setattr(CharFunction, "sift", flagged_sift)
+        monkeypatch.setattr(width, "crossing_counts", counting(width.crossing_counts))
+        monkeypatch.setattr(
+            traversal, "crossing_counts", counting(traversal.crossing_counts)
+        )
+        cf = _sifted_half("3-digit decimal adder", 1)
+        _, report = full_reduction(cf, sift_cost="widthsum")
+        assert len(report.rounds) >= 2  # a re-sift ran
+        assert calls and not any(calls)
+
+    def test_a_widening_round_returns_the_best_cf(self):
+        # The round-1 width-sum re-sift widens the round-0 CF, 128 -> 134,
+        # and Alg. 3.3 merges nothing back.
+        reduced, report = full_reduction(
+            _sifted_half("4-digit 11-nary to binary", 1), max_rounds=3
+        )
+        assert [r.max_width for r in report.rounds] == [128, 134]
+        assert max_width(reduced.bdd, reduced.root) == report.final_max_width == 128
+        assert reduced.is_wellformed()
+
+    def test_report_leaves_out_a_widening_round(self):
+        report = ReductionReport(
+            initial_max_width=10,
+            rounds=[RoundReport(8, 30, 29, 1, 4), RoundReport(9, 28, 27, 2, 0)],
+        )
+        assert (report.final_max_width, report.total_removed_vars) == (8, 1)
+        report.rounds.pop()
+        assert (report.final_max_width, report.total_removed_vars) == (8, 1)
 
 
 def _pipeline_steps(spec) -> dict:
