@@ -20,7 +20,8 @@ Two jobs:
 of every edge to the set of every section the edge crosses.  Besides
 serving the seed engine it is the independent oracle for
 ``traversal``'s one highest-edge walk: the tests compare the two, and
-``SiftSession.check_widths`` audits a sift's kept counts against it.
+``SiftSession.check`` audits a sift session's live nodes, highest-edge
+levels and kept counts against it.
 """
 
 from __future__ import annotations

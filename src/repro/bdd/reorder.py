@@ -6,12 +6,13 @@ cost function, under the Definition 2.4 constraint that an output
 variable stays below the support variables of its function.  This
 module implements:
 
-* :class:`SiftSession` — a reference-counted reordering session that
-  performs adjacent-level swaps in place, physically reclaiming nodes
-  that die during a swap so that the live size is tracked exactly.
-  With ``widths=True`` it also keeps the crossing count of every
-  section, and so the sum of widths, up to date inside each swap, at
-  the price of two passes over the two swapped levels.
+* :class:`SiftSession` — a reordering session that performs
+  adjacent-level swaps in place, physically reclaiming nodes that die
+  during a swap so that the live size is tracked exactly.  Its one
+  record of the edges into a node is the level of the node's highest
+  incoming edge: a swap reads from it which nodes die, and keeps it,
+  the crossing count of every section and so the sum of widths up to
+  date with two passes over the two swapped levels.
 * :func:`sift` — sifting with optional precedence constraints
   ``(above_vid, below_vid)`` by the live node count or, with
   ``widths=True``, by the sum of widths (the experiment pipeline's
@@ -39,134 +40,96 @@ from repro.errors import IntegrityError, OrderingError
 from repro._config import LIMITS
 
 
-def _count_refs(bdd: BDD, nodes: Sequence[int], roots: Sequence[int]) -> dict[int, int]:
-    """For each of ``nodes``: edges into it from ``nodes``, plus one per root.
-
-    A child or root outside ``nodes`` gets an entry too, so an audit
-    sees it.
-    """
-    lo_arr, hi_arr = bdd._lo, bdd._hi
-    ref = dict.fromkeys(nodes, 0)
-    for u in nodes:
-        for child in (lo_arr[u], hi_arr[u]):
-            if child > 1:
-                ref[child] = ref.get(child, 0) + 1
-    for r in roots:
-        if r > 1:
-            ref[r] = ref.get(r, 0) + 1
-    return ref
-
-
 class SiftSession:
-    """Owns reference counts and performs adjacent swaps for one reorder.
+    """Performs adjacent swaps for one reorder, keeping each node's highest in-edge.
 
     The session must be the only thing creating or destroying nodes
     while it is active: its swaps allocate and free nodes in the
-    manager's arrays directly and keep the reference counts consistent
-    (:meth:`check_refs` audits them).
-
-    With ``widths=True`` the session also keeps :attr:`counts` — what
+    manager's arrays directly.  Its one record of who points at a node
+    is the level of the node's highest incoming edge (Definition 3.5,
+    as :func:`~repro.bdd.traversal.highest_edges` records it).  From
+    it the session also keeps :attr:`counts` — what
     ``crossing_counts(bdd, roots)`` would return — and their sum of
-    widths :attr:`width_sum` up to date across every swap.
+    widths :attr:`width_sum` up to date across every swap
+    (:meth:`check` audits all three).
     """
 
-    def __init__(self, bdd: BDD, roots: Sequence[int], *, widths: bool = False):
+    def __init__(self, bdd: BDD, roots: Sequence[int]):
         self.bdd = bdd
         self.roots = list(dict.fromkeys(roots))  # dedupe, keep order
-        self._ref = _count_refs(
-            bdd, [u for u in bdd.reachable(self.roots) if u > 1], self.roots
-        )
-        # Reclaim any garbage not reachable from the roots so that the
-        # unique tables agree with the reference counts.
+        # Reclaim any garbage not reachable from the roots, so that
+        # every live node has a highest edge and the manager's alive
+        # counter is the live size.
         bdd.collect(self.roots)
-        self.counts: list[int] | None = None
-        self.width_sum = 0
         # _mf[u]: the level of the highest edge into u (-1 for a root)
-        # for every live node but FALSE, as traversal.highest_edges
-        # records it; the swaps keep it exact.
-        self._mf: dict[int, int] | None = None
-        if widths:
-            self._mf = highest_edges(bdd, self.roots)[0]
-            self.counts = section_counts(bdd, self._mf)
-            self.width_sum = 1 + sum(self.counts[: bdd.num_vars])
+        # for every live node but FALSE; the swaps keep it exact.
+        self._mf = highest_edges(bdd, self.roots)[0]
+        self.counts = section_counts(bdd, self._mf)
+        self.width_sum = 1 + sum(self.counts[: bdd.num_vars])
 
     @property
     def size(self) -> int:
-        """The live node count: ``_ref`` has one entry per live non-terminal."""
-        return len(self._ref)
+        """The live node count: every live node is reachable from the roots."""
+        return self.bdd._n_alive
 
-    def check_widths(self) -> None:
-        """Raise :class:`IntegrityError` unless the kept counts are exact.
+    def check(self) -> None:
+        """Raise :class:`IntegrityError` unless the session's records are exact.
 
-        Compares :attr:`counts` and :attr:`width_sum` with the crossing
-        sets of the seed walk
+        Recomputes them with the seed walk
         (:func:`~repro.bdd.reference.crossing_walk`), which shares no
-        code with the walk the session started from.
-        """
-        fresh = [len(s) for s in reference.crossing_walk(self.bdd, self.roots)[0]]
-        kept = self.counts
-        violations = [
-            check.InvariantViolation(
-                "counter", f"section {s}", f"kept crossing count {k}, seed walk {f}"
-            )
-            for s, (k, f) in enumerate(zip(kept, fresh))
-            if k != f
-        ]
-        fresh_sum = 1 + sum(fresh[: self.bdd.num_vars])
-        if self.width_sum != fresh_sum:
-            violations.append(
-                check.InvariantViolation(
-                    "counter", "width sum", f"kept {self.width_sum}, seed walk {fresh_sum}"
-                )
-            )
-        if violations:
-            raise IntegrityError(
-                f"sift session widths failed self-check: {violations[0]}",
-                violations=tuple(violations),
-            )
-
-    def check_refs(self) -> None:
-        """Raise :class:`IntegrityError` unless the reference counts are exact.
-
-        Recounts, for every live node, the edges from live parents plus
-        one per root, and compares the result with the kept counts.  The
-        kept live size must also equal the manager's node count and its
-        alive-node counter.
+        code with the walk the session started from.  The nodes the
+        roots reach must be the nodes in the unique tables, and as many
+        as :attr:`size`; each one's highest edge lies just above the
+        first section it crosses; :attr:`counts` and :attr:`width_sum`
+        are the sections' sizes and their sum.
         """
         bdd = self.bdd
-        live = [u for table in bdd._unique for u in table.values()]
-        fresh = _count_refs(bdd, live, self.roots)
-        kept = self._ref
-        violations = [
-            check.InvariantViolation(
-                "counter", f"node {u}", f"kept reference count {kept.get(u)}, recount {n}"
-            )
-            for u, n in fresh.items()
-            if n == 0 or kept.get(u) != n
+        sections, ranks = reference.crossing_walk(bdd, self.roots)
+        fresh_mf: dict[int, int] = {}
+        for s, targets in enumerate(sections):
+            for u in targets:
+                fresh_mf.setdefault(u, s - 1)
+        fresh_counts = [len(targets) for targets in sections]
+        fresh_sum = 1 + sum(fresh_counts[: bdd.num_vars])
+        reached = {u for u in ranks if u > 1}
+        live = {u for table in bdd._unique for u in table.values()}
+        mf = self._mf
+        found = [
+            (f"node {u}", f"kept highest edge {mf.get(u)}, seed walk {fresh_mf.get(u)}")
+            for u in sorted(mf.keys() | fresh_mf.keys())
+            if mf.get(u) != fresh_mf.get(u)
         ]
-        violations += [
-            check.InvariantViolation(
-                "counter", f"node {u}", f"kept reference count {kept[u]} for a dead node"
-            )
-            for u in kept
-            if u not in fresh
+        found += [(f"node {u}", "live, but no root reaches it") for u in sorted(live - reached)]
+        found += [(f"node {u}", "reached, but in no unique table") for u in sorted(reached - live)]
+        if self.size != len(reached):
+            found.append(("live size", f"kept {self.size}, seed walk {len(reached)}"))
+        found += [
+            (f"section {s}", f"kept crossing count {k}, seed walk {f}")
+            for s, (k, f) in enumerate(zip(self.counts, fresh_counts))
+            if k != f
         ]
-        alive = bdd.num_alive_nodes()
-        if not self.size == alive == bdd._n_alive:
-            violations.append(
-                check.InvariantViolation(
-                    "counter",
-                    "live size",
-                    f"kept {self.size}, unique tables {alive}, manager counter {bdd._n_alive}",
-                )
-            )
-        if violations:
+        if self.width_sum != fresh_sum:
+            found.append(("width sum", f"kept {self.width_sum}, seed walk {fresh_sum}"))
+        if found:
+            violations = tuple(check.InvariantViolation("counter", *v) for v in found)
             raise IntegrityError(
-                f"sift session reference counts failed self-check: {violations[0]}",
-                violations=tuple(violations),
+                f"sift session failed self-check: {violations[0]}", violations=violations
             )
 
     # -- the swap ------------------------------------------------------
+    #
+    # A swap of levels l and l+1 changes one crossing count: counts[l+1].
+    # A section's count is the number of distinct non-zero cofactors of
+    # the roots over the variables above it, and every other section
+    # has the same variables above it before and after the swap.
+    # counts[l+1] is the number of nodes at level l+1 plus the nodes
+    # below the pair with _mf <= l.  Those with _mf < l keep it; the
+    # rest are children of the pair, whose _mf is l or l+1.  So two
+    # passes, one before the rewrite and one after, read only the two
+    # swapped levels.  The same record tells which nodes die: only an
+    # old y-node can (a node below the pair is still pointed at from
+    # the new x-node or mover that took over its parent's edge), and it
+    # does iff every edge into it comes from level l, that is _mf == l.
 
     def swap(self, level: int) -> None:
         """Exchange the variables at ``level`` and ``level + 1`` in place."""
@@ -176,17 +139,34 @@ class SiftSession:
         x = bdd._var_at_level[level]
         y = bdd._var_at_level[level + 1]
         vid_arr, lo_arr, hi_arr = bdd._vid, bdd._lo, bdd._hi
+        mf = self._mf
         x_data = bdd._unique[x]
         y_data = bdd._unique[y]
-        if self._mf is not None:
-            crossing_before = self._widths_before(level, x_data, y_data, y)
+        below = level + 1
 
-        movers = [
-            u
-            for u in x_data.values()
-            if (lo_arr[u] > 1 and vid_arr[lo_arr[u]] == y)
-            or (hi_arr[u] > 1 and vid_arr[hi_arr[u]] == y)
-        ]
+        # Before: the nodes at level + 1, plus the nodes below the pair
+        # whose highest edge comes from ``level``.  Those are reset to
+        # ``below``; the pass after the rewrite lowers the ones still
+        # under a node at ``level`` again.  dying: each old y-node whose
+        # every edge comes from ``level``, with the number of those
+        # edges; it is freed at the last of them.
+        dying = {u: 0 for u in y_data.values() if mf[u] == level}
+        for u in dying:
+            del mf[u]
+        crossing = -len(y_data)
+        movers = []
+        for u in x_data.values():
+            moves = False
+            for child in (lo_arr[u], hi_arr[u]):
+                if vid_arr[child] == y:
+                    moves = True
+                    if child in dying:
+                        dying[child] += 1
+                elif child != FALSE and mf[child] == level:
+                    mf[child] = below
+                    crossing -= 1
+            if moves:
+                movers.append(u)
         for u in movers:
             del x_data[(lo_arr[u] << 32) | hi_arr[u]]
         # No helper calls: the new x-nodes are found or allocated in
@@ -195,24 +175,21 @@ class SiftSession:
         # result depends on them (Alg. 3.3 ranks columns by structure),
         # but tests/bdd/test_reorder.py pins the resulting managers'
         # digests to guard the allocation history.
-        ref = self._ref
         gen, free = bdd._gen, bdd._free
         alive, peak = bdd._n_alive, bdd._peak_alive
         for u in movers:
             f0, f1 = lo_arr[u], hi_arr[u]
-            if f0 > 1 and vid_arr[f0] == y:
+            if vid_arr[f0] == y:
                 f00, f01 = lo_arr[f0], hi_arr[f0]
             else:
                 f00 = f01 = f0
-            if f1 > 1 and vid_arr[f1] == y:
+            if vid_arr[f1] == y:
                 f10, f11 = lo_arr[f1], hi_arr[f1]
             else:
                 f10 = f11 = f1
-            # new_lo = (x, f00, f10), holding one reference from u.
+            # new_lo = (x, f00, f10).
             if f00 == f10:
                 new_lo = f00
-                if new_lo > 1:
-                    ref[new_lo] += 1
             else:
                 key = (f00 << 32) | f10
                 new_lo = x_data.get(key)
@@ -230,21 +207,12 @@ class SiftSession:
                         hi_arr.append(f10)
                         gen.append(0)
                     x_data[key] = new_lo
-                    ref[new_lo] = 1
                     alive += 1
                     if alive > peak:
                         peak = alive
-                    if f00 > 1:
-                        ref[f00] += 1
-                    if f10 > 1:
-                        ref[f10] += 1
-                else:
-                    ref[new_lo] += 1
             # new_hi = (x, f01, f11), likewise.
             if f01 == f11:
                 new_hi = f01
-                if new_hi > 1:
-                    ref[new_hi] += 1
             else:
                 key = (f01 << 32) | f11
                 new_hi = x_data.get(key)
@@ -262,16 +230,9 @@ class SiftSession:
                         hi_arr.append(f11)
                         gen.append(0)
                     x_data[key] = new_hi
-                    ref[new_hi] = 1
                     alive += 1
                     if alive > peak:
                         peak = alive
-                    if f01 > 1:
-                        ref[f01] += 1
-                    if f11 > 1:
-                        ref[f11] += 1
-                else:
-                    ref[new_hi] += 1
             key = (new_lo << 32) | new_hi
             if key in y_data:  # pragma: no cover - impossible by construction
                 raise OrderingError("swap produced a duplicate node")
@@ -279,45 +240,19 @@ class SiftSession:
             lo_arr[u] = new_lo
             hi_arr[u] = new_hi
             y_data[key] = u
-            # Release the old children, f0 then f1.  Only an old y-node
-            # can die: a child below the pair is still referenced from
-            # new_lo or new_hi (or from u itself).  A dying y-node's own
-            # children each gained such a reference above, so their
-            # counts stay positive and no death cascades further down.
-            # Freeing bumps the generation, which lazily invalidates
-            # cache entries touching the id.
-            if f0 > 1:
-                n = ref[f0] - 1
-                if n:
-                    ref[f0] = n
-                else:
-                    del ref[f0]
-                    g0, g1 = lo_arr[f0], hi_arr[f0]
-                    del y_data[(g0 << 32) | g1]
-                    vid_arr[f0] = lo_arr[f0] = hi_arr[f0] = -1
-                    gen[f0] += 1
-                    free.append(f0)
+            # Release the old children, f0 then f1: a dying y-node is
+            # freed at its last edge.  Freeing bumps the generation,
+            # which lazily invalidates cache entries touching the id.
+            for f in (f0, f1):
+                n = dying.get(f)
+                if n == 1:
+                    del y_data[(lo_arr[f] << 32) | hi_arr[f]]
+                    vid_arr[f] = lo_arr[f] = hi_arr[f] = -1
+                    gen[f] += 1
+                    free.append(f)
                     alive -= 1
-                    if g0 > 1:
-                        ref[g0] -= 1
-                    if g1 > 1:
-                        ref[g1] -= 1
-            if f1 > 1:
-                n = ref[f1] - 1
-                if n:
-                    ref[f1] = n
-                else:
-                    del ref[f1]
-                    g0, g1 = lo_arr[f1], hi_arr[f1]
-                    del y_data[(g0 << 32) | g1]
-                    vid_arr[f1] = lo_arr[f1] = hi_arr[f1] = -1
-                    gen[f1] += 1
-                    free.append(f1)
-                    alive -= 1
-                    if g0 > 1:
-                        ref[g0] -= 1
-                    if g1 > 1:
-                        ref[g1] -= 1
+                elif n:
+                    dying[f] = n - 1
         bdd._n_alive = alive
         bdd._peak_alive = peak
 
@@ -325,72 +260,24 @@ class SiftSession:
         bdd._var_at_level[level + 1] = x
         bdd._level_of[x] = level + 1
         bdd._level_of[y] = level
-        if self._mf is not None:
-            delta = self._widths_after(level, x_data, y_data, x) - crossing_before
-            self.counts[level + 1] += delta
-            self.width_sum += delta
+        # After: the nodes at level + 1, now x-nodes, plus the nodes
+        # below the pair still under a node at ``level``.  A new x-node
+        # has only nodes at ``level`` above it.
+        crossing += len(x_data)
+        for u in y_data.values():
+            for child in (lo_arr[u], hi_arr[u]):
+                if vid_arr[child] == x:
+                    mf.setdefault(child, level)
+                elif child != FALSE and mf[child] == below:
+                    mf[child] = level
+                    crossing += 1
+        self.counts[below] += crossing
+        self.width_sum += crossing
         # No clear_cache(): node ids keep denoting the same functions,
         # so semantic cache entries stay valid.  Entries touching nodes
         # freed above die via their generation stamps; order-sensitive
         # tiers retire on the epoch bump.
         bdd._note_reorder()
-
-    # A swap of levels l and l+1 changes one crossing count: counts[l+1].
-    # A section's count is the number of distinct non-zero cofactors of
-    # the roots over the variables above it, and every other section
-    # has the same variables above it before and after the swap.
-    # counts[l+1] is the number of nodes at level l+1 plus the nodes
-    # below the pair with _mf <= l.  Those with _mf < l keep it; the
-    # rest are children of the pair, whose _mf is l or l+1.  So the two
-    # passes below, one before the rewrite and one after, read only the
-    # two swapped levels.
-
-    def _widths_before(self, level: int, x_data, y_data, y: int) -> int:
-        """The part of ``counts[level + 1]`` a swap can change, before it.
-
-        That is the nodes at ``level + 1`` plus the nodes below the pair
-        whose highest edge comes from ``level``.  Those are reset to
-        ``_mf == level + 1``; :meth:`_widths_after` lowers the ones
-        still under a node at ``level`` again.
-        """
-        mf = self._mf
-        vid_arr, lo_arr, hi_arr = self.bdd._vid, self.bdd._lo, self.bdd._hi
-        below = level + 1
-        n = len(y_data)
-        for u in x_data.values():
-            child = lo_arr[u]
-            if child != FALSE and vid_arr[child] != y and mf[child] == level:
-                mf[child] = below
-                n += 1
-            child = hi_arr[u]
-            if child != FALSE and vid_arr[child] != y and mf[child] == level:
-                mf[child] = below
-                n += 1
-        for u in y_data.values():
-            # Only nodes at ``level`` point at u, and after the swap
-            # none does: u dies, and its id may come back as a new node.
-            if mf[u] == level:
-                del mf[u]
-        return n
-
-    def _widths_after(self, level: int, x_data, y_data, x: int) -> int:
-        """The part of ``counts[level + 1]`` a swap can change, after it."""
-        mf = self._mf
-        vid_arr, lo_arr, hi_arr = self.bdd._vid, self.bdd._lo, self.bdd._hi
-        below = level + 1
-        n = len(x_data)
-        for u in y_data.values():
-            for child in (lo_arr[u], hi_arr[u]):
-                if child == FALSE:
-                    continue
-                if vid_arr[child] == x:
-                    # New in this swap (only nodes at ``level`` point at
-                    # it) unless it already has an entry.
-                    mf.setdefault(child, level)
-                elif mf[child] == below:
-                    mf[child] = level
-                    n += 1
-        return n
 
     def move_var(self, vid: int, target_level: int) -> None:
         """Move one variable to ``target_level`` by repeated swaps."""
@@ -455,9 +342,8 @@ def sift(
     :class:`~repro.bdd.governor.Budget` every swap, and every level a
     walk crosses, is charged one step.  Under ``REPRO_SELFCHECK=1``
     every position a sift reaches compares the session's cost with the
-    prediction, and every sift ends by recounting its reference counts
-    (:meth:`SiftSession.check_refs`); a width-sum sift also audits its
-    kept counts against the seed walk (:meth:`SiftSession.check_widths`).
+    prediction, and every sift ends by auditing the session's records
+    against the seed walk (:meth:`SiftSession.check`).
     """
     for above, below in precedence:
         if bdd.level_of_vid(above) >= bdd.level_of_vid(below):
@@ -465,7 +351,7 @@ def sift(
                 f"initial order violates precedence: {bdd.name_of(above)} "
                 f"must be above {bdd.name_of(below)}"
             )
-    session = SiftSession(bdd, roots, widths=widths)
+    session = SiftSession(bdd, roots)
     audit = check.selfcheck_enabled()
     cost = session.width_sum if widths else session.size
     # Sift variables in decreasing order of their level population:
@@ -477,22 +363,24 @@ def sift(
         # improved order.
         if _governor._ACTIVE:
             _governor.checkpoint(bdd)
-        cost = _sift_one(session, vid, precedence, audit)
+        cost = _sift_one(session, vid, precedence, widths, audit)
     if audit:
-        session.check_refs()
-        if widths:
-            session.check_widths()
+        session.check()
     return float(cost)
 
 
 def _sift_one(
-    session: SiftSession, vid: int, precedence: Sequence[tuple[int, int]], audit: bool
+    session: SiftSession,
+    vid: int,
+    precedence: Sequence[tuple[int, int]],
+    widths: bool,
+    audit: bool,
 ) -> int:
     """Park ``vid`` at its cheapest admissible level; returns the cost there."""
     bdd = session.bdd
     lb, ub = _bounds(bdd, vid, precedence)
     start_level = bdd.level_of_vid(vid)
-    best_cost = session.size if session.counts is None else session.width_sum
+    best_cost = session.width_sum if widths else session.size
     best_level = start_level
     max_size = LIMITS.sift_max_growth * session.size
 
@@ -504,9 +392,9 @@ def _sift_one(
         if level == limit:
             continue
         walk = _walk_down if direction == 1 else _walk_up
-        sizes, widths = walk(session, level, limit, max_size)
+        sizes, sums = walk(session, level, limit, max_size, widths)
         position = level
-        for c in sizes if widths is None else widths:
+        for c in sums if widths else sizes:
             position += direction
             if c < best_cost or (
                 c == best_cost
@@ -521,9 +409,7 @@ def _sift_one(
                 _governor.checkpoint(bdd, 1)
             session.swap(level + i if direction == 1 else level - i - 1)
             if audit:
-                _check_prediction(
-                    session, vid, sizes[i], None if widths is None else widths[i]
-                )
+                _check_prediction(session, vid, sizes[i], sums[i] if widths else None)
         level = best_level
     return best_cost
 
@@ -580,24 +466,22 @@ def _check_prediction(session: SiftSession, vid: int, size: int, width: int | No
 # functions.
 #
 # A target crosses a section when a root or an edge from above it
-# points to it.  A width session reads that from ``_mf``; a node
-# session counts the edges from the levels the walk has passed and
-# compares them with the kept reference counts.
+# points to it: the section above level s when its ``_mf`` is below s.
 
 
 def _walk_down(
-    session: SiftSession, level: int, limit: int, max_size: float
+    session: SiftSession, level: int, limit: int, max_size: float, widths: bool
 ) -> tuple[list[int], list[int] | None]:
     """The costs of moving the variable at ``level`` to ``level + 1 .. limit``.
 
-    Returns the live node count at each position and, in a width
-    session, the kept width sum (None otherwise).  The walk stops at
-    the first position whose node count exceeds ``max_size``.
+    Returns the live node count at each position and, with ``widths``,
+    the width sum (None otherwise).  The walk stops at the first
+    position whose node count exceeds ``max_size``.
     """
     bdd = session.bdd
     var_at, level_of, unique = bdd._var_at_level, bdd._level_of, bdd._unique
     vid_arr, lo_arr, hi_arr = bdd._vid, bdd._lo, bdd._hi
-    mf, ref, counts = session._mf, session._ref, session.counts
+    mf, counts = session._mf, session.counts
     bottom = bdd.num_vars  # the terminals' level
     # Pairs (a << 32 | b), bucketed by the level of their upper member;
     # the levels below ``limit`` share one set, whose pairs never split.
@@ -610,21 +494,15 @@ def _walk_down(
         lb = level_of[vid_arr[b]] if b > 1 else bottom
         buckets[min(la, lb)].add(a << 32 | b)
     # xcount: the nodes x has, one per pair with a != b.  n: the pairs
-    # in the buckets.  above (width session): the other targets that
-    # cross the section above x and have not entered a bucket yet; each
-    # stands for its own pair (w, w).
+    # in the buckets.  above: the other targets that cross the section
+    # above x and have not entered a bucket yet; each stands for its
+    # own pair (w, w).
     xcount = n = len(x_nodes)
-    above = counts[level] - n if mf is not None else 0
+    above = counts[level] - n
     size = session.size - n
     width = session.width_sum
-    cnt: dict[int, int] = {}  # node session: edges from the levels passed
-    if mf is None:
-        for u in x_nodes:
-            for c in (lo_arr[u], hi_arr[u]):
-                if c > 1:
-                    cnt[c] = cnt.get(c, 0) + 1
     sizes: list[int] = []
-    widths: list[int] | None = None if mf is None else []
+    sums: list[int] | None = [] if widths else None
     for j in range(level + 1, limit + 1):
         if _governor._ACTIVE:
             _governor.checkpoint(bdd, 1)
@@ -632,19 +510,11 @@ def _walk_down(
         y_nodes = unique[y].values()
         bucket = buckets[j]
         # A node at j that crosses section ``level`` enters as (w, w).
-        if mf is not None:
-            for w in y_nodes:
-                if mf[w] < level:
-                    bucket.add(w << 32 | w)
-                    above -= 1
-                    n += 1
-        else:
-            for w in y_nodes:
-                if ref[w] > cnt.get(w, 0):
-                    bucket.add(w << 32 | w)
-                for c in (lo_arr[w], hi_arr[w]):
-                    if c > 1:
-                        cnt[c] = cnt.get(c, 0) + 1
+        for w in y_nodes:
+            if mf[w] < level:
+                bucket.add(w << 32 | w)
+                above -= 1
+                n += 1
         size += len(bucket) - len(y_nodes)
         n -= len(bucket)
         for key in bucket:
@@ -665,7 +535,7 @@ def _walk_down(
                 if a == b:
                     # (w, w) of a target still counted in ``above``
                     # enters at its own level, as above.
-                    if a == FALSE or (mf is not None and mf[a] < level):
+                    if a == FALSE or mf[a] < level:
                         continue
                 else:
                     lb = level_of[vid_arr[b]] if b > 1 else bottom
@@ -680,27 +550,27 @@ def _walk_down(
                         xcount += 1
         bucket.clear()
         sizes.append(size + xcount)
-        if widths is not None:
+        if sums is not None:
             width += above + n - counts[j]
-            widths.append(width)
+            sums.append(width)
         if size + xcount > max_size:
             break
-    return sizes, widths
+    return sizes, sums
 
 
 def _walk_up(
-    session: SiftSession, level: int, limit: int, max_size: float
+    session: SiftSession, level: int, limit: int, max_size: float, widths: bool
 ) -> tuple[list[int], list[int] | None]:
     """The costs of moving the variable at ``level`` to ``level - 1 .. limit``.
 
-    Returns the live node count at each position and, in a width
-    session, the kept width sum (None otherwise).  The walk stops at
-    the first position whose node count exceeds ``max_size``.
+    Returns the live node count at each position and, with ``widths``,
+    the width sum (None otherwise).  The walk stops at the first
+    position whose node count exceeds ``max_size``.
     """
     bdd = session.bdd
     var_at, unique = bdd._var_at_level, bdd._unique
     lo_arr, hi_arr = bdd._lo, bdd._hi
-    mf, ref, counts = session._mf, session._ref, session.counts
+    mf, counts = session._mf, session.counts
     x_nodes = unique[var_at[level]].values()
     # cof0[u], cof1[u]: the x-cofactors of every node u from the level
     # walked last down to x; any other node is its own cofactor.
@@ -711,34 +581,31 @@ def _walk_up(
     xcount = len(x_nodes)
     size = session.size - xcount
     sizes: list[int] = []
-    widths: list[int] | None = None
-    cnt: dict[int, int] = {}  # node session: edges from the levels walked
-    if mf is not None:
+    sums: list[int] | None = None
+    if widths:
         # The new section below x counts the distinct non-FALSE
         # x-cofactors of the targets crossing the section above x:
         # ``below`` targets under level ``level`` that cross it (their
         # own cofactors), and the keys of ``mult``, the cofactors of the
         # crossing targets from the walk's level down to x, that are
         # not among them.
-        widths = []
+        sums = []
         width = session.width_sum
-        below = counts[level + 1]
         mult: dict[int, int] = {}
-        gone: set[int] = set()
         for u in x_nodes:
             for c in (lo_arr[u], hi_arr[u]):
                 if c != FALSE:
                     mult[c] = mult.get(c, 0) + 1
-                    if mf[c] == level and c not in gone:
-                        gone.add(c)
-                        below -= 1
+        below = counts[level + 1] - sum(1 for c in mult if mf[c] == level)
     for k in range(level - 1, limit - 1, -1):
         if _governor._ACTIVE:
             _governor.checkpoint(bdd, 1)
         y_unique = unique[var_at[k]]
         made: dict[tuple[int, int], int] = {}
         results: set[int] = set()
-        leaving: list[int] = []
+        # The children whose highest edge comes from level k: they stop
+        # crossing the section above the walk.
+        leaving: set[int] = set()
         for g in y_unique.values():
             g0, g1 = lo_arr[g], hi_arr[g]
             # Both cofactors of g by x, hash-consed as described above.
@@ -766,28 +633,20 @@ def _walk_up(
                 results.add(r1)
             if r0 != r1:
                 xcount += 1
-            # The children whose highest edge comes from level k stop
-            # crossing the section above the walk.
             for c in (g0, g1):
-                if mf is None:
-                    if c in cof0:
-                        m = cnt.get(c, 0) + 1
-                        cnt[c] = m
-                        if m == ref[c] and cof0[c] != cof1[c]:
-                            xcount -= 1
-                elif c != FALSE and mf[c] == k and c not in gone:
-                    gone.add(c)
-                    if c in cof0:
-                        leaving.append(c)
-                    else:
-                        below -= 1
+                if c != FALSE and mf[c] == k:
+                    leaving.add(c)
             cof0[g] = r0
             cof1[g] = r1
         size += len(results) - len(y_unique)
-        if widths is not None:
+        for c in leaving:
+            if c in cof0 and cof0[c] != cof1[c]:
+                xcount -= 1
+        if sums is not None:
             for c in leaving:
-                if cof0[c] != cof1[c]:
-                    xcount -= 1
+                if c not in cof0:
+                    below -= 1
+                    continue
                 for r in (cof0[c], cof1[c]):
                     if r != FALSE:
                         m = mult[r] - 1
@@ -803,8 +662,8 @@ def _walk_up(
             # under level ``level`` (or TRUE) with mf < k.
             extra = sum(1 for r in mult if r < 0 or r in cof0 or mf[r] >= k)
             width += below + extra - counts[k + 1]
-            widths.append(width)
+            sums.append(width)
         sizes.append(size + xcount)
         if size + xcount > max_size:
             break
-    return sizes, widths
+    return sizes, sums

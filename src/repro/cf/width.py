@@ -19,8 +19,9 @@ in rank order, from the memoized
 :func:`~repro.bdd.traversal.ranked_sections`, so Algorithm 3.3's
 per-height queries share one traversal.  A width-sum sift does not
 call :func:`sum_of_widths` at every position: its
-:class:`~repro.bdd.reorder.SiftSession` starts from the same walk and
-keeps the counts up to date inside each swap.
+:class:`~repro.bdd.reorder.SiftSession` starts from the same walk's
+highest-edge levels and keeps them, and with them the counts, up to
+date inside each swap.
 """
 
 from __future__ import annotations

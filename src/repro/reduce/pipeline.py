@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from repro.bdd import BDD, set_order, transfer
 from repro.cf.charfun import CharFunction
-from repro.cf.width import max_width, sum_of_widths
+from repro.cf.width import max_width, width_profile
 from repro.reduce.alg33 import algorithm_3_3
 from repro.reduce.support import reduce_support
 
@@ -83,11 +83,12 @@ def full_reduction(
             current.sift(cost=sift_cost, freeze_outputs=round_index > 0)
         current, removed = reduce_support(current)
         current, stats = algorithm_3_3(current)
-        width_now = max_width(current.bdd, current.root)
+        profile = width_profile(current.bdd, current.root)
+        width_now = max(profile)
         report.rounds.append(
             RoundReport(
                 max_width=width_now,
-                width_sum=sum_of_widths(current.bdd, current.root),
+                width_sum=sum(profile),
                 nodes=current.num_nodes(),
                 removed_vars=len(removed),
                 merges=stats.merges,

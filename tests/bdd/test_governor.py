@@ -150,10 +150,10 @@ class TestCheckpointSemantics:
         # One step per swap and one per level a look-ahead walk crosses.
         walked = []
         for name in ("_walk_down", "_walk_up"):
-            def counting(session, level, limit, max_size, walk=getattr(reorder, name)):
-                sizes, widths = walk(session, level, limit, max_size)
+            def counting(session, level, limit, max_size, widths, walk=getattr(reorder, name)):
+                sizes, sums = walk(session, level, limit, max_size, widths)
                 walked.append(len(sizes))
-                return sizes, widths
+                return sizes, sums
 
             monkeypatch.setattr(reorder, name, counting)
         part = get_benchmark("3-digit decimal adder").build().bipartition()[0]

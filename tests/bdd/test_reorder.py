@@ -137,7 +137,7 @@ class TestSift:
 
 
 # ---------------------------------------------------------------------------
-# Kept widths: a widths=True session against the full-pass reference
+# Kept records: a session's highest edges and widths against full passes
 # ---------------------------------------------------------------------------
 
 
@@ -150,27 +150,15 @@ def assert_kept_widths(session):
         assert session.width_sum == sum_of_widths(bdd, session.roots[0])
 
 
-def assert_exact_refs(session):
-    """The session's reference counts and size equal a from-scratch recount."""
-    bdd = session.bdd
-    nodes = [u for u in bdd.reachable(session.roots) if u > 1]
-    recount = dict.fromkeys(nodes, 0)
-    for u in nodes:
-        for child in (bdd.lo(u), bdd.hi(u)):
-            if child > 1:
-                recount[child] += 1
-    for r in session.roots:
-        if r > 1:
-            recount[r] += 1
-    assert session._ref == recount
-    assert session.size == len(nodes) == bdd.num_alive_nodes() == bdd._n_alive
-
-
 def assert_session_exact(session):
-    """Reference counts always, and the kept widths when the session keeps them."""
-    assert_exact_refs(session)
-    if session.counts is not None:
-        assert_kept_widths(session)
+    """The session's highest edges, size and kept widths equal fresh full
+    passes, and its audit agrees."""
+    bdd = session.bdd
+    assert session._mf == traversal.highest_edges(bdd, session.roots)[0]
+    nodes = [u for u in bdd.reachable(session.roots) if u > 1]
+    assert session.size == len(nodes) == bdd.num_alive_nodes() == bdd._n_alive
+    assert_kept_widths(session)
+    session.check()
 
 
 def full_pass_width_sum(bdd, roots):
@@ -232,16 +220,11 @@ def apply_moves(session, data, n_moves):
 
 
 class TestKeptWidths:
-    # widths=False sessions run the same swaps with the recount alone.
     @settings(max_examples=100, deadline=None)
-    @given(
-        spec=spec_strategy(max_inputs=4, max_outputs=3),
-        widths=st.booleans(),
-        data=st.data(),
-    )
-    def test_random_cfs(self, spec, widths, data):
+    @given(spec=spec_strategy(max_inputs=4, max_outputs=3), data=st.data())
+    def test_random_cfs(self, spec, data):
         cf = CharFunction.from_spec(spec)  # at least one input and one output
-        session = SiftSession(cf.bdd, [cf.root], widths=widths)
+        session = SiftSession(cf.bdd, [cf.root])
         assert_session_exact(session)
         apply_moves(session, data, 12)
 
@@ -250,17 +233,16 @@ class TestKeptWidths:
         n=st.integers(2, 5),
         tables=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
         extra=st.sampled_from([(), (TRUE,), (FALSE,), (TRUE, FALSE)]),
-        widths=st.booleans(),
         data=st.data(),
     )
-    def test_random_plain_bdds(self, n, tables, extra, widths, data):
+    def test_random_plain_bdds(self, n, tables, extra, data):
         bdd = BDD()
         vids = bdd.add_vars([f"x{i}" for i in range(n)])
         roots = [
             from_truth_table(bdd, vids, [(bits >> m) & 1 for m in range(1 << n)])
             for bits in tables
         ]
-        session = SiftSession(bdd, [*roots, *extra], widths=widths)
+        session = SiftSession(bdd, [*roots, *extra])
         assert_session_exact(session)
         apply_moves(session, data, 12)
         for bits, root in zip(tables, roots):
@@ -273,7 +255,7 @@ class TestKeptWidths:
         vids = bdd.add_vars([f"x{i}" for i in range(5)])
         top = bdd.apply_xor(bdd.var(vids[0]), bdd.var(vids[3]))
         deep = bdd.var(vids[4])  # a root at the bottom level
-        session = SiftSession(bdd, [top, deep], widths=True)
+        session = SiftSession(bdd, [top, deep])
         assert bdd.level(top) == 0 and bdd.level(deep) == 4
         assert_kept_widths(session)
         for level in (3, 2, 3, 0, 1, 0, 2, 3):
@@ -286,7 +268,7 @@ class TestKeptWidths:
         bdd = BDD()
         vids = bdd.add_vars([f"x{i}" for i in range(4)])
         f = bdd.apply_or(bdd.apply_or(bdd.var(vids[0]), bdd.var(vids[1])), bdd.var(vids[2]))
-        session = SiftSession(bdd, [f, TRUE], widths=True)
+        session = SiftSession(bdd, [f, TRUE])
         assert session.counts[bdd.num_vars] == 1  # TRUE alone crosses the bottom
         for level in (0, 1, 2, 1, 0, 2):
             session.swap(level)
@@ -296,7 +278,7 @@ class TestKeptWidths:
         bdd = BDD()
         vids = bdd.add_vars([f"x{i}" for i in range(6)])
         f = pairs_function(bdd, vids)
-        session = SiftSession(bdd, [f], widths=True)
+        session = SiftSession(bdd, [f])
         before = session.size
         # Bring each partner next to its pair: x0 x3 x1 x4 x2 x5.
         for vid, target in ((vids[3], 1), (vids[4], 3)):
@@ -305,31 +287,33 @@ class TestKeptWidths:
         assert session.size < before
         assert session.size == bdd.num_alive_nodes()
 
-    def test_untracked_session_keeps_nothing(self):
-        bdd, vids, f, _ = random_function(3)
-        session = SiftSession(bdd, [f])
-        session.swap(0)
-        assert session.counts is None
-
 
 class TestKeptWidthSift:
     """A sift on the kept width sum lands where the exploring oracle does."""
 
     def test_kept_sum_calls_no_full_pass(self, monkeypatch):
-        # The walk the session starts from is the sift's one full pass.
+        # A sift of either cost walks the BDD twice, both at session
+        # start: the collect's reachable walk, then the highest edges.
         monkeypatch.setenv("REPRO_SELFCHECK", "0")
         calls = []
-        original = reorder.highest_edges
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counting(name, original):
+            def walk(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
 
-        monkeypatch.setattr(reorder, "highest_edges", counting)
-        bdd, vids, f, table = random_function(11, n=6)
-        sift(bdd, [f], widths=True)
-        assert calls == [1]
-        assert brute_force_truth(bdd, f, vids) == table
+            return walk
+
+        monkeypatch.setattr(
+            reorder, "highest_edges", counting("highest_edges", reorder.highest_edges)
+        )
+        monkeypatch.setattr(BDD, "reachable", counting("reachable", BDD.reachable))
+        for widths in (False, True):
+            bdd, vids, f, table = random_function(11, n=6)
+            calls.clear()
+            sift(bdd, [f], widths=widths)
+            assert calls == ["reachable", "highest_edges"], widths
+            assert brute_force_truth(bdd, f, vids) == table
 
     @settings(max_examples=40, deadline=None)
     @given(spec=spec_strategy(max_inputs=4, max_outputs=3))
@@ -397,7 +381,7 @@ def shuffle_admissibly(session, precedence, data, n_moves):
         session.move_var(vid, data.draw(st.integers(lb, ub), label="target"))
 
 
-def assert_walks_exact(session, precedence):
+def assert_walks_exact(session, precedence, widths):
     """For every variable and direction, each cost a walk predicts equals
     the session's cost after ``move_var`` to that position, and a walk
     with a size cap stops at the first position above it."""
@@ -408,20 +392,20 @@ def assert_walks_exact(session, precedence):
             if limit == level:
                 continue
             walk = reorder._walk_down if limit > level else reorder._walk_up
-            sizes, widths = walk(session, level, limit, float("inf"))
-            assert (widths is None) == (session.counts is None)
+            sizes, sums = walk(session, level, limit, float("inf"), widths)
+            assert (sums is None) == (not widths)
             cap = session.size
-            capped = walk(session, level, limit, cap)
+            capped = walk(session, level, limit, cap, widths)
             cut = next((i + 1 for i, size in enumerate(sizes) if size > cap), len(sizes))
-            assert capped == (sizes[:cut], None if widths is None else widths[:cut])
+            assert capped == (sizes[:cut], None if sums is None else sums[:cut])
             step = 1 if limit > level else -1
             targets = range(level + step, limit + step, step)
             assert len(sizes) == len(targets)
             for i, target in enumerate(targets):
                 session.move_var(vid, target)
                 assert sizes[i] == session.size, (vid, level, target)
-                if widths is not None:
-                    assert widths[i] == session.width_sum, (vid, level, target)
+                if sums is not None:
+                    assert sums[i] == session.width_sum, (vid, level, target)
             session.move_var(vid, level)
 
 
@@ -437,9 +421,9 @@ class TestLookAhead:
     def test_walks_are_exact_on_random_cfs(self, spec, widths, data):
         cf = CharFunction.from_spec(spec)
         precedence = cf.precedence_constraints()
-        session = SiftSession(cf.bdd, [cf.root], widths=widths)
+        session = SiftSession(cf.bdd, [cf.root])
         shuffle_admissibly(session, precedence, data, 4)
-        assert_walks_exact(session, precedence)
+        assert_walks_exact(session, precedence, widths)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -456,30 +440,31 @@ class TestLookAhead:
             from_truth_table(bdd, vids, [(bits >> m) & 1 for m in range(1 << n)])
             for bits in tables
         ]
-        session = SiftSession(bdd, [*roots, *extra], widths=widths)
+        session = SiftSession(bdd, [*roots, *extra])
         shuffle_admissibly(session, (), data, 4)
-        assert_walks_exact(session, ())
+        assert_walks_exact(session, (), widths)
 
     def test_walks_touch_nothing(self):
         bdd, vids, f, _ = random_function(14, n=6)
-        session = SiftSession(bdd, [f], widths=True)
+        session = SiftSession(bdd, [f])
         before = (bdd.order(), bdd._vid[:], bdd._lo[:], bdd._hi[:], bdd._epoch)
-        kept = (dict(session._ref), dict(session._mf), session.counts[:], session.size)
+        kept = (dict(session._mf), session.counts[:], session.width_sum, session.size)
         for vid in vids:
             level = bdd.level_of_vid(vid)
-            reorder._walk_down(session, level, bdd.num_vars - 1, float("inf"))
-            reorder._walk_up(session, level, 0, float("inf"))
+            for widths in (False, True):
+                reorder._walk_down(session, level, bdd.num_vars - 1, float("inf"), widths)
+                reorder._walk_up(session, level, 0, float("inf"), widths)
         assert (bdd.order(), bdd._vid, bdd._lo, bdd._hi, bdd._epoch) == before
-        assert (session._ref, session._mf, session.counts, session.size) == kept
+        assert (session._mf, session.counts, session.width_sum, session.size) == kept
 
     @staticmethod
     def predict_zero(monkeypatch):
         """Every walk predicts cost 0 everywhere, so each variable swaps."""
 
         def zero(walk):
-            def predict(session, level, limit, max_size):
-                sizes, widths = walk(session, level, limit, max_size)
-                return [0] * len(sizes), None if widths is None else [0] * len(widths)
+            def predict(session, level, limit, max_size, widths):
+                sizes, sums = walk(session, level, limit, max_size, widths)
+                return [0] * len(sizes), None if sums is None else [0] * len(sums)
 
             return predict
 
@@ -544,14 +529,16 @@ class TestNodeCountSift:
 
 
 class TestKeptWidthAudit:
+    """``SiftSession.check`` audits the kept crossing counts."""
+
     def test_check_widths_flags_a_corrupt_count(self):
         bdd, vids, f, _ = random_function(12)
-        session = SiftSession(bdd, [f], widths=True)
+        session = SiftSession(bdd, [f])
         session.swap(1)
-        session.check_widths()
+        session.check()
         session.counts[2] += 1
         with pytest.raises(IntegrityError) as info:
-            session.check_widths()
+            session.check()
         assert [v.kind for v in info.value.violations] == ["counter"]
         assert "section 2" in str(info.value)
 
@@ -570,9 +557,9 @@ class TestKeptWidthAudit:
         monkeypatch.setattr(reorder, "highest_edges", skewed)
         bdd, vids, f, _ = random_function(12)
         assert crossing_counts(bdd, [f])[0] == 2
-        session = SiftSession(bdd, [f], widths=True)
+        session = SiftSession(bdd, [f])
         with pytest.raises(IntegrityError):
-            session.check_widths()
+            session.check()
 
     @staticmethod
     def corrupt_first_swap(monkeypatch):
@@ -581,7 +568,7 @@ class TestKeptWidthAudit:
 
         def swap(self, level):
             original(self, level)
-            if self.counts is not None and not done:
+            if not done:
                 self.counts[level + 1] += 1
                 done.append(level)
 
@@ -605,26 +592,39 @@ class TestKeptWidthAudit:
         assert brute_force_truth(bdd, f, vids) == table
 
 
-class TestRefAudit:
-    def test_check_refs_flags_a_corrupt_count(self):
+class TestSessionAudit:
+    """``SiftSession.check`` audits the highest edges and the live nodes."""
+
+    def test_check_flags_a_corrupt_highest_edge(self):
         bdd, vids, f, _ = random_function(12)
         session = SiftSession(bdd, [f])
         session.swap(1)
-        session.check_refs()
+        session.check()
         u = bdd.lo(f) if bdd.lo(f) > 1 else bdd.hi(f)
-        session._ref[u] += 1
+        session._mf[u] += 1
         with pytest.raises(IntegrityError) as info:
-            session.check_refs()
+            session.check()
         assert [v.kind for v in info.value.violations] == ["counter"]
-        assert f"node {u}" in str(info.value)
+        assert f"node {u}: kept highest edge" in str(info.value)
 
-    def test_check_refs_flags_a_drifted_size(self):
+    def test_check_flags_a_drifted_size(self):
         bdd, vids, f, _ = random_function(12)
         session = SiftSession(bdd, [f])
         session.swap(0)
         bdd._n_alive += 1
         with pytest.raises(IntegrityError, match="live size"):
-            session.check_refs()
+            session.check()
+
+    def test_check_flags_an_unreachable_node(self):
+        # A node made behind the session's back: no root reaches it.
+        bdd, vids, f, _ = random_function(12)
+        session = SiftSession(bdd, [f])
+        session.swap(2)
+        g = bdd.apply_not(f)
+        with pytest.raises(IntegrityError) as info:
+            session.check()
+        details = [str(v) for v in info.value.violations]
+        assert f"[counter] node {g}: live, but no root reaches it" in details
 
     @staticmethod
     def corrupt_first_swap(monkeypatch):
@@ -634,25 +634,27 @@ class TestRefAudit:
         def swap(self, level):
             original(self, level)
             if not done:
-                self._ref[self.roots[0]] += 1  # a root never dies: the sift goes on
+                # A root's highest edge stays above every level, so the
+                # sift goes on.
+                self._mf[self.roots[0]] -= 1
                 done.append(level)
 
         monkeypatch.setattr(SiftSession, "swap", swap)
         return done
 
     @pytest.mark.parametrize("widths", [False, True], ids=COST_IDS)
-    def test_armed_sift_raises_on_a_corrupt_count(self, monkeypatch, widths):
+    def test_armed_sift_raises_on_a_corrupt_highest_edge(self, monkeypatch, widths):
         monkeypatch.setenv("REPRO_SELFCHECK", "1")
         done = self.corrupt_first_swap(monkeypatch)
         bdd, vids, f, _ = random_function(13)
-        with pytest.raises(IntegrityError, match="reference counts"):
+        with pytest.raises(IntegrityError, match="sift session failed self-check"):
             sift(bdd, [f], widths=widths)
         assert done
 
     def test_unarmed_sift_does_not_audit(self, monkeypatch):
         monkeypatch.setenv("REPRO_SELFCHECK", "0")
         calls = []
-        monkeypatch.setattr(SiftSession, "check_refs", lambda self: calls.append(1))
+        monkeypatch.setattr(SiftSession, "check", lambda self: calls.append(1))
         bdd, vids, f, table = random_function(13)
         sift(bdd, [f])
         sift(bdd, [f], widths=True)
@@ -669,7 +671,9 @@ class TestRefAudit:
 #: Fig. 8 builds) by node count.  The cost at a position depends on the
 #: order alone, so a change that skips swaps or allocates nodes
 #: differently keeps every literal; these were measured before the
-#: lower-bound exit and hold with it and with the look-ahead walks.
+#: lower-bound exit and hold with it and with the look-ahead walks (the
+#: ``3-5-7-11 RNS`` entries, and their digests below, were measured
+#: while the session still kept reference counts).
 SIFTED_ORDERS = {
     ("3-digit decimal adder", 0, "widthsum"): (
         243,
@@ -711,6 +715,22 @@ SIFTED_ORDERS = {
         "d0_1 d0_0 d1_0 d1_1 d0_2 d2_0 d2_1 d1_2 d3_0 d3_1 d2_2 d4_0 d4_1 d3_2 y1 y2 y3 "
         "y4 y5 d4_2 y6",
     ),
+    ("3-5-7-11 RNS", 0, "widthsum"): (
+        723,
+        "r3_0 r3_1 r5_0 r5_1 r5_2 r7_0 r7_1 r7_2 r11_3 r11_2 r11_0 r11_1 y5 y4 y6 y2 y3 y1",
+    ),
+    ("3-5-7-11 RNS", 0, "nodes"): (
+        706,
+        "r3_0 r3_1 r5_0 r5_1 r5_2 r7_0 r7_1 r7_2 r11_3 r11_2 r11_0 r11_1 y5 y4 y6 y2 y3 y1",
+    ),
+    ("3-5-7-11 RNS", 1, "widthsum"): (
+        761,
+        "r3_0 r3_1 r5_0 r5_1 r5_2 r7_0 r7_1 r7_2 r11_0 r11_2 r11_1 r11_3 y1 y2 y3 y4 y5",
+    ),
+    ("3-5-7-11 RNS", 1, "nodes"): (
+        745,
+        "r3_0 r3_1 r5_0 r5_1 r5_2 r7_0 r7_1 r7_2 r11_0 r11_2 r11_1 r11_3 y1 y2 y3 y4 y5",
+    ),
     ("250 words", False, "nodes"): (
         6169,
         "L7_3 L7_4 L1_4 L1_3 L7_2 L6_2 L6_3 L7_1 L7_0 L1_0 L1_2 L1_1 L0_4 L2_4 L0_0 "
@@ -737,7 +757,9 @@ def sifted_order_cases(name):
             yield (name, index, cost), part
 
 
-@pytest.mark.parametrize("name", ["3-digit decimal adder", "5-digit 6-nary to binary", "250 words"])
+@pytest.mark.parametrize(
+    "name", ["3-digit decimal adder", "5-digit 6-nary to binary", "3-5-7-11 RNS", "250 words"]
+)
 def test_sifted_orders_are_pinned(name):
     for key, isf in sifted_order_cases(name):
         cf = CharFunction.from_isf(isf)
@@ -772,6 +794,10 @@ SIFT_DIGESTS = {
     ("5-digit 6-nary to binary", 0, "nodes"): "65abe64910f820e146c08f77924862d1",
     ("5-digit 6-nary to binary", 1, "widthsum"): "9cd0e7e810af710bd9d066414267e553",
     ("5-digit 6-nary to binary", 1, "nodes"): "58348b2480a818c5922f373240970d7c",
+    ("3-5-7-11 RNS", 0, "widthsum"): "7603cee2058f00420a5704c67c4b1305",
+    ("3-5-7-11 RNS", 0, "nodes"): "7603cee2058f00420a5704c67c4b1305",
+    ("3-5-7-11 RNS", 1, "widthsum"): "050bfa87b80d8b6d962a4d9964fe29ef",
+    ("3-5-7-11 RNS", 1, "nodes"): "050bfa87b80d8b6d962a4d9964fe29ef",
 }
 
 
@@ -783,7 +809,9 @@ def manager_digest(cf):
     return hashlib.blake2b(repr(state).encode(), digest_size=16).hexdigest()
 
 
-@pytest.mark.parametrize("name", ["3-digit decimal adder", "5-digit 6-nary to binary"])
+@pytest.mark.parametrize(
+    "name", ["3-digit decimal adder", "5-digit 6-nary to binary", "3-5-7-11 RNS"]
+)
 def test_sifted_managers_are_byte_identical(name):
     for index, part in enumerate(get_benchmark(name).build().bipartition()):
         for cost in ("widthsum", "nodes"):

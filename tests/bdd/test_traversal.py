@@ -100,4 +100,4 @@ class TestOneWalkMatchesSeedWalk:
         assert_walk_matches_seed_walk(bdd, [reduced.root])
         roots = [TRUE, reduced.root, FALSE, cf.root, reduced.root]
         counts = assert_walk_matches_seed_walk(bdd, roots)
-        assert SiftSession(bdd, roots, widths=True).counts == counts
+        assert SiftSession(bdd, roots).counts == counts

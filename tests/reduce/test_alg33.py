@@ -135,6 +135,8 @@ ALG33_DIGESTS = {
     ("3-digit decimal adder", 1): "3a9419b130eea5caf66ea79e75eae0e2",
     ("5-digit 6-nary to binary", 0): "cf21da97b701175ccbdc0030c0872c78",
     ("5-digit 6-nary to binary", 1): "269d491f676f05201359a069c739b6f2",
+    ("3-5-7-11 RNS", 0): "b35cf5a9fd4ed31ffde717b7651548a9",
+    ("3-5-7-11 RNS", 1): "f12d562aa47f2eaf48ebea6f3c255ce8",
 }
 
 
@@ -147,7 +149,9 @@ def alg33_digest(cf, stats):
     return hashlib.blake2b(repr(state).encode(), digest_size=16).hexdigest()
 
 
-@pytest.mark.parametrize("name", ["3-digit decimal adder", "5-digit 6-nary to binary"])
+@pytest.mark.parametrize(
+    "name", ["3-digit decimal adder", "5-digit 6-nary to binary", "3-5-7-11 RNS"]
+)
 def test_alg33_managers_are_byte_identical(name):
     for index, cf in enumerate(table5_inputs(name)):
         reduced, stats = algorithm_3_3(cf)

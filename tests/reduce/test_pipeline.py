@@ -126,6 +126,31 @@ class TestOwnManager:
         assert len(report.rounds) >= 2  # a re-sift ran
         assert calls and not any(calls)
 
+    def test_one_width_pass_per_report(self, monkeypatch):
+        # The initial width, then each round's max width and width sum
+        # from one profile: 6 + 13 calls over the six table5-arith halves.
+        calls = []
+
+        def counting(original):
+            def crossing_counts(*args, **kwargs):
+                calls.append(1)
+                return original(*args, **kwargs)
+
+            return crossing_counts
+
+        rounds = 0
+        for name in ("3-5-7-11 RNS", "5-digit 6-nary to binary", "3-digit decimal adder"):
+            for index in (0, 1):
+                cf = _sifted_half(name, index)
+                with monkeypatch.context() as patch:
+                    patch.setattr(width, "crossing_counts", counting(width.crossing_counts))
+                    patch.setattr(
+                        traversal, "crossing_counts", counting(traversal.crossing_counts)
+                    )
+                    _, report = full_reduction(cf)
+                rounds += len(report.rounds)
+        assert (len(calls), rounds) == (19, 13)
+
     def test_a_widening_round_returns_the_best_cf(self):
         # The round-1 width-sum re-sift widens the round-0 CF, 128 -> 134,
         # and Alg. 3.3 merges nothing back.
