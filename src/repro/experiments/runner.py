@@ -80,22 +80,35 @@ def build_sifted_cf(part: MultiOutputISF, *, sift: bool = True) -> CharFunction:
     return cf
 
 
+def select_partition(isf: MultiOutputISF, indices: list[int]) -> MultiOutputISF:
+    """The outputs ``indices`` of ``isf``, named by their index range."""
+    return isf.select(indices, name=f"{isf.name}[{indices[0]}..{indices[-1]}]")
+
+
 def partition_pipeline(
-    isf: MultiOutputISF, *, reduce: bool, sift: bool = True
+    isf: MultiOutputISF,
+    *,
+    reduce: bool,
+    sift: bool = True,
+    partitions: Callable[[list[int]], CharFunction] | None = None,
 ) -> tuple[Callable[[list[int]], CharFunction], set[str]]:
     """The output-subset pipeline the cascade designs of Tables 5/6 use.
 
-    Returns ``(pipeline, removed)``: ``pipeline(indices)`` builds the
-    sifted BDD_for_CF of those outputs of ``isf`` and, with ``reduce``,
-    removes redundant support variables and runs Algorithm 3.3;
-    ``removed`` collects the names of the variables support reduction
-    removed, over every call.
+    Returns ``(pipeline, removed)``: ``pipeline(indices)`` takes the
+    sifted BDD_for_CF of those outputs from ``partitions(indices)``
+    (by default :func:`build_sifted_cf` of those outputs of ``isf``)
+    and, with ``reduce``, removes redundant support variables and runs
+    Algorithm 3.3 on it; ``removed`` collects the names of the
+    variables support reduction removed, over every call.
     """
     removed: set[str] = set()
+    if partitions is None:
+
+        def partitions(indices: list[int]) -> CharFunction:
+            return build_sifted_cf(select_partition(isf, indices), sift=sift)
 
     def pipeline(indices: list[int]) -> CharFunction:
-        part = isf.select(indices, name=f"{isf.name}[{indices[0]}..{indices[-1]}]")
-        cf = build_sifted_cf(part, sift=sift)
+        cf = partitions(indices)
         if reduce:
             cf, dropped = reduce_support(cf)
             removed.update(cf.bdd.name_of(v) for v in dropped)

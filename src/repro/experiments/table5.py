@@ -15,6 +15,7 @@ exceeds the rail limit it is bisected further (synthesize_forest).
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.benchfns.base import Benchmark
@@ -25,6 +26,7 @@ from repro.cascade import (
     realize_forest,
     synthesize_forest,
 )
+from repro.cf.charfun import CharFunction
 from repro.errors import ReproError
 from repro.experiments.runner import partition_pipeline, stable_seed
 from repro.isf.function import MultiOutputISF
@@ -46,18 +48,28 @@ class Table5Row:
 
 
 def design(
-    benchmark_isf: MultiOutputISF,
+    benchmark_isf: MultiOutputISF | Benchmark,
     *,
     reduce: bool,
     sift: bool = True,
     max_cell_inputs: int = MAX_CELL_INPUTS,
     max_cell_outputs: int = MAX_CELL_OUTPUTS,
+    partitions: Callable[[list[int]], CharFunction] | None = None,
 ):
     """Synthesize the cascade forest for one design style.
 
+    ``partitions(indices)`` is the sifted BDD_for_CF of those outputs;
+    by default it is built from ``benchmark_isf``
+    (:func:`~repro.experiments.runner.build_sifted_cf`).  Given a
+    source, ``benchmark_isf`` is read only for ``n_inputs`` and
+    ``n_outputs``, which a :class:`~repro.benchfns.base.Benchmark`
+    also has.
+
     Returns ``(cost, realization, forest)``.
     """
-    pipeline, removed = partition_pipeline(benchmark_isf, reduce=reduce, sift=sift)
+    pipeline, removed = partition_pipeline(
+        benchmark_isf, reduce=reduce, sift=sift, partitions=partitions
+    )
     forest = []
     half = (benchmark_isf.n_outputs + 1) // 2
     for indices in (list(range(half)), list(range(half, benchmark_isf.n_outputs))):

@@ -48,9 +48,11 @@ from repro.service.shards import family_of
 
 __all__ = ["Admission", "QueuedQuery", "estimate_size"]
 
-#: Relative op weights on top of the structural size heuristic: a
-#: cascade synthesis builds and sifts every output partition, a
-#: decomposition is one cut of an already-built CF.
+#: Relative op weights on top of the structural size heuristic, which
+#: prices an unseen query key.  Such a key is priced as cold: the first
+#: cascade of a benchmark builds and sifts every output partition (the
+#: shard keeps them warm for later requests), a decomposition is one
+#: cut of an already-built CF.
 _OP_FACTOR = {
     "width_reduce": 1.0,
     "decompose": 0.5,

@@ -31,7 +31,10 @@ engine errors keep the v2 shape (type + message).  v4 removes the
 per-request ``tt`` field and rejects any other top-level key than
 ``id``, ``op``, ``params``, ``tenant``, ``budget`` and ``deadline_ms``,
 so a stale client's field or a typo such as ``"deadline"`` fails the
-request instead of being silently dropped.
+request instead of being silently dropped.  Parameter values are
+typed as well: ``reduce``, ``sift`` and ``payload`` must be JSON
+booleans (a string ``"false"`` would read as true), the cell limits
+positive integers and ``cut_height`` an integer, never a boolean.
 
 Ops: ``ping``, ``stats``, ``invalidate``, ``width_reduce``,
 ``decompose``, ``cascade``, ``pla_reduce``, ``shutdown``.
@@ -197,6 +200,11 @@ def query_key(
     return f"query:{op}/{digest}"
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer (``true``/``false`` are not numbers here)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_request(line: str | bytes) -> Request:
     """Parse and validate one request line; raises :class:`ProtocolError`."""
     if isinstance(line, bytes):
@@ -238,8 +246,14 @@ def parse_request(line: str | bytes) -> Request:
         raise ProtocolError(f"op {op!r} requires a string 'benchmark' parameter")
     if op == "pla_reduce" and not isinstance(params.get("pla"), str):
         raise ProtocolError("op 'pla_reduce' requires the PLA text in 'pla'")
-    if op == "decompose" and not isinstance(params.get("cut_height"), int):
+    if op == "decompose" and not _is_int(params.get("cut_height")):
         raise ProtocolError("op 'decompose' requires an integer 'cut_height'")
+    for flag in ("reduce", "sift", "payload"):
+        if flag in params and not isinstance(params[flag], bool):
+            raise ProtocolError(f"parameter {flag!r} must be true or false")
+    for limit in ("max_cell_inputs", "max_cell_outputs"):
+        if limit in params and not (_is_int(params[limit]) and params[limit] > 0):
+            raise ProtocolError(f"parameter {limit!r} must be a positive integer")
     tenant = raw.get("tenant", "default")
     if not isinstance(tenant, str) or not tenant:
         raise ProtocolError("'tenant' must be a non-empty string")
@@ -255,7 +269,7 @@ def parse_request(line: str | bytes) -> Request:
             )
     deadline_ms = raw.get("deadline_ms")
     if deadline_ms is not None:
-        if not isinstance(deadline_ms, int) or isinstance(deadline_ms, bool) or deadline_ms <= 0:
+        if not _is_int(deadline_ms) or deadline_ms <= 0:
             raise ProtocolError("'deadline_ms' must be a positive integer")
     return Request(
         id=rid,

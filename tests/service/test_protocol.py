@@ -64,6 +64,54 @@ class TestParse:
         with pytest.raises(ProtocolError):
             parse_request(bad)
 
+    @pytest.mark.parametrize(
+        "op,params",
+        [
+            # Flags must be JSON booleans: a string "false" is truthy.
+            ("cascade", {"reduce": "false"}),
+            ("cascade", {"reduce": 0}),
+            ("cascade", {"sift": "true"}),
+            ("cascade", {"sift": None}),
+            ("width_reduce", {"sift": 1}),
+            ("width_reduce", {"payload": "yes"}),
+            ("decompose", {"cut_height": 2, "sift": 0}),
+            # Cell limits are positive integers, never booleans.
+            ("cascade", {"max_cell_inputs": 0}),
+            ("cascade", {"max_cell_inputs": -3}),
+            ("cascade", {"max_cell_inputs": 6.0}),
+            ("cascade", {"max_cell_inputs": "6"}),
+            ("cascade", {"max_cell_inputs": True}),
+            ("cascade", {"max_cell_outputs": False}),
+            ("cascade", {"max_cell_outputs": None}),
+            ("decompose", {"cut_height": True}),
+            ("decompose", {"cut_height": 2.0}),
+        ],
+    )
+    def test_rejects_mistyped_parameters(self, op, params):
+        with pytest.raises(ProtocolError):
+            parse_request(
+                line(id="x", op=op, params={"benchmark": "2-digit decimal adder", **params})
+            )
+
+    def test_pla_payload_flag_must_be_boolean(self):
+        with pytest.raises(ProtocolError, match="'payload'"):
+            parse_request(line(id="x", op="pla_reduce", params={"pla": ".i 1\n", "payload": 1}))
+
+    @pytest.mark.parametrize(
+        "op,params",
+        [
+            ("cascade", {"reduce": False, "sift": True}),
+            ("cascade", {"max_cell_inputs": 6, "max_cell_outputs": 1}),
+            ("width_reduce", {"sift": False, "payload": True}),
+            ("decompose", {"cut_height": 0}),
+        ],
+    )
+    def test_well_typed_parameters_parse_unchanged(self, op, params):
+        params = {"benchmark": "2-digit decimal adder", **params}
+        req = parse_request(line(id="x", op=op, params=params))
+        assert req.params == params
+        assert req.key() == query_key(op, params)
+
     def test_invalid_utf8(self):
         with pytest.raises(ProtocolError):
             parse_request(b"\xff\xfe{}")

@@ -5,17 +5,24 @@ Pins the eviction contract the multi-process service leans on: under
 ``max_alive`` pressure a shard drops cold CFs first (LRU order) and
 keeps hot ones warm.  Also covers the RBCF snapshot integration — a
 shard with a ``snapshot_dir`` persists freshly built CFs and warms
-later cold starts from disk instead of re-running build+sift — and
+later cold starts from disk instead of re-running build+sift —,
 :meth:`Shard.handle`, which answers every request of a shard worker
 process: one counter window per query, budgets as answers, and
-housekeeping after every query.
+housekeeping after every query, and warm ``cascade`` queries, whose
+sifted output-partition CFs share the base CFs' cache.
 """
 
 import asyncio
+import dataclasses
 
 import pytest
 
-from repro.bdd import stats
+from repro.bdd import reorder, stats
+from repro.bdd.io import charfunction_payload, payload_fingerprint
+from repro.benchfns.registry import get_benchmark
+from repro.cf.charfun import CharFunction
+from repro.experiments.table5 import design
+from repro.service import shards
 from repro.service.shards import Shard, family_of
 
 HOT = "3-5 RNS"
@@ -229,6 +236,178 @@ class TestHandle:
         assert shard.evicted_cfs == 1
         assert reply["shard"]["cached_cfs"] == 0
         assert reply["stats_delta"]["kernel_steps"] > 0
+
+
+#: ``(benchmark, reduce, cell limits)`` of the warm-cascade cases; the
+#: 5-input cells make ``synthesize_forest`` bisect (more than 2 parts).
+CASCADES = [
+    (name, reduce, {})
+    for name in ("3-5-7 RNS", "3-digit 5-nary to binary", "2-digit decimal adder")
+    for reduce in (False, True)
+] + [
+    ("3-digit 5-nary to binary", True, {"max_cell_inputs": 5}),
+    ("2-digit decimal adder", False, {"max_cell_inputs": 5}),
+]
+COST_FIELDS = (
+    "cells", "lut_outputs", "cascades", "redundant_vars",
+    "lut_memory_bits", "aux_memory_bits",
+)
+
+
+def cascade_params(name, reduce, limits):
+    return {"benchmark": name, "reduce": reduce, **limits}
+
+
+def partition_keys(shard):
+    return [key for key in shard.cfs if "|outputs=" in key]
+
+
+def count_engine_builds(monkeypatch):
+    """Count ``Benchmark.build``, ``CharFunction.from_isf`` and
+    ``reorder.sift`` calls from here on."""
+    calls = {"build": 0, "from_isf": 0, "sift": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def counted_benchmark(name):
+        bench = get_benchmark(name)
+        return dataclasses.replace(bench, build=counted("build", bench.build))
+
+    monkeypatch.setattr(shards, "get_benchmark", counted_benchmark)
+    monkeypatch.setattr(
+        CharFunction, "from_isf", staticmethod(counted("from_isf", CharFunction.from_isf))
+    )
+    monkeypatch.setattr(reorder, "sift", counted("sift", reorder.sift))
+    return calls
+
+
+@pytest.mark.parametrize("name,reduce,limits", CASCADES)
+class TestWarmCascade:
+    """A shard keeps each sifted output partition warm, so a repeated
+    ``cascade`` runs only support reduction, Alg. 3.3 and synthesis,
+    and answers exactly what :func:`table5.design` gives cold."""
+
+    def test_cold_reply_is_the_table5_design(self, name, reduce, limits):
+        shard = Shard(family_of("cascade", {"benchmark": name}))
+        reply = shard.execute("cascade", cascade_params(name, reduce, limits))
+        cost, _realization, forest = design(
+            get_benchmark(name).build(), reduce=reduce, **limits
+        )
+        assert {f: reply[f] for f in COST_FIELDS} == {
+            f: getattr(cost, f) for f in COST_FIELDS
+        }
+        assert reply["parts"] == len(forest)
+        if limits:
+            assert reply["parts"] > 2, "the cell limit must make the forest bisect"
+        assert shard.cold_builds == len(partition_keys(shard)) >= reply["parts"]
+
+    def test_warm_repeat_builds_and_sifts_nothing(self, name, reduce, limits, monkeypatch):
+        calls = count_engine_builds(monkeypatch)
+        params = cascade_params(name, reduce, limits)
+        shard = Shard(family_of("cascade", params))
+        cold = shard.execute("cascade", params)
+        partitions = len(partition_keys(shard))
+        # A cold request builds the ISF once, whatever its partitions.
+        assert calls == {"build": 1, "from_isf": partitions, "sift": partitions}
+        builds = shard.cold_builds
+        calls.update(build=0, from_isf=0, sift=0)
+        assert shard.execute("cascade", params) == cold
+        assert shard.cold_builds == builds
+        assert shard.warm_hits == partitions
+        assert calls == {"build": 0, "from_isf": 0, "sift": 0}
+
+    def test_snapshot_reload_answers_identically(self, name, reduce, limits, tmp_path):
+        params = cascade_params(name, reduce, limits)
+        family = family_of("cascade", params)
+        cold_shard = Shard(family, snapshot_dir=tmp_path)
+        cold = cold_shard.execute("cascade", params)
+        partitions = len(partition_keys(cold_shard))
+        assert cold_shard.snapshot_writes == partitions
+        restarted = Shard(family, snapshot_dir=tmp_path)
+        assert restarted.execute("cascade", params) == cold
+        assert restarted.snapshot_loads == partitions
+        assert restarted.cold_builds == 0
+
+    def test_eviction_then_answer(self, name, reduce, limits):
+        params = cascade_params(name, reduce, limits)
+        shard = Shard(family_of("cascade", params))
+        cold = shard.execute("cascade", params)
+        shard.housekeep(max_alive=1)
+        assert shard.cfs == {}
+        assert shard.execute("cascade", params) == cold
+
+    def test_width_reduce_between_cascades(self, name, reduce, limits):
+        params = cascade_params(name, reduce, limits)
+        family = family_of("cascade", params)
+        shard = Shard(family)
+        before = shard.execute("cascade", params)
+        between = shard.execute("width_reduce", {"benchmark": name})
+        assert shard.execute("cascade", params) == before
+        assert between == Shard(family).execute("width_reduce", {"benchmark": name})
+
+
+ADDER = "2-digit decimal adder"
+#: Cache key of the adder's first output half.
+FIRST = f"{ADDER}|outputs=0,1,2,3,4,5|sift=True"
+
+
+class TestBudgetedCascade:
+    """A budget stop inside a partition sift is the request's error
+    answer: the design never goes on from a partly sifted CF, and no
+    partly sifted CF is cached."""
+
+    def request(self, budget):
+        return {
+            "op": "cascade",
+            "params": {"benchmark": ADDER, "reduce": False},
+            "budget": budget,
+            "tenant_remaining": None,
+        }
+
+    @pytest.mark.parametrize(
+        "max_steps,finished",
+        # 7,700 steps run out in the first half's sift; 8,400 in the
+        # second half's, where going on from the partly sifted half
+        # would answer 19 LUT outputs and 46,336 bits.
+        [(7700, []), (8400, [FIRST])],
+    )
+    def test_budget_stop_in_a_partition_sift_is_an_error(
+        self, max_steps, finished, monkeypatch
+    ):
+        sift_errors = []
+
+        def watched_sift(*args, _sift=reorder.sift, **kwargs):
+            try:
+                return _sift(*args, **kwargs)
+            except Exception as exc:
+                sift_errors.append(type(exc).__name__)
+                raise
+
+        monkeypatch.setattr(reorder, "sift", watched_sift)
+        shard = Shard("decimal")
+        reply = shard.handle(self.request({"max_steps": max_steps}))
+        assert reply["ok"] is False
+        assert reply["error"]["type"] == "ResourceLimitError"
+        assert sift_errors == ["ResourceLimitError"]
+
+        cold_shard = Shard("decimal")
+        cold = cold_shard.handle(self.request(None))
+        assert cold["ok"]
+        assert (cold["result"]["lut_outputs"], cold["result"]["lut_memory_bits"]) == (20, 50944)
+        # The half whose sift was cut is not cached; a half finished
+        # before it is the one an unbudgeted request caches.
+        assert partition_keys(shard) == finished
+        for key in finished:
+            assert payload_fingerprint(charfunction_payload(shard.cfs[key])) == (
+                payload_fingerprint(charfunction_payload(cold_shard.cfs[key]))
+            )
+        # The next request without a budget is the cold answer.
+        assert shard.handle(self.request(None))["result"] == cold["result"]
 
 
 class TestFamilyRouting:
