@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 
 from repro.bdd import governor as _governor
+from repro.bdd import reference
 from repro.bdd.manager import FALSE, TRUE, BDD
 from repro.bdd.transfer import transfer
 from repro.bdd import reorder
@@ -313,13 +314,28 @@ class CharFunction:
 
         Width reduction can turn the CF into a general total relation
         (the choice for one output may constrain another), so a single
-        ternary pattern need not exist; this walks the restricted BDD
-        committing each output variable to a branch with a satisfiable
-        continuation (0 preferred).  On care inputs every specified
-        output bit is forced, so the sample agrees with the original
-        specification there.
+        ternary pattern need not exist.  The sample is the least allowed
+        vector in the variable order, 0 before 1: one walk down χ along
+        the input bits takes, at each output node, the 0-branch when a
+        memoized walk shows that branch admits the rest of the input
+        assignment, else the 1-branch.  Nothing is built.  On care
+        inputs every specified output bit is forced, so the sample
+        agrees with the original specification there.  The seed engine
+        walks χ restricted by every input instead, to the same vector.
         """
         bits = self._input_bits(minterm_or_bits)
+        if reference.SEED_MODE:
+            return self._seed_sample_output(bits)
+        bdd = self.bdd
+        bit_of = [-1] * bdd.num_vars
+        for vid, bit in zip(self.input_vids, bits):
+            bit_of[vid] = 1 if bit else 0
+        values = _least_output(bdd, self.root, bit_of)
+        if values is None:
+            raise SpecificationError("CF is not total: no output allowed for input")
+        return tuple(values.get(y, 0) for y in self.output_vids)
+
+    def _seed_sample_output(self, bits: list[int]) -> tuple[int, ...]:
         restricted = self.bdd.restrict(self.root, dict(zip(self.input_vids, bits)))
         if restricted == FALSE:
             raise SpecificationError("CF is not total: no output allowed for input")
@@ -397,6 +413,73 @@ class CharFunction:
         if self.bdd is not other.bdd:
             raise SpecificationError("refines() requires CFs on one manager")
         return self.bdd.implies(self.root, other.root)
+
+
+def _least_output(bdd: BDD, root: int, bit_of: list[int]) -> dict[int, int] | None:
+    """The least assignment of the free variables that satisfies ``root``.
+
+    ``bit_of[vid]`` is the value of an assigned variable, -1 for a free
+    one.  Returns the values of the free variables met on the path
+    (the rest may be 0), or None when no assignment satisfies ``root``.
+    ``admits`` memoizes, per node, whether the node's function under
+    the assignment is satisfiable; each node it visits is one step
+    charged to the active budgets.
+    """
+    vid_arr, lo_arr, hi_arr = bdd._vid, bdd._lo, bdd._hi
+    admits: dict[int, bool] = {FALSE: False, TRUE: True}
+    governed = _governor._ACTIVE
+    check_mask = _governor.CHECK_INTERVAL - 1
+    steps = 0
+
+    def admitted(u: int) -> bool:
+        # Same short-circuit shape as ordered_total: an assigned node
+        # has one child; a free node whose lo-branch admits is decided.
+        nonlocal steps
+        result = False
+        stack = [(u, 0)]
+        while stack:
+            v, state = stack.pop()
+            if state == 0:
+                r = admits.get(v)
+                if r is not None:
+                    result = r
+                    continue
+                if governed:
+                    steps += 1
+                    if not steps & check_mask:
+                        _governor.checkpoint(bdd, check_mask + 1)
+                bit = bit_of[vid_arr[v]]
+                if bit >= 0:
+                    stack.append((v, 2))
+                    stack.append((hi_arr[v] if bit else lo_arr[v], 0))
+                else:
+                    stack.append((v, 1))
+                    stack.append((lo_arr[v], 0))
+            elif state == 1 and not result:
+                stack.append((v, 2))
+                stack.append((hi_arr[v], 0))
+            else:
+                admits[v] = result
+        return result
+
+    if not admitted(root):
+        return None
+    values: dict[int, int] = {}
+    u = root
+    while u > 1:
+        vid = vid_arr[u]
+        bit = bit_of[vid]
+        if bit >= 0:
+            u = hi_arr[u] if bit else lo_arr[u]
+        elif admitted(lo_arr[u]):
+            values[vid] = 0
+            u = lo_arr[u]
+        else:
+            values[vid] = 1
+            u = hi_arr[u]
+    if steps & check_mask:
+        _governor.checkpoint(bdd, steps & check_mask)
+    return values
 
 
 def _chi_walk(

@@ -26,6 +26,8 @@ date inside each swap.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from repro.bdd.manager import TRUE, BDD
 from repro.bdd.traversal import crossing_counts, ranked_sections
 
@@ -79,16 +81,19 @@ def all_columns(bdd: BDD, root: int) -> list[list[int]]:
 
 
 def substitute_columns(
-    bdd: BDD, root: int, height: int, substitution: dict[int, int]
+    bdd: BDD, root: int, height: int, replace: Callable[[int], int]
 ) -> int:
-    """Rebuild the BDD with columns at ``height`` replaced.
+    """Rebuild the BDD with the nodes at or below ``height`` replaced.
 
-    ``substitution`` maps old column nodes (at or below the section) to
-    replacement functions whose supports also lie below the section.
-    Nodes above the section are rebuilt through the unique table, so
-    upper nodes that become equal merge automatically (Example 3.6).
-    The rebuild walks with an explicit stack, so it cannot hit the
-    recursion limit on deep orders.
+    ``replace`` maps each node at or below the section (terminals
+    included) that an edge from above reaches to its replacement, a
+    function whose support also lies below the section: Algorithm 3.3
+    passes merged columns, support reduction each node ``u`` at the
+    removed variable's level to ``lo(u) · hi(u)``.  ``replace`` is
+    called once per such node.  Nodes above the section are rebuilt
+    through the unique table, so upper nodes that become equal merge
+    automatically (Example 3.6).  The rebuild walks with an explicit
+    stack, so it cannot hit the recursion limit on deep orders.
     """
     t = bdd.num_vars
     boundary_level = t - height  # nodes at level >= boundary_level are below
@@ -99,12 +104,14 @@ def substitute_columns(
     var_of = bdd.var_of
     mk = bdd.mk
     memo_get = memo.get
-    sub_get = substitution.get
 
     def resolve(u: int) -> int | None:
         """Rewritten form of ``u`` if already known, else None."""
         if level(u) >= boundary_level:
-            return sub_get(u, u)
+            r = memo_get(u)
+            if r is None:
+                r = memo[u] = replace(u)
+            return r
         return memo_get(u)
 
     top = resolve(root)
@@ -129,4 +136,3 @@ def substitute_columns(
         stack.pop()
         memo[u] = mk(var_of(u), lo, hi)
     return memo[root]
-

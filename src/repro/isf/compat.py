@@ -12,7 +12,11 @@ determined by the variables above it, so the "choose y knowing only
 the upper variables" strategy is exact, not conservative.
 
 Compatibility of two columns (Definition 3.7 lifted to CFs, as used by
-Lemma 3.1 and Algorithms 3.1/3.3) is then ``total(χ_a · χ_b)``.
+Lemma 3.1 and Algorithms 3.1/3.3) is then ``total(χ_a · χ_b)``.  The
+compatibility of χ's two cofactors by an input variable ``x`` (Sect.
+3.3's support reduction) is the same walk started at ``(χ, χ)``, which
+stays on χ's own nodes down to ``x``'s level and there pairs each
+node's children, so neither cofactor is built.
 
 Both predicates memoize through the manager's cache tiers: totality
 per node in the ``tot`` tier, compatibility per (canonicalized,
@@ -24,8 +28,11 @@ them lazily without a cache scan.
 
 Each predicate has one code path, the node (pair) walk down to the
 terminals, and :mod:`repro.bdd.reference` keeps the seed recursions
-it is checked against.  Neither walk reads configuration: a query is
-a pure function of the manager's state.
+it is checked against.  No walk reads configuration: a query is a
+pure function of the manager's state.  The pair walks charge one
+step per visited pair to the active :mod:`~repro.bdd.governor`
+budgets, checked every :data:`~repro.bdd.governor.CHECK_INTERVAL`
+steps, as the apply kernel charges its frames.
 
 :class:`ProbeSignatures` is not a second compatibility predicate but a
 sound pre-test in front of the pair walk: packed on/off words over a
@@ -40,6 +47,7 @@ from __future__ import annotations
 
 import random
 
+from repro.bdd import governor as _governor
 from repro.bdd import reference
 from repro.bdd.kernel import validator_epoch_bool, validator_epoch_bool_packed
 from repro.bdd.manager import FALSE, TRUE, BDD
@@ -53,6 +61,7 @@ _COMPAT_VALIDATOR = validator_epoch_bool_packed(2)
 PROBES = 64
 _PROBE_ALL = (1 << PROBES) - 1
 _PROBE_SEED = 2005
+_CHECK_MASK = _governor.CHECK_INTERVAL - 1
 
 
 def ordered_total(bdd: BDD, u: int) -> bool:
@@ -133,7 +142,7 @@ def compatible_columns(bdd: BDD, a: int, b: int) -> bool:
     if a == FALSE or b == FALSE:
         return False
     if a == b or a == TRUE or b == TRUE:
-        return ordered_total(bdd, bdd.apply_and(a, b))
+        return ordered_total(bdd, b if a == TRUE else a)  # the product
     if a > b:
         a, b = b, a
     tier = bdd.op_cache("compat", _COMPAT_VALIDATOR)
@@ -156,6 +165,9 @@ def compatible_columns(bdd: BDD, a: int, b: int) -> bool:
     level_of = bdd._level_of
     lo_arr, hi_arr, vid_arr = bdd._lo, bdd._hi, bdd._vid
 
+    governed = _governor._ACTIVE
+    steps = 0
+
     # Pair walk over the conceptual product, same short-circuit shape
     # as ordered_total: state 0 visits a pair, state 1 sees the lo-pair
     # verdict, state 2 sees the hi-pair verdict.  Pair keys are packed
@@ -166,6 +178,10 @@ def compatible_columns(bdd: BDD, a: int, b: int) -> bool:
     while stack:
         x, y, state = stack.pop()
         if state == 0:
+            if governed:
+                steps += 1
+                if not steps & _CHECK_MASK:
+                    _governor.checkpoint(bdd, _CHECK_MASK + 1)
             if x == FALSE or y == FALSE:
                 result = False
                 continue
@@ -206,6 +222,77 @@ def compatible_columns(bdd: BDD, a: int, b: int) -> bool:
                 push((hi_arr[x] if lx <= ly else x, hi_arr[y] if ly <= lx else y, 0))
         else:
             tier.insert((x << 32) | y, (result, epoch, gen[x], gen[y]))
+    if steps & _CHECK_MASK:
+        _governor.checkpoint(bdd, steps & _CHECK_MASK)
+    return result
+
+
+def compatible_cofactors(bdd: BDD, root: int, vid: int) -> bool:
+    """Compatibility of χ's cofactors by ``vid``: ``total(χ|x=0 · χ|x=1)``.
+
+    The pair walk of :func:`compatible_columns` started at
+    ``(root, root)``, the left side standing for its ``x = 0`` cofactor
+    and the right side for its ``x = 1`` cofactor.  Above ``x``'s level
+    both sides take the same branch, so the pair stays ``(u, u)`` and
+    the walk is one over χ's own nodes, quantified by the kind of each
+    node's variable.  At ``x``'s level a node's pair is ``(lo, hi)``,
+    handed to :func:`compatible_columns` and its ``compat`` tier; below
+    it both cofactors are the node itself, whose verdict is
+    :func:`ordered_total`.  The upper verdicts are memoized for this
+    call only (the next variable's level differs).  A variable that
+    stays therefore allocates no node and fills no ``cofactor`` tier
+    entry; one step per visited node is charged to the active budgets.
+    """
+    if reference.SEED_MODE:
+        return reference.seed_compatible_columns(
+            bdd, bdd.cofactor(root, vid, 0), bdd.cofactor(root, vid, 1)
+        )
+    kinds = bdd._kinds
+    level_of = bdd._level_of
+    lo_arr, hi_arr, vid_arr = bdd._lo, bdd._hi, bdd._vid
+    split = level_of[vid]
+    memo: dict[int, bool] = {}
+    governed = _governor._ACTIVE
+    steps = 0
+
+    # Same short-circuit shape as ordered_total.
+    result = False
+    stack: list[tuple[int, int]] = [(root, 0)]
+    push = stack.append
+    while stack:
+        u, state = stack.pop()
+        if state == 0:
+            if governed:
+                steps += 1
+                if not steps & _CHECK_MASK:
+                    _governor.checkpoint(bdd, _CHECK_MASK + 1)
+            if u <= 1:
+                result = u == TRUE
+                continue
+            level = level_of[vid_arr[u]]
+            if level == split:
+                result = compatible_columns(bdd, lo_arr[u], hi_arr[u])
+                continue
+            if level > split:
+                result = ordered_total(bdd, u)
+                continue
+            r = memo.get(u)
+            if r is not None:
+                result = r
+                continue
+            push((u, 1))
+            push((lo_arr[u], 0))
+        elif state == 1:
+            # ``result`` holds the lo-branch verdict.
+            if result == (kinds[vid_arr[u]] == "output"):
+                memo[u] = result
+            else:
+                push((u, 2))
+                push((hi_arr[u], 0))
+        else:
+            memo[u] = result
+    if steps & _CHECK_MASK:
+        _governor.checkpoint(bdd, steps & _CHECK_MASK)
     return result
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
+from collections.abc import Collection
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable
 
@@ -48,10 +49,11 @@ def _serve(make_handler, args, conn, inherited) -> None:
     EOF, and a SIGKILLed parent would leave the worker running forever.
     A worker forked later also holds the parent ends of its older
     siblings; it exits on EOF too, which releases them in turn.  The
-    rest are the parent's listening sockets: a worker holding one keeps
-    a dead parent's socket accepting connections and its port bound.
-    Closing the Python objects, not raw fd numbers, leaves no stale fd
-    number behind to be closed again later.
+    rest are sockets of the parent's: a worker holding a listening
+    socket keeps a dead parent's socket accepting connections and its
+    port bound, and one holding a client's connection keeps it open
+    after the parent closed it.  Closing the Python objects, not raw fd
+    numbers, leaves no stale fd number behind to be closed again later.
     """
     for obj in inherited:
         obj.close()
@@ -79,8 +81,10 @@ class WorkerProcess:
     one-thread :class:`~concurrent.futures.ThreadPoolExecutor` parks a
     blocking :meth:`call` off the caller's thread (the service's event
     loop, the sweep pool's scheduling loop); one thread per worker keeps
-    one request in flight per process.  ``listeners`` are the parent's
-    listening sockets, which the child closes right after the fork.
+    one request in flight per process.  ``inherited`` holds parent
+    sockets the child closes right after the fork; it is read at every
+    fork (a restart too), so the parent may keep a live collection
+    there.
     """
 
     def __init__(
@@ -89,12 +93,12 @@ class WorkerProcess:
         args: tuple = (),
         *,
         name: str,
-        listeners: tuple = (),
+        inherited: Collection = (),
     ) -> None:
         self.make_handler = make_handler
         self.args = tuple(args)
         self.name = name
-        self.listeners = tuple(listeners)
+        self.inherited = inherited
         self.restarts = 0
         self.executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix=name)
         self._spawn()
@@ -108,7 +112,7 @@ class WorkerProcess:
                 self.make_handler,
                 self.args,
                 child_conn,
-                (self._conn, *self.listeners),
+                (self._conn, *self.inherited),
             ),
             name=self.name,
             daemon=True,

@@ -135,6 +135,8 @@ def algorithm_3_3(
                     substitution[member] = merged
             stats.merges += len(clique) - 1
         if substitution:
-            root = substitute_columns(bdd, root, height, substitution)
+            root = substitute_columns(
+                bdd, root, height, lambda u: substitution.get(u, u)
+            )
 
     return cf.replaced(root, suffix="/alg3.3"), stats

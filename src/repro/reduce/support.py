@@ -8,12 +8,24 @@ The paper applies a greedy pass from the root towards the leaves before
 running Algorithm 3.1 or 3.3; removing variables often shrinks the
 width, and for single-memory realizations removing ``i`` variables
 divides the memory size by ``2^i`` (Sect. 5.3).
+
+Neither cofactor is built.  The decision is one pair walk over χ
+itself (:func:`~repro.isf.compat.compatible_cofactors`), so a variable
+that stays — most of them — allocates no node.  A removed variable
+turns χ into ``∀x.χ = χ|x=0 · χ|x=1``: only the part of χ above ``x``'s
+level is rebuilt, each ``x``-node replaced by the product of its two
+children (:func:`~repro.cf.width.substitute_columns`, the upper-part
+rebuild of Algorithm 3.3).  Under the seed engine both steps build the
+cofactors, as the seed did.
 """
 
 from __future__ import annotations
 
+from repro.bdd import reference
+from repro.bdd.manager import BDD
 from repro.cf.charfun import CharFunction
-from repro.isf.compat import compatible_columns
+from repro.cf.width import substitute_columns
+from repro.isf.compat import compatible_cofactors
 
 
 def reduce_support(cf: CharFunction) -> tuple[CharFunction, list[int]]:
@@ -31,10 +43,23 @@ def reduce_support(cf: CharFunction) -> tuple[CharFunction, list[int]]:
     for vid in sorted(cf.input_vids, key=bdd.level_of_vid):
         if vid not in support:
             continue
-        cof0 = bdd.cofactor(root, vid, 0)
-        cof1 = bdd.cofactor(root, vid, 1)
-        if compatible_columns(bdd, cof0, cof1):
-            root = bdd.apply_and(cof0, cof1)
+        if compatible_cofactors(bdd, root, vid):
+            root = _forall(bdd, root, vid)
             removed.append(vid)
             support = bdd.support(root)
     return cf.replaced(root, suffix="/supp"), removed
+
+
+def _forall(bdd: BDD, root: int, vid: int) -> int:
+    """``∀x.χ``: the upper part rebuilt over each ``x``-node's ``lo · hi``."""
+    if reference.SEED_MODE:
+        return bdd.apply_and(bdd.cofactor(root, vid, 0), bdd.cofactor(root, vid, 1))
+    split = bdd.level_of_vid(vid)
+    lo_arr, hi_arr, vid_arr = bdd._lo, bdd._hi, bdd._vid
+
+    def product(u: int) -> int:
+        if u > 1 and vid_arr[u] == vid:
+            return bdd.apply_and(lo_arr[u], hi_arr[u])
+        return u
+
+    return substitute_columns(bdd, root, bdd.num_vars - split, product)

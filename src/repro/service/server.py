@@ -599,6 +599,19 @@ class Service:
             return error_response(req.id, exc)
         return await fut
 
+    async def _serve_connection(self, handler, reader, writer) -> None:
+        """Run ``handler`` on a client connection, which no shard worker
+        forked meanwhile may keep: a worker holding a copy would keep
+        the connection open after the daemon closed it."""
+        # asyncio hands out a TransportSocket, which refuses close(); a
+        # forked worker closes its copy of the socket object under it.
+        sock = writer.get_extra_info("socket")._sock
+        self.worker_pool.inherited.add(sock)
+        try:
+            await handler(reader, writer)
+        finally:
+            self.worker_pool.inherited.discard(sock)
+
     # -- unix-socket transport ----------------------------------------
 
     async def _handle_conn(
@@ -728,10 +741,11 @@ class Service:
                 )
                 writer.write(http("404 Not Found", body, "application/json"))
             await writer.drain()
-            # A shard worker forked during this request holds a copy of
-            # the connection, so close() alone sends no FIN; shutting the
-            # write side down does, whoever else holds the socket.  A
-            # client that already reset has nothing left to shut down.
+            # A shard worker forked between the accept and the start of
+            # _serve_connection holds a copy of the connection, so
+            # close() alone would send no FIN; shutting the write side
+            # down does, whoever else holds the socket.  A client that
+            # already reset has nothing left to shut down.
             with contextlib.suppress(OSError):
                 writer.write_eof()
         except (
@@ -768,7 +782,10 @@ class Service:
             listener.bind(str(self.socket_path))
             listeners.append(listener)
             servers.append(
-                await asyncio.start_unix_server(self._handle_conn, sock=listener)
+                await asyncio.start_unix_server(
+                    functools.partial(self._serve_connection, self._handle_conn),
+                    sock=listener,
+                )
             )
         if self.http_host is not None:
             family = socket.AF_INET6 if ":" in self.http_host else socket.AF_INET
@@ -777,10 +794,15 @@ class Service:
             )
             self.http_port = listener.getsockname()[1]
             listeners.append(listener)
-            servers.append(await asyncio.start_server(self._handle_http, sock=listener))
+            servers.append(
+                await asyncio.start_server(
+                    functools.partial(self._serve_connection, self._handle_http),
+                    sock=listener,
+                )
+            )
         if not servers:
             raise ServiceError("service has neither a socket path nor an HTTP address")
-        self.worker_pool.listeners = tuple(listeners)
+        self.worker_pool.inherited.update(listeners)
         if ready is not None:
             ready()
         pump = asyncio.ensure_future(self._pump())

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections.abc import Collection
 from pathlib import Path
 
 from repro.errors import RemoteQueryError
@@ -140,7 +141,7 @@ class ShardWorker(WorkerProcess):
         *,
         max_alive: int = DEFAULT_MAX_ALIVE,
         snapshot_dir: str | Path | None = None,
-        listeners: tuple = (),
+        inherited: Collection = (),
     ) -> None:
         self.family = family
         self.queries = 0
@@ -156,7 +157,7 @@ class ShardWorker(WorkerProcess):
                 fault_parent=fault_parent,
             ).handle,
             name=f"repro-shard-{family}",
-            listeners=listeners,
+            inherited=inherited,
         )
 
     def call(self, doc: dict, *, timeout: float | None = None) -> dict:
@@ -223,9 +224,12 @@ class WorkerPool:
         #: are what the breaker meters).
         self.breakers: dict[str, CircuitBreaker] = {}
         self._last_used: dict[str, float] = {}
-        #: The daemon's listening sockets, set once they are bound; every
-        #: worker forked afterwards closes its copies (WorkerProcess).
-        self.listeners: tuple = ()
+        #: The daemon's sockets a forked worker must not keep: its
+        #: listening sockets, once bound, and the connections of its
+        #: clients while they are open.  Every worker forked (or
+        #: restarted) closes its copies of what the set holds then
+        #: (WorkerProcess).
+        self.inherited: set = set()
 
     def breaker(self, family: str) -> CircuitBreaker:
         """The family's circuit breaker (created closed on first use)."""
@@ -247,7 +251,7 @@ class WorkerPool:
                 family,
                 max_alive=self.max_alive,
                 snapshot_dir=self.snapshot_dir,
-                listeners=self.listeners,
+                inherited=self.inherited,
             )
         self._last_used[family] = time.monotonic()
         return worker

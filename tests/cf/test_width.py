@@ -74,7 +74,7 @@ class TestColumns:
 class TestSubstituteColumns:
     def test_identity_substitution(self):
         cf = CharFunction.from_spec(table1_spec())
-        root = substitute_columns(cf.bdd, cf.root, 3, {})
+        root = substitute_columns(cf.bdd, cf.root, 3, lambda u: u)
         assert root == cf.root
 
     def test_merge_reduces_width(self):
@@ -94,8 +94,9 @@ class TestSubstituteColumns:
                 break
         assert pair is not None
         merged = bdd.apply_and(*pair)
+        substitution = {pair[0]: merged, pair[1]: merged}
         root2 = substitute_columns(
-            bdd, cf.root, 3, {pair[0]: merged, pair[1]: merged}
+            bdd, cf.root, 3, lambda u: substitution.get(u, u)
         )
         assert len(columns_at_height(bdd, root2, 3)) < len(cols)
 
@@ -105,5 +106,5 @@ class TestSubstituteColumns:
         f = bdd.apply_and(bdd.var(a), bdd.var(b))
         # Replace the b-node below the section at height 1 with TRUE.
         (col,) = columns_at_height(bdd, f, 1)
-        root2 = substitute_columns(bdd, f, 1, {col: TRUE})
+        root2 = substitute_columns(bdd, f, 1, lambda u: TRUE if u == col else u)
         assert root2 == bdd.var(a)

@@ -379,10 +379,12 @@ class TestWorkerListeners:
         not pathlib.Path("/proc/net/unix").exists(), reason="needs Linux /proc"
     )
     def test_forked_worker_holds_no_listener(self, tmp_path):
-        """A shard worker is forked after the daemon bound its listeners.
-        It must not keep them open: a worker that outlives a SIGKILLed
-        daemon would keep the dead socket accepting connections and the
-        HTTP port bound."""
+        """A shard worker is forked after the daemon bound its listeners,
+        by a query on an open client connection.  It must keep neither
+        open: a worker that outlives a SIGKILLed daemon would keep the
+        dead socket accepting connections and the HTTP port bound, and
+        one holding the connection keeps it open after the daemon
+        closed it."""
         proc, sock = start_daemon(
             tmp_path, "--http", "127.0.0.1:0", "--workers", "1"
         )
@@ -392,16 +394,20 @@ class TestWorkerListeners:
                 reply = client.call("width_reduce", {"benchmark": BENCH})
                 assert reply["ok"], reply
                 procs = client.call("stats")["result"]["workers"]["processes"]
-            worker = procs["rns"]["pid"]
-            listeners = {
-                "unix": unix_listener_inode(sock),
-                "http": tcp_listener_inode(port),
-            }
-            # The probe sees both listeners in the daemon itself ...
-            assert set(listeners.values()) <= socket_inodes(proc.pid)
-            # ... and neither in its worker.
-            held = socket_inodes(worker)
-            assert [name for name, inode in listeners.items() if inode in held] == []
+                worker = procs["rns"]["pid"]
+                # The daemon's end of the connection the worker was
+                # forked for, still open.
+                (connection,) = unix_connection_inodes(sock) & socket_inodes(proc.pid)
+                sockets = {
+                    "unix": unix_listener_inode(sock),
+                    "http": tcp_listener_inode(port),
+                    "connection": connection,
+                }
+                # The probe sees every socket in the daemon itself ...
+                assert set(sockets.values()) <= socket_inodes(proc.pid)
+                # ... and none in its worker.
+                held = socket_inodes(worker)
+                assert [name for name, inode in sockets.items() if inode in held] == []
         finally:
             stop_daemon(proc, sock)
         assert proc.wait(timeout=30) == 0
@@ -470,6 +476,16 @@ def unix_listener_inode(path: pathlib.Path) -> int:
         if len(fields) > 7 and fields[7] == str(path) and int(fields[3], 16) & 0x10000:
             return int(fields[6])
     raise AssertionError(f"no listening unix socket at {path}")
+
+
+def unix_connection_inodes(path: pathlib.Path) -> set[int]:
+    """Inodes of the connected unix sockets accepted at ``path``."""
+    # St 03 is SS_CONNECTED; an accepted socket carries its listener's path.
+    return {
+        int(fields[6])
+        for line in pathlib.Path("/proc/net/unix").read_text().splitlines()[1:]
+        if len(fields := line.split()) > 7 and fields[7] == str(path) and fields[5] == "03"
+    }
 
 
 def tcp_listener_inode(port: int) -> int:
